@@ -51,7 +51,13 @@ from retroanchor.outputs import (
     parse_transition_output,
 )
 from retroanchor.prompts import load_template, render_transition_prompt, render_position_prompt
-from retroanchor.utils import atomic_write_text, read_jsonl, stable_json_dumps, write_jsonl
+from retroanchor.utils import (
+    atomic_write_text,
+    normalize_name,
+    read_jsonl,
+    stable_json_dumps,
+    write_jsonl,
+)
 
 DEFAULT_UNCLASSIFIED = "otherReaction"
 
@@ -394,6 +400,11 @@ def cmd_run_transition(args) -> int:
     train_records, train_rejects = _ingest(args.train)
     template_name = "transition" if args.prompt_variant == "full" else "transition_short"
     template = load_template(template_name)
+    # sample_examples still filters each group by split, id and name, so
+    # the pool, its order and the draw equal those over the full list.
+    train_by_name: dict[str, list[ReactionRecord]] = {}
+    for train in train_records:
+        train_by_name.setdefault(normalize_name(train.reaction_name), []).append(train)
 
     prompts = []
     pending: list[tuple[ReactionRecord, int, str | None]] = []
@@ -406,9 +417,8 @@ def cmd_run_transition(args) -> int:
         if name is None:
             library = ExampleLibrary(reaction_name="", examples=(), seed=args.seed)
         else:
-            library = sample_examples(
-                train_records, name, record.record_id, args.examples_k, args.seed
-            )
+            pool = train_by_name.get(normalize_name(name), [])
+            library = sample_examples(pool, name, record.record_id, args.examples_k, args.seed)
         prompt = render_transition_prompt(
             record.product, s, name, library, args.prompt_variant, template
         )

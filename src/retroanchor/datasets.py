@@ -11,8 +11,10 @@ but never labeled.
 from __future__ import annotations
 
 import csv
+import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from retroanchor.chem import Molecule, parse_smiles
@@ -61,18 +63,24 @@ class Ontology:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def normalized_ids(self) -> set[str]:
-        return {normalize_name(e.id) for e in self.entries}
+    @cached_property
+    def _class_by_name(self) -> dict[str, str]:
+        """Normalized name -> class; the first entry of a name wins."""
+        index: dict[str, str] = {}
+        for entry in self.entries:
+            index.setdefault(normalize_name(entry.id), entry.reaction_class)
+        return index
+
+    @cached_property
+    def prompt_block(self) -> str:
+        """The entries as the indented JSON the position prompt embeds."""
+        return json.dumps(self.to_json_obj(), indent=2)
 
     def contains(self, name: str) -> bool:
-        return normalize_name(name) in self.normalized_ids()
+        return normalize_name(name) in self._class_by_name
 
     def class_of(self, name: str) -> str | None:
-        key = normalize_name(name)
-        for entry in self.entries:
-            if normalize_name(entry.id) == key:
-                return entry.reaction_class
-        return None
+        return self._class_by_name.get(normalize_name(name))
 
     def to_json_obj(self) -> list[dict]:
         return [{"id": e.id, "class": e.reaction_class} for e in self.entries]

@@ -16,11 +16,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
+from typing import TYPE_CHECKING
 
 from retroanchor.prompts import RenderedPrompt
 from retroanchor.utils import atomic_write_text, stable_json_dumps
+
+if TYPE_CHECKING:
+    import requests
 
 AUTH_FAILURE = "auth_failure"
 CONTEXT_LENGTH = "context_length"
@@ -138,15 +140,23 @@ class CompletionCache:
 
 
 class HttpBackend:
-    """OpenAI-style chat-completions over HTTPS."""
+    """OpenAI-style chat-completions over HTTPS.
+
+    ``requests`` is imported here, not at module level, so that stages
+    which never send a request (replay runs, evaluation) skip its import.
+    """
 
     def __init__(self, cfg: ModelConfig, session: requests.Session | None = None):
+        import requests
+
         if not (cfg.endpoint.startswith("http://") or cfg.endpoint.startswith("https://")):
             raise GatewayError(REQUEST_REJECTED, f"endpoint must be absolute: {cfg.endpoint!r}")
         self.cfg = cfg
         self.session = session or requests.Session()
 
     def send(self, text: str) -> BackendResult:
+        import requests
+
         api_key = os.environ.get(self.cfg.api_key_env, "")
         if not api_key:
             raise GatewayError(
@@ -251,7 +261,9 @@ class Gateway:
         )
 
     def complete(self, prompt: RenderedPrompt) -> Completion:
-        digest = request_digest(prompt, self.cfg)
+        return self._complete(prompt, request_digest(prompt, self.cfg))
+
+    def _complete(self, prompt: RenderedPrompt, digest: str) -> Completion:
         cached = self.cache.get(digest)
         if cached is not None:
             self._record(digest, 0, "cache_hit", int(cached.get("latency_ms", 0)))
@@ -318,7 +330,7 @@ class Gateway:
         def one(prompt: RenderedPrompt) -> Completion | GatewayFailure:
             digest = request_digest(prompt, self.cfg)
             try:
-                return self.complete(prompt)
+                return self._complete(prompt, digest)
             except GatewayError as exc:
                 return GatewayFailure(
                     request_digest=digest, kind=exc.kind, message=str(exc)

@@ -132,7 +132,7 @@ def render_position_prompt(
     elif template.name != "position":
         raise ValueError(f"expected position template, got {template.name!r}")
     values = {
-        "<reaction_ontology>": json.dumps(ontology.to_json_obj(), indent=2),
+        "<reaction_ontology>": ontology.prompt_block,
         "<canonicalized_product>": canonical_smiles(product, include_maps=True),
     }
     return _render(template, values, example_count=0)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from retroanchor.datasets import (
     DatasetError,
+    Ontology,
     build_ontology,
     ingest_dataset,
     parse_reaction_smiles,
@@ -16,6 +18,7 @@ from retroanchor.datasets import (
     sample_examples,
     subsample_eval_set,
 )
+from retroanchor.utils import normalize_name
 
 
 def _row(record_id, name="Amide coupling", cls="Acylation", split="train", smiles="CCO.CBr>>CCOC"):
@@ -192,6 +195,17 @@ class TestOntology:
         assert ontology.class_of("x") == "A"
         assert ontology.class_of("unknown") is None
 
+    def test_first_entry_of_a_name_wins(self):
+        ontology = Ontology.from_json_obj(
+            [{"id": "Ester", "class": "A"}, {"id": " ESTER ", "class": "B"}]
+        )
+        assert ontology.contains("ester")
+        assert ontology.class_of("Ester") == "A"
+
+    def test_prompt_block_is_indented_entry_json(self):
+        ontology = build_ontology([_record("1", name="X", cls="A"), _record("2", name="Y")], "train")
+        assert ontology.prompt_block == json.dumps(ontology.to_json_obj(), indent=2)
+
 
 class TestSubsample:
     def _mixed(self):
@@ -317,3 +331,28 @@ class TestExamples:
         assert library.examples == (
             "[CH3:1][O:2][CH3:3]>>[CH3:1][OH:2].[CH3:3]Br",
         )
+
+    def test_name_group_draws_like_full_list(self):
+        """Sampling from the records that share a normalized name equals
+        sampling from the whole list, ids, splits and seeds varying."""
+        rng = random.Random(11)
+        names = ["Suzuki coupling", "suzuki  Coupling", "Aldol", "Ester"]
+        for _ in range(200):
+            records = [
+                _record(
+                    f"t{rng.randrange(30)}",
+                    name=rng.choice(names),
+                    split=rng.choice(["train", "train", "eval"]),
+                    smiles=f"C{'C' * i}O.CBr>>CCOC",
+                )
+                for i in range(rng.randrange(12))
+            ]
+            groups: dict[str, list] = {}
+            for record in records:
+                groups.setdefault(normalize_name(record.reaction_name), []).append(record)
+            name = rng.choice(names)
+            exclude = f"t{rng.randrange(30)}"
+            k, seed = rng.randrange(5), rng.randrange(100)
+            full = sample_examples(records, name, exclude, k, seed)
+            group = sample_examples(groups.get(normalize_name(name), []), name, exclude, k, seed)
+            assert group == full

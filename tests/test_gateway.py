@@ -9,6 +9,9 @@ import time
 import pytest
 import requests
 
+from helpers import golden_fixture_dir, run_golden_pipeline
+
+import retroanchor.gateway as gateway_module
 from retroanchor.gateway import (
     AUTH_FAILURE,
     CONTEXT_LENGTH,
@@ -27,6 +30,7 @@ from retroanchor.gateway import (
     seed_cache,
 )
 from retroanchor.prompts import RenderedPrompt
+from retroanchor.utils import read_jsonl
 
 
 def _prompt(text: str, template: str = "position") -> RenderedPrompt:
@@ -249,6 +253,41 @@ class TestRunBatch:
         assert results[0].text == "cached text"
         assert isinstance(results[1], GatewayFailure)
         assert results[1].kind == REPLAY_MISS
+
+    def test_one_digest_per_request(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_digest(prompt, cfg):
+            calls.append(prompt.text)
+            return request_digest(prompt, cfg)
+
+        seed_cache(tmp_path / "cache", _prompt("known"), CFG, "cached text")
+        manifest = tmp_path / "manifest.jsonl"
+        gateway = Gateway(CFG, tmp_path / "cache", mode="replay", manifest_path=manifest)
+        monkeypatch.setattr(gateway_module, "request_digest", counting_digest)
+        prompts = [_prompt("known"), _prompt("unknown"), _prompt("other")]
+        results = gateway.run_batch(prompts, parallelism=2)
+
+        assert sorted(calls) == sorted(p.text for p in prompts)
+        rows = {row["digest"]: row for row in read_jsonl(manifest)}
+        for prompt, result in zip(prompts[1:], results[1:]):
+            assert isinstance(result, GatewayFailure)
+            assert result.request_digest == request_digest(prompt, CFG)
+            assert rows[result.request_digest]["outcome"] == REPLAY_MISS
+
+
+class TestDigestPins:
+    def test_golden_digests_match_fixture(self, tmp_path):
+        """Request digests are cache keys: a change to prompt bytes or to
+        the digest payload orphans every existing cache, so the golden
+        run's digests are pinned."""
+        paths = run_golden_pipeline(tmp_path)
+        pinned = json.loads((golden_fixture_dir() / "request_digests.json").read_text())
+        produced = {
+            arm: {row["id"]: row["digest"] for row in read_jsonl(paths[f"run_{arm}"] / "outcomes.jsonl")}
+            for arm in ("position", "transition")
+        }
+        assert produced == pinned
 
 
 class _FakeResponse:
