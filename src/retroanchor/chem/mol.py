@@ -212,19 +212,6 @@ class Molecule:
             components.append(sorted(members))
         return components
 
-    def validate(self) -> list[str]:
-        """Issues that make a molecule unfit as plain data (templates exempt)."""
-        issues = []
-        seen_maps: set[int] = set()
-        for i, atom in enumerate(self.atoms):
-            if atom.atom_map is not None:
-                if atom.atom_map in seen_maps:
-                    issues.append(f"duplicate atom map {atom.atom_map}")
-                seen_maps.add(atom.atom_map)
-            if atom.is_wildcard or atom.is_element_list:
-                issues.append(f"template-only atom at index {i}")
-        return issues
-
 
 @dataclass(frozen=True)
 class AtomMapSet:

@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -46,11 +47,17 @@ from retroanchor.metrics import (
 )
 from retroanchor.outputs import (
     DisconnectionCandidate,
+    ParseOutcome,
     TransitionPrediction,
     parse_position_output,
     parse_transition_output,
 )
-from retroanchor.prompts import load_template, render_transition_prompt, render_position_prompt
+from retroanchor.prompts import (
+    RenderedPrompt,
+    load_template,
+    render_position_prompt,
+    render_transition_prompt,
+)
 from retroanchor.utils import (
     atomic_write_text,
     normalize_name,
@@ -213,14 +220,6 @@ def cmd_subsample(args) -> int:
 # ------------------------------------------------------------ model runs
 
 
-def _model_config(args) -> ModelConfig:
-    return ModelConfig(
-        model_id=args.model,
-        endpoint=args.endpoint,
-        api_key_env=args.api_key_env,
-    )
-
-
 def _check_live_config(args) -> None:
     if args.backend != "live":
         return
@@ -230,51 +229,94 @@ def _check_live_config(args) -> None:
         raise CliError(f"environment variable {args.api_key_env} is not set")
 
 
-def _gateway(cfg: ModelConfig, run: RunConfig) -> Gateway:
-    return Gateway(cfg, cache_dir=run.cache_dir, mode=run.backend)
+def _run_config(args, stage: str, **fields) -> RunConfig:
+    _check_live_config(args)
+    return RunConfig(
+        stage=stage,
+        input_path=args.input,
+        output_dir=args.output,
+        cache_dir=args.cache_dir if args.cache_dir else args.output / "cache",
+        model=ModelConfig(
+            model_id=args.model, endpoint=args.endpoint, api_key_env=args.api_key_env
+        ),
+        backend=args.backend,
+        parallelism=args.parallelism,
+        **fields,
+    )
 
 
 def _manifest_row(cfg: ModelConfig, result: Completion | GatewayFailure) -> dict:
     if isinstance(result, Completion):
         outcome = "cache_hit" if result.from_cache else "ok"
-        return {
-            "digest": result.request_digest,
-            "model": cfg.model_id,
-            "attempts": result.attempts,
-            "outcome": outcome,
-            "latency_ms": result.latency_ms,
-        }
+        latency_ms = result.latency_ms
+    else:
+        outcome, latency_ms = result.kind, 0
     return {
         "digest": result.request_digest,
         "model": cfg.model_id,
         "attempts": result.attempts,
-        "outcome": result.kind,
-        "latency_ms": 0,
+        "outcome": outcome,
+        "latency_ms": latency_ms,
     }
 
 
-def _write_run_dir(
+def _execute_run(
     run: RunConfig,
+    records: list[ReactionRecord],
+    render: Callable[[ReactionRecord], RenderedPrompt],
+    parse: Callable[[str, ReactionRecord, RenderedPrompt], tuple[ParseOutcome, dict]],
     extra_config: dict,
-    outcomes: list[dict],
-    manifest: list[dict],
-) -> None:
-    run.output_dir.mkdir(parents=True, exist_ok=True)
+) -> int:
+    """Render, send, parse and write one run directory.
+
+    ``render`` raises ValueError for a record it cannot prompt; that row
+    is skipped and sends no request.  ``parse`` returns the parse outcome
+    plus the stage's own fields for the ``ok`` row.
+    """
+    pending: list[tuple[ReactionRecord, RenderedPrompt | None, str]] = []
+    for record in records:
+        try:
+            pending.append((record, render(record), ""))
+        except ValueError as exc:
+            pending.append((record, None, str(exc)))
+    prompts = [prompt for _, prompt, _ in pending if prompt is not None]
+    gateway = Gateway(run.model, cache_dir=run.cache_dir, mode=run.backend)
+    results = iter(gateway.run_batch(prompts, run.parallelism))
+
+    outcomes: list[dict] = []
+    manifest: list[dict] = []
+    n_failed = 0
+    for record, prompt, skip_reason in pending:
+        if prompt is None:
+            outcomes.append({"id": record.record_id, "status": "skipped", "reason": skip_reason})
+            continue
+        result = next(results)
+        manifest.append(_manifest_row(run.model, result))
+        row = {"id": record.record_id, "digest": result.request_digest}
+        if isinstance(result, GatewayFailure):
+            n_failed += 1
+            row.update(status="gateway_failure", failure_kind=result.kind, message=result.message)
+        else:
+            parsed, stage_fields = parse(result.text, record, prompt)
+            row.update(
+                status="ok",
+                n_predictions=len(parsed.ok),
+                dropped=list(parsed.dropped),
+                failure_class=parsed.failure_class,
+                **stage_fields,
+            )
+        outcomes.append(row)
+
     config = run.to_json_obj()
     config.update(extra_config)
     atomic_write_text(run.output_dir / "config.json", stable_json_dumps(config))
     write_jsonl(run.output_dir / "outcomes.jsonl", outcomes)
     write_jsonl(run.output_dir / "manifest.jsonl", manifest)
-
-
-def _failure_outcome(record_id: str, failure: GatewayFailure) -> dict:
-    return {
-        "id": record_id,
-        "digest": failure.request_digest,
-        "status": "gateway_failure",
-        "failure_kind": failure.kind,
-        "message": str(failure.message),
-    }
+    print(
+        f"{run.stage} run over {len(records)} examples "
+        f"({n_failed} gateway failures) -> {run.output_dir}"
+    )
+    return 0
 
 
 def _candidate_row(cand: DisconnectionCandidate) -> dict:
@@ -291,82 +333,28 @@ def _candidate_row(cand: DisconnectionCandidate) -> dict:
 
 
 def cmd_run_position(args) -> int:
-    _check_live_config(args)
-    cfg = _model_config(args)
-    cache_dir = args.cache_dir if args.cache_dir else args.output / "cache"
-    run = RunConfig(
-        stage="position",
-        input_path=args.input,
-        output_dir=args.output,
-        cache_dir=cache_dir,
-        model=cfg,
-        backend=args.backend,
-        parallelism=args.parallelism,
-        ontology_path=args.ontology,
-    )
+    run = _run_config(args, "position", ontology_path=args.ontology)
     records, rejects = _ingest(args.input)
     ontology = _load_ontology(args.ontology)
     if len(ontology) == 0:
         raise CliError(f"ontology {args.ontology} has no entries")
     template = load_template("position")
 
-    prompts = []
-    pending: list[tuple[ReactionRecord, str | None]] = []
-    for record in records:
-        try:
-            prompt = render_position_prompt(record.product, ontology, template)
-        except ValueError as exc:
-            pending.append((record, str(exc)))
-            continue
-        pending.append((record, None))
-        prompts.append(prompt)
+    def render(record: ReactionRecord) -> RenderedPrompt:
+        return render_position_prompt(record.product, ontology, template)
 
-    gateway = _gateway(cfg, run)
-    results = iter(gateway.run_batch(prompts, args.parallelism))
+    def parse(text: str, record: ReactionRecord, prompt: RenderedPrompt):
+        parsed = parse_position_output(text, record.product, ontology)
+        return parsed, {"candidates": [_candidate_row(c) for c in parsed.ok]}
 
-    outcomes: list[dict] = []
-    manifest: list[dict] = []
-    n_failed = 0
-    for record, skip_reason in pending:
-        if skip_reason is not None:
-            outcomes.append({"id": record.record_id, "status": "skipped", "reason": skip_reason})
-            continue
-        result = next(results)
-        manifest.append(_manifest_row(cfg, result))
-        if isinstance(result, GatewayFailure):
-            outcomes.append(_failure_outcome(record.record_id, result))
-            n_failed += 1
-            continue
-        parsed = parse_position_output(result.text, record.product, ontology)
-        outcomes.append(
-            {
-                "id": record.record_id,
-                "digest": result.request_digest,
-                "status": "ok",
-                "n_predictions": len(parsed.ok),
-                "candidates": [_candidate_row(c) for c in parsed.ok],
-                "dropped": list(parsed.dropped),
-                "failure_class": parsed.failure_class,
-            }
-        )
-
-    _write_run_dir(
-        run,
-        {
-            "template_name": template.name,
-            "template_digest": template.digest,
-            "ontology_sha256": _sha256_file(args.ontology),
-            "ontology_size": len(ontology),
-            "ingest_rejects": len(rejects),
-        },
-        outcomes,
-        manifest,
-    )
-    print(
-        f"position run over {len(records)} examples "
-        f"({n_failed} gateway failures) -> {args.output}"
-    )
-    return 0
+    extra_config = {
+        "template_name": template.name,
+        "template_digest": template.digest,
+        "ontology_sha256": _sha256_file(args.ontology),
+        "ontology_size": len(ontology),
+        "ingest_rejects": len(rejects),
+    }
+    return _execute_run(run, records, render, parse, extra_config)
 
 
 def _prediction_row(pred: TransitionPrediction) -> dict:
@@ -380,17 +368,9 @@ def _prediction_row(pred: TransitionPrediction) -> dict:
 
 
 def cmd_run_transition(args) -> int:
-    _check_live_config(args)
-    cfg = _model_config(args)
-    cache_dir = args.cache_dir if args.cache_dir else args.output / "cache"
-    run = RunConfig(
-        stage="transition",
-        input_path=args.input,
-        output_dir=args.output,
-        cache_dir=cache_dir,
-        model=cfg,
-        backend=args.backend,
-        parallelism=args.parallelism,
+    run = _run_config(
+        args,
+        "transition",
         prompt_variant=args.prompt_variant,
         examples_k=args.examples_k,
         seed=args.seed,
@@ -406,71 +386,34 @@ def cmd_run_transition(args) -> int:
     for train in train_records:
         train_by_name.setdefault(normalize_name(train.reaction_name), []).append(train)
 
-    prompts = []
-    pending: list[tuple[ReactionRecord, int, str | None]] = []
-    for record in records:
+    def render(record: ReactionRecord) -> RenderedPrompt:
         s, _kind = _record_label(record)
         if not s.maps:
-            pending.append((record, 0, "empty disconnection set"))
-            continue
+            raise ValueError("empty disconnection set")
         name = record.reaction_name or None
         if name is None:
             library = ExampleLibrary(reaction_name="", examples=(), seed=args.seed)
         else:
             pool = train_by_name.get(normalize_name(name), [])
             library = sample_examples(pool, name, record.record_id, args.examples_k, args.seed)
-        prompt = render_transition_prompt(
+        return render_transition_prompt(
             record.product, s, name, library, args.prompt_variant, template
         )
-        pending.append((record, len(library.examples), None))
-        prompts.append(prompt)
 
-    gateway = _gateway(cfg, run)
-    results = iter(gateway.run_batch(prompts, args.parallelism))
+    def parse(text: str, record: ReactionRecord, prompt: RenderedPrompt):
+        parsed = parse_transition_output(text, record.product)
+        return parsed, {
+            "example_count": prompt.example_count,
+            "predictions": [_prediction_row(p) for p in parsed.ok],
+        }
 
-    outcomes: list[dict] = []
-    manifest: list[dict] = []
-    n_failed = 0
-    for record, example_count, skip_reason in pending:
-        if skip_reason is not None:
-            outcomes.append({"id": record.record_id, "status": "skipped", "reason": skip_reason})
-            continue
-        result = next(results)
-        manifest.append(_manifest_row(cfg, result))
-        if isinstance(result, GatewayFailure):
-            outcomes.append(_failure_outcome(record.record_id, result))
-            n_failed += 1
-            continue
-        parsed = parse_transition_output(result.text, record.product)
-        outcomes.append(
-            {
-                "id": record.record_id,
-                "digest": result.request_digest,
-                "status": "ok",
-                "example_count": example_count,
-                "n_predictions": len(parsed.ok),
-                "predictions": [_prediction_row(p) for p in parsed.ok],
-                "dropped": list(parsed.dropped),
-                "failure_class": parsed.failure_class,
-            }
-        )
-
-    _write_run_dir(
-        run,
-        {
-            "template_name": template.name,
-            "template_digest": template.digest,
-            "ingest_rejects": len(rejects),
-            "train_ingest_rejects": len(train_rejects),
-        },
-        outcomes,
-        manifest,
-    )
-    print(
-        f"transition run over {len(records)} examples "
-        f"({n_failed} gateway failures) -> {args.output}"
-    )
-    return 0
+    extra_config = {
+        "template_name": template.name,
+        "template_digest": template.digest,
+        "ingest_rejects": len(rejects),
+        "train_ingest_rejects": len(train_rejects),
+    }
+    return _execute_run(run, records, render, parse, extra_config)
 
 
 # ------------------------------------------------------------- evaluate

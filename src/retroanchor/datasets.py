@@ -64,12 +64,8 @@ class Ontology:
         return len(self.entries)
 
     @cached_property
-    def _class_by_name(self) -> dict[str, str]:
-        """Normalized name -> class; the first entry of a name wins."""
-        index: dict[str, str] = {}
-        for entry in self.entries:
-            index.setdefault(normalize_name(entry.id), entry.reaction_class)
-        return index
+    def _names(self) -> frozenset[str]:
+        return frozenset(normalize_name(entry.id) for entry in self.entries)
 
     @cached_property
     def prompt_block(self) -> str:
@@ -77,10 +73,7 @@ class Ontology:
         return json.dumps(self.to_json_obj(), indent=2)
 
     def contains(self, name: str) -> bool:
-        return normalize_name(name) in self._class_by_name
-
-    def class_of(self, name: str) -> str | None:
-        return self._class_by_name.get(normalize_name(name))
+        return normalize_name(name) in self._names
 
     def to_json_obj(self) -> list[dict]:
         return [{"id": e.id, "class": e.reaction_class} for e in self.entries]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -32,11 +31,12 @@ REQUEST_REJECTED = "request_rejected"
 
 
 class GatewayError(Exception):
-    """A classified completion failure."""
+    """A classified completion failure; ``attempts`` counts backend sends."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
+        self.attempts = 0
 
 
 class TransientBackendError(Exception):
@@ -162,18 +162,16 @@ class HttpBackend:
             raise GatewayError(
                 AUTH_FAILURE, f"environment variable {self.cfg.api_key_env} is not set"
             )
-        payload: dict = {
+        params = self.cfg.sampling_params()
+        extensions = params.pop("extensions", {})
+        # Extensions go last so that they win a key clash.
+        payload = {
             "model": self.cfg.model_id,
             "messages": [{"role": "user", "content": text}],
-            "max_tokens": self.cfg.max_output_tokens,
+            "max_tokens": params.pop("max_output_tokens"),
+            **params,
+            **extensions,
         }
-        if self.cfg.temperature is not None:
-            payload["temperature"] = self.cfg.temperature
-        if self.cfg.top_p is not None:
-            payload["top_p"] = self.cfg.top_p
-        if self.cfg.thinking_budget is not None:
-            payload["thinking_budget"] = self.cfg.thinking_budget
-        payload.update(self.cfg.extensions)
         try:
             response = self.session.post(
                 self.cfg.endpoint,
@@ -217,7 +215,6 @@ class Gateway:
         cache_dir: Path | str,
         mode: str = "live",
         backend=None,
-        manifest_path: Path | str | None = None,
         sleeper=time.sleep,
     ):
         if mode not in ("live", "replay"):
@@ -228,37 +225,7 @@ class Gateway:
         self.backend = backend
         if self.backend is None and mode == "live":
             self.backend = HttpBackend(cfg)
-        self.manifest_path = Path(manifest_path) if manifest_path else None
-        self._manifest_lock = threading.Lock()
         self._sleep = sleeper
-
-    def _record(self, digest: str, attempts: int, outcome: str, latency_ms: int = 0) -> None:
-        if self.manifest_path is None:
-            return
-        line = json.dumps(
-            {
-                "digest": digest,
-                "model": self.cfg.model_id,
-                "attempts": attempts,
-                "outcome": outcome,
-                "latency_ms": latency_ms,
-            },
-            sort_keys=True,
-        )
-        with self._manifest_lock:
-            with open(self.manifest_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-
-    def _from_cache_entry(self, digest: str, entry: dict) -> Completion:
-        return Completion(
-            request_digest=digest,
-            text=entry["text"],
-            finish_reason=entry.get("finish_reason", "stop"),
-            latency_ms=int(entry.get("latency_ms", 0)),
-            token_usage=entry.get("token_usage"),
-            attempts=int(entry.get("attempts", 1)),
-            from_cache=True,
-        )
 
     def complete(self, prompt: RenderedPrompt) -> Completion:
         return self._complete(prompt, request_digest(prompt, self.cfg))
@@ -266,10 +233,8 @@ class Gateway:
     def _complete(self, prompt: RenderedPrompt, digest: str) -> Completion:
         cached = self.cache.get(digest)
         if cached is not None:
-            self._record(digest, 0, "cache_hit", int(cached.get("latency_ms", 0)))
-            return self._from_cache_entry(digest, cached)
+            return _completion(digest, cached, from_cache=True)
         if self.mode == "replay":
-            self._record(digest, 0, REPLAY_MISS)
             raise GatewayError(REPLAY_MISS, f"no cached completion for {digest}")
 
         attempts = 0
@@ -280,39 +245,20 @@ class Gateway:
                 result = self.backend.send(prompt.text)
             except TransientBackendError as exc:
                 if attempts >= self.cfg.max_attempts:
-                    self._record(digest, attempts, RETRIES_EXHAUSTED)
-                    raise GatewayError(
-                        RETRIES_EXHAUSTED,
-                        f"gave up after {attempts} attempts: {exc}",
-                    ) from exc
+                    error = GatewayError(
+                        RETRIES_EXHAUSTED, f"gave up after {attempts} attempts: {exc}"
+                    )
+                    error.attempts = attempts
+                    raise error from exc
                 self._sleep(self.cfg.backoff_s * (2 ** (attempts - 1)))
                 continue
             except GatewayError as exc:
-                self._record(digest, attempts, exc.kind)
+                exc.attempts = attempts
                 raise
             latency_ms = int((time.monotonic() - started) * 1000)
-            entry = {
-                "request_digest": digest,
-                "model_id": self.cfg.model_id,
-                "template_name": prompt.template_name,
-                "template_digest": prompt.template_digest,
-                "sampling": self.cfg.sampling_params(),
-                "text": result.text,
-                "finish_reason": result.finish_reason,
-                "latency_ms": latency_ms,
-                "token_usage": result.token_usage,
-                "attempts": attempts,
-            }
+            entry = _cache_entry(digest, prompt, self.cfg, result, latency_ms, attempts)
             self.cache.put(digest, entry)
-            self._record(digest, attempts, "ok", latency_ms)
-            return Completion(
-                request_digest=digest,
-                text=result.text,
-                finish_reason=result.finish_reason,
-                latency_ms=latency_ms,
-                token_usage=result.token_usage,
-                attempts=attempts,
-            )
+            return _completion(digest, entry, from_cache=False)
 
     def run_batch(
         self, prompts: list[RenderedPrompt], parallelism: int
@@ -333,29 +279,51 @@ class Gateway:
                 return self._complete(prompt, digest)
             except GatewayError as exc:
                 return GatewayFailure(
-                    request_digest=digest, kind=exc.kind, message=str(exc)
+                    request_digest=digest, kind=exc.kind, message=str(exc), attempts=exc.attempts
                 )
 
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(one, prompts))
 
 
+def _cache_entry(
+    digest: str,
+    prompt: RenderedPrompt,
+    cfg: ModelConfig,
+    result: BackendResult,
+    latency_ms: int,
+    attempts: int,
+) -> dict:
+    """The one cache-file layout, for live completions and seeded ones."""
+    return {
+        "request_digest": digest,
+        "model_id": cfg.model_id,
+        "template_name": prompt.template_name,
+        "template_digest": prompt.template_digest,
+        "sampling": cfg.sampling_params(),
+        "text": result.text,
+        "finish_reason": result.finish_reason,
+        "latency_ms": latency_ms,
+        "token_usage": result.token_usage,
+        "attempts": attempts,
+    }
+
+
+def _completion(digest: str, entry: dict, from_cache: bool) -> Completion:
+    return Completion(
+        request_digest=digest,
+        text=entry["text"],
+        finish_reason=entry.get("finish_reason", "stop"),
+        latency_ms=int(entry.get("latency_ms", 0)),
+        token_usage=entry.get("token_usage"),
+        attempts=int(entry.get("attempts", 1)),
+        from_cache=from_cache,
+    )
+
+
 def seed_cache(cache_dir: Path | str, prompt: RenderedPrompt, cfg: ModelConfig, text: str) -> str:
     """Plant a canned completion for replay runs; returns its digest."""
     digest = request_digest(prompt, cfg)
-    CompletionCache(cache_dir).put(
-        digest,
-        {
-            "request_digest": digest,
-            "model_id": cfg.model_id,
-            "template_name": prompt.template_name,
-            "template_digest": prompt.template_digest,
-            "sampling": cfg.sampling_params(),
-            "text": text,
-            "finish_reason": "stop",
-            "latency_ms": 0,
-            "token_usage": None,
-            "attempts": 1,
-        },
-    )
+    entry = _cache_entry(digest, prompt, cfg, BackendResult(text), latency_ms=0, attempts=1)
+    CompletionCache(cache_dir).put(digest, entry)
     return digest

@@ -177,10 +177,6 @@ def reactant_multiset(molecules, ignore_stereo: bool = False) -> Counter:
     return Counter(texts)
 
 
-def _mapped_values(molecule: Molecule) -> set[int]:
-    return {a.atom_map for a in molecule.atoms if a.atom_map is not None}
-
-
 def atom_share(template: Molecule, gt: Molecule, denominator: str = "template") -> float:
     """Fraction of shared atoms between a template reactant and a
     ground-truth reactant, measured by atom-map intersection.
@@ -189,7 +185,7 @@ def atom_share(template: Molecule, gt: Molecule, denominator: str = "template") 
     template's non-wildcard heavy atoms, ``gt`` counts the ground-truth
     heavy atoms.
     """
-    shared = len(_mapped_values(template) & _mapped_values(gt))
+    shared = len(template.atom_maps() & gt.atom_maps())
     if denominator == "template":
         base = sum(1 for a in template.atoms if a.is_heavy and not a.is_wildcard)
     elif denominator == "gt":

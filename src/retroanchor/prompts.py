@@ -60,11 +60,10 @@ class PromptTemplate:
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """Final prompt text plus an audit trail of what was substituted."""
+    """Final prompt text plus the template it came from."""
 
     template_name: str
     text: str
-    substitution_record: dict[str, str]
     example_count: int
     template_digest: str
 
@@ -100,18 +99,14 @@ def load_template(name: str, override_dir: Path | str | None = None) -> PromptTe
 
 def _render(template: PromptTemplate, values: dict[str, str], example_count: int) -> RenderedPrompt:
     text = template.body
-    record: dict[str, str] = {}
     for token in template.placeholders:
-        value = values[token]
-        text = text.replace(token, value)
-        record[token] = _digest(value)
+        text = text.replace(token, values[token])
     residual = [token for token in _ALL_PLACEHOLDERS if token in text]
     if residual:
         raise ValueError(f"rendered prompt retains placeholders: {', '.join(residual)}")
     return RenderedPrompt(
         template_name=template.name,
         text=text,
-        substitution_record=record,
         example_count=example_count,
         template_digest=template.digest,
     )

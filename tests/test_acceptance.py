@@ -265,7 +265,6 @@ def _prompt(text: str) -> RenderedPrompt:
     return RenderedPrompt(
         template_name="position",
         text=text,
-        substitution_record={},
         example_count=0,
         template_digest="t" * 64,
     )

@@ -490,6 +490,59 @@ class TestRunTransition:
         assert by_id["e1"]["example_count"] == 0
 
 
+def _insert_eval_rows(paths, extra_rows: dict[int, dict]) -> None:
+    """Rewrite the eval file with ``extra_rows`` inserted at their positions."""
+    rows = read_jsonl(paths["eval"])
+    for position in sorted(extra_rows):
+        rows.insert(position, extra_rows[position])
+    write_jsonl(paths["eval"], rows)
+
+
+def _assert_manifest_aligned(out) -> list[dict]:
+    """Skipped rows send no request; every other row's digest matches the
+    manifest row at the same position.  Returns the skipped rows."""
+    rows = read_jsonl(out / "outcomes.jsonl")
+    manifest = read_jsonl(out / "manifest.jsonl")
+    sent = [r for r in rows if r["status"] != "skipped"]
+    assert [r["digest"] for r in sent] == [m["digest"] for m in manifest]
+    return [r for r in rows if r["status"] == "skipped"]
+
+
+class TestSkippedRows:
+    def test_position_unmapped_product_skipped(self, pipeline):
+        unmapped = dict(TEST_ROWS[0], id="u1", reaction_smiles="CC(=O)O.CN>>CNC(C)=O")
+        _insert_eval_rows(pipeline, {1: unmapped})
+        seed_position(pipeline)
+        out = run_position(pipeline)
+        rows = read_jsonl(out / "outcomes.jsonl")
+        assert [r["id"] for r in rows] == ["e1", "u1", "e2", "e4"]
+        assert [r["status"] for r in rows] == ["ok", "skipped", "ok", "gateway_failure"]
+        skipped = _assert_manifest_aligned(out)
+        assert skipped == [{"id": "u1", "status": "skipped", "reason": "product has no atom maps"}]
+
+    def test_transition_empty_label_skipped(self, pipeline):
+        empty = dict(TEST_ROWS[0], id="x0", label_maps=[], label_kind="empty")
+        _insert_eval_rows(pipeline, {1: empty})
+        seed_transition(pipeline)
+        out = run_transition(pipeline)
+        skipped = _assert_manifest_aligned(out)
+        assert skipped == [{"id": "x0", "status": "skipped", "reason": "empty disconnection set"}]
+
+    def test_transition_unknown_label_map_skipped(self, pipeline):
+        """A label naming an atom map the product lacks skips that row
+        instead of aborting the run."""
+        bad = dict(TEST_ROWS[0], id="x404", label_maps=[2, 404], label_kind="connectivity")
+        _insert_eval_rows(pipeline, {1: bad})
+        seed_transition(pipeline)
+        out = run_transition(pipeline)
+        rows = read_jsonl(out / "outcomes.jsonl")
+        assert [r["status"] for r in rows] == ["ok", "skipped", "ok", "gateway_failure"]
+        skipped = _assert_manifest_aligned(out)
+        assert skipped == [
+            {"id": "x404", "status": "skipped", "reason": "atom maps not present in molecule: [404]"}
+        ]
+
+
 class TestEvaluate:
     def test_position_report(self, pipeline, capsys):
         seed_position(pipeline)

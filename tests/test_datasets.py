@@ -192,15 +192,12 @@ class TestOntology:
         ontology = build_ontology([_record("1", name="X", cls="A")], "train")
         rebuilt = type(ontology).from_json_obj(ontology.to_json_obj(), "train")
         assert rebuilt == ontology
-        assert ontology.class_of("x") == "A"
-        assert ontology.class_of("unknown") is None
 
     def test_first_entry_of_a_name_wins(self):
         ontology = Ontology.from_json_obj(
             [{"id": "Ester", "class": "A"}, {"id": " ESTER ", "class": "B"}]
         )
         assert ontology.contains("ester")
-        assert ontology.class_of("Ester") == "A"
 
     def test_prompt_block_is_indented_entry_json(self):
         ontology = build_ontology([_record("1", name="X", cls="A"), _record("2", name="Y")], "train")

@@ -37,7 +37,6 @@ def _prompt(text: str, template: str = "position") -> RenderedPrompt:
     return RenderedPrompt(
         template_name=template,
         text=text,
-        substitution_record={},
         example_count=0,
         template_digest="deadbeef" * 8,
     )
@@ -98,7 +97,6 @@ class TestDigest:
         other_template = RenderedPrompt(
             template_name="position",
             text="hi",
-            substitution_record={},
             example_count=0,
             template_digest="feedface" * 8,
         )
@@ -163,17 +161,13 @@ class TestRetries:
         backend = ScriptedBackend(
             [TransientBackendError("503"), TransientBackendError("503"), "recovered"]
         )
-        gateway = Gateway(
-            CFG, tmp_path, mode="live", backend=backend,
-            manifest_path=tmp_path / "manifest.jsonl", sleeper=sleeps.append,
-        )
+        gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=sleeps.append)
         completion = gateway.complete(_prompt("flaky"))
         assert completion.text == "recovered"
         assert completion.attempts == 3
         assert sleeps == [0.5, 1.0]
-        lines = [json.loads(l) for l in (tmp_path / "manifest.jsonl").read_text().splitlines()]
-        assert lines[-1]["attempts"] == 3
-        assert lines[-1]["outcome"] == "ok"
+        entry = gateway.cache.get(completion.request_digest)
+        assert entry["attempts"] == 3
 
     def test_exhausted_retries_classified(self, tmp_path):
         backend = ScriptedBackend([TransientBackendError("x")] * 3)
@@ -262,18 +256,35 @@ class TestRunBatch:
             return request_digest(prompt, cfg)
 
         seed_cache(tmp_path / "cache", _prompt("known"), CFG, "cached text")
-        manifest = tmp_path / "manifest.jsonl"
-        gateway = Gateway(CFG, tmp_path / "cache", mode="replay", manifest_path=manifest)
+        gateway = Gateway(CFG, tmp_path / "cache", mode="replay")
         monkeypatch.setattr(gateway_module, "request_digest", counting_digest)
         prompts = [_prompt("known"), _prompt("unknown"), _prompt("other")]
         results = gateway.run_batch(prompts, parallelism=2)
 
         assert sorted(calls) == sorted(p.text for p in prompts)
-        rows = {row["digest"]: row for row in read_jsonl(manifest)}
         for prompt, result in zip(prompts[1:], results[1:]):
             assert isinstance(result, GatewayFailure)
             assert result.request_digest == request_digest(prompt, CFG)
-            assert rows[result.request_digest]["outcome"] == REPLAY_MISS
+            assert result.kind == REPLAY_MISS
+
+    def test_failure_attempts_count_backend_sends(self, tmp_path):
+        flaky = ScriptedBackend([TransientBackendError("503")] * CFG.max_attempts)
+        live = Gateway(CFG, tmp_path, mode="live", backend=flaky, sleeper=lambda _: None)
+        [exhausted] = live.run_batch([_prompt("doomed")], parallelism=1)
+        assert exhausted.kind == RETRIES_EXHAUSTED
+        assert exhausted.attempts == CFG.max_attempts == flaky.calls
+
+        refused = ScriptedBackend([GatewayError(CONTEXT_LENGTH, "too long")])
+        live = Gateway(CFG, tmp_path, mode="live", backend=refused)
+        [rejected] = live.run_batch([_prompt("huge")], parallelism=1)
+        assert rejected.kind == CONTEXT_LENGTH
+        assert rejected.attempts == 1
+
+        [missed] = Gateway(CFG, tmp_path, mode="replay").run_batch(
+            [_prompt("never seen")], parallelism=1
+        )
+        assert missed.kind == REPLAY_MISS
+        assert missed.attempts == 0
 
 
 class TestDigestPins:
@@ -395,9 +406,24 @@ class TestHttpBackend:
     def test_sampling_knobs_forwarded(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
         session = _FakeSession([_FakeResponse(200, self._ok_body())])
-        cfg = _http_cfg(temperature=0.1, thinking_budget=2048, extensions={"seed": 11})
+        cfg = _http_cfg(
+            temperature=0.1,
+            top_p=0.95,
+            thinking_budget=2048,
+            extensions={"seed": 11, "temperature": 0.9},
+        )
         HttpBackend(cfg, session=session).send("q")
         sent = session.requests[0]["json"]
-        assert sent["temperature"] == 0.1
-        assert sent["thinking_budget"] == 2048
-        assert sent["seed"] == 11
+        # The whole body is pinned: extensions are merged last, so their
+        # temperature wins, and neither internal key name leaks out.
+        assert sent == {
+            "model": "m",
+            "messages": [{"role": "user", "content": "q"}],
+            "max_tokens": 8192,
+            "temperature": 0.9,
+            "top_p": 0.95,
+            "thinking_budget": 2048,
+            "seed": 11,
+        }
+        assert "max_output_tokens" not in sent
+        assert "extensions" not in sent

@@ -53,14 +53,6 @@ def test_position_tokens_ascending_and_aromatic_case():
         position_tokens(mol, AtomMapSet.of([3, 404]))
 
 
-def test_validate_flags_duplicates_and_template_atoms():
-    assert parse_smiles("[CH3:1][CH3:1]").validate() == ["duplicate atom map 1"]
-    issues = parse_smiles("[*]C([F,Cl,Br,I])").validate()
-    assert len(issues) == 2
-    assert all("template-only" in issue for issue in issues)
-    assert parse_smiles("[CH3:1][CH3:2]").validate() == []
-
-
 def test_components_and_heavy_count():
     mol = parse_smiles("CCO.[Na+].[Cl-]")
     assert mol.components() == [[0, 1, 2], [3], [4]]
