@@ -14,7 +14,7 @@ from retroanchor.chem.mol import (
     strip_stereo,
 )
 from retroanchor.chem.smiles import parse_smiles, write_smiles
-from retroanchor.chem.canon import annotate_sequential_maps, canonical_smiles, canonicalize
+from retroanchor.chem.canon import canonical_smiles, canonicalize
 from retroanchor.chem.match import substructure_match
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Bond",
     "Molecule",
     "SmilesError",
-    "annotate_sequential_maps",
     "canonical_smiles",
     "canonicalize",
     "parse_smiles",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, Bond, Molecule
+from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, Molecule, _atom, _bond
 from retroanchor.chem.smiles import write_smiles
 
 
@@ -30,6 +30,17 @@ def canonicalize(molecule: Molecule) -> Molecule:
     i-th atom of the result is the i-th atom token of its canonical
     text, and ``source_text`` holds that text (atom maps included).
     """
+    reordered = _reordered(molecule)
+    return replace(reordered, source_text=write_smiles(reordered, include_maps=True))
+
+
+def canonical_smiles(molecule: Molecule, include_maps: bool = False) -> str:
+    """Canonical SMILES text; atom maps are dropped unless requested."""
+    return write_smiles(_reordered(molecule), include_maps=include_maps)
+
+
+def _reordered(molecule: Molecule) -> Molecule:
+    """The molecule in canonical atom order, without ``source_text``."""
     normalized = _normalize_alternating_rings(molecule)
     ranks = _canonical_ranks(normalized)
     order = _emission_order(normalized, ranks)
@@ -37,39 +48,11 @@ def canonicalize(molecule: Molecule) -> Molecule:
     atoms = tuple(normalized.atoms[i] for i in order)
     bonds = tuple(
         sorted(
-            (replace(b, a=remap[b.a], b=remap[b.b]) for b in normalized.bonds),
+            (_bond(remap[b.a], remap[b.b], b.kind, b.stereo) for b in normalized.bonds),
             key=lambda b: b.key(),
         )
     )
-    reordered = Molecule(atoms=atoms, bonds=bonds)
-    return replace(reordered, source_text=write_smiles(reordered, include_maps=True))
-
-
-def canonical_smiles(molecule: Molecule, include_maps: bool = False) -> str:
-    """Canonical SMILES text; atom maps are dropped unless requested."""
-    return write_smiles(canonicalize(molecule), include_maps=include_maps)
-
-
-def annotate_sequential_maps(molecule: Molecule) -> Molecule:
-    """Number heavy atoms 1..n in canonical output order.
-
-    Existing atom maps are discarded first, so the numbering reflects
-    only the canonical order.  Applying this twice equals applying it
-    once.
-    """
-    from retroanchor.chem.mol import strip_atom_maps
-
-    canonical = canonicalize(strip_atom_maps(molecule))
-    atoms = []
-    counter = 0
-    for atom in canonical.atoms:
-        if atom.is_heavy:
-            counter += 1
-            atoms.append(replace(atom, atom_map=counter))
-        else:
-            atoms.append(atom)
-    annotated = Molecule(atoms=tuple(atoms), bonds=canonical.bonds)
-    return replace(annotated, source_text=write_smiles(annotated, include_maps=True))
+    return Molecule(atoms=atoms, bonds=bonds)
 
 
 def _normalize_alternating_rings(molecule: Molecule) -> Molecule:
@@ -84,12 +67,14 @@ def _normalize_alternating_rings(molecule: Molecule) -> Molecule:
             a, b = atom_path[k], atom_path[(k + 1) % 6]
             ring_bonds.add((a, b) if a < b else (b, a))
     atoms = tuple(
-        replace(atom, aromatic=True) if i in ring_atoms else atom
-        for i, atom in enumerate(molecule.atoms)
+        _atom(a.element, True, a.charge, a.isotope, a.implicit_h, a.atom_map, a.chirality, a.element_options)
+        if i in ring_atoms
+        else a
+        for i, a in enumerate(molecule.atoms)
     )
     bonds = tuple(
-        replace(bond, kind=AROMATIC) if bond.key() in ring_bonds else bond
-        for bond in molecule.bonds
+        _bond(b.a, b.b, AROMATIC, b.stereo) if b.key() in ring_bonds else b
+        for b in molecule.bonds
     )
     return Molecule(atoms=atoms, bonds=bonds, source_text=molecule.source_text)
 
@@ -118,8 +103,12 @@ def _qualifying_six_rings(molecule: Molecule) -> list[tuple[int, ...]]:
                 extend(path)
                 path.pop()
 
+    # Every atom of an alternating ring has a double bond to a ring
+    # neighbour, so only such atoms can anchor one.
     for start in range(len(molecule.atoms)):
-        if eligible(start):
+        if eligible(start) and any(
+            bond.kind == DOUBLE and eligible(nbr) for nbr, bond in molecule.neighbors(start)
+        ):
             extend([start])
     return list(found.values())
 

@@ -4,11 +4,17 @@ Molecules are immutable graphs of attributed atoms and bonds.  Atom
 indices are positional (0-based, in SMILES reading order); atom maps
 are the 1-based integer tags carried in ``[C:5]``-style SMILES atoms
 and are the currency used to anchor disconnection sites.
+
+Atoms and bonds are values: the parser and the rewrites below build
+them through shared constructors, so equal atoms and bonds, within a
+molecule and across molecules, are often one object.  Compare them with
+``==``; identity means nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 SINGLE = "single"
@@ -137,6 +143,16 @@ class Bond:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
 
+# Shared constructors.  A frozen dataclass sets every field through
+# object.__setattr__, which costs several times a cache lookup, and a
+# whole pipeline builds only a few thousand distinct atoms and bonds.
+# The caches are unbounded because chemistry bounds the key space;
+# typed=True keeps True and 1 apart.  Callers pass every field
+# positionally, so one value has one cache key.
+_atom = lru_cache(maxsize=None, typed=True)(Atom)
+_bond = lru_cache(maxsize=None, typed=True)(Bond)
+
+
 @dataclass(frozen=True)
 class Molecule:
     """An immutable attributed graph plus the text it was read from."""
@@ -188,9 +204,6 @@ class Molecule:
 
     def atom_maps(self) -> set[int]:
         return {a.atom_map for a in self.atoms if a.atom_map is not None}
-
-    def heavy_atom_count(self) -> int:
-        return sum(1 for a in self.atoms if a.is_heavy)
 
     def components(self) -> list[list[int]]:
         """Connected components, each listed in ascending index order."""
@@ -276,12 +289,18 @@ def position_tokens(molecule: Molecule, maps: AtomMapSet) -> str:
 
 def strip_atom_maps(molecule: Molecule) -> Molecule:
     """Copy of the molecule with every atom-map tag removed."""
-    atoms = tuple(replace(a, atom_map=None) for a in molecule.atoms)
+    atoms = tuple(
+        _atom(a.element, a.aromatic, a.charge, a.isotope, a.implicit_h, None, a.chirality, a.element_options)
+        for a in molecule.atoms
+    )
     return Molecule(atoms=atoms, bonds=molecule.bonds, source_text="")
 
 
 def strip_stereo(molecule: Molecule) -> Molecule:
     """Copy of the molecule with chirality tags and bond stereo marks removed."""
-    atoms = tuple(replace(a, chirality=None) for a in molecule.atoms)
-    bonds = tuple(replace(b, stereo=None) for b in molecule.bonds)
+    atoms = tuple(
+        _atom(a.element, a.aromatic, a.charge, a.isotope, a.implicit_h, a.atom_map, None, a.element_options)
+        for a in molecule.atoms
+    )
+    bonds = tuple(_bond(b.a, b.b, b.kind, None) for b in molecule.bonds)
     return Molecule(atoms=atoms, bonds=bonds, source_text="")

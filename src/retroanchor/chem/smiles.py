@@ -28,10 +28,11 @@ from retroanchor.chem.mol import (
     SINGLE,
     TRIPLE,
     WILDCARD,
-    Atom,
     Bond,
     Molecule,
     SmilesError,
+    _atom,
+    _bond,
     implicit_hydrogens,
 )
 
@@ -289,7 +290,7 @@ def _finalize(atoms: list[_AtomDraft], bonds: list[list], source: str) -> Molecu
         if kind is None:
             both_aromatic = atoms[a].aromatic and atoms[b].aromatic
             kind = AROMATIC if both_aromatic else SINGLE
-        final_bonds.append(Bond(a=a, b=b, kind=kind, stereo=stereo))
+        final_bonds.append(_bond(a, b, kind, stereo))
 
     order_sums = [0.0] * len(atoms)
     for bond in final_bonds:
@@ -303,15 +304,15 @@ def _finalize(atoms: list[_AtomDraft], bonds: list[list], source: str) -> Molecu
         else:
             hydrogens = implicit_hydrogens(draft.element, draft.aromatic, order_sum)
         final_atoms.append(
-            Atom(
-                element=draft.element,
-                aromatic=draft.aromatic,
-                charge=draft.charge,
-                isotope=draft.isotope,
-                implicit_h=hydrogens,
-                atom_map=draft.atom_map,
-                chirality=draft.chirality,
-                element_options=draft.element_options,
+            _atom(
+                draft.element,
+                draft.aromatic,
+                draft.charge,
+                draft.isotope,
+                hydrogens,
+                draft.atom_map,
+                draft.chirality,
+                draft.element_options,
             )
         )
 

@@ -480,9 +480,13 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"ground truth file lacks example {row.get('id')!r}")
         ids.append(record.record_id)
         if stage == "position":
-            s_gt, _kind = _record_label(record)
-            if not s_gt.maps:
-                raise CliError(f"example {record.record_id} has an empty disconnection label")
+            # A row without an answer scores as a failed prediction before
+            # its label is read: a skipped row may have no label at all.
+            s_gt = AtomMapSet()
+            if row.get("status") == "ok":
+                s_gt, _kind = _record_label(record)
+                if not s_gt.maps:
+                    raise CliError(f"example {record.record_id} has an empty disconnection label")
             cands = _candidates_from_row(row)
             scores.append(score_position(cands, s_gt, record.reaction_name))
             rep = representative_candidate(cands, s_gt)

@@ -25,6 +25,7 @@ if TYPE_CHECKING:
 
 AUTH_FAILURE = "auth_failure"
 CONTEXT_LENGTH = "context_length"
+MALFORMED_RESPONSE = "malformed_response"
 RETRIES_EXHAUSTED = "retries_exhausted"
 REPLAY_MISS = "replay_miss"
 REQUEST_REJECTED = "request_rejected"
@@ -197,10 +198,21 @@ class HttpBackend:
                 REQUEST_REJECTED, f"status {response.status_code}: {response.text[:500]}"
             )
 
-        body = response.json()
-        choice = body["choices"][0]
+        # A reply without text is not worth a retry: the endpoint answered.
+        try:
+            body = response.json()
+            choice = body["choices"][0]
+            text = choice["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:
+            raise GatewayError(
+                MALFORMED_RESPONSE, f"reply has no choices[0].message.content: {exc!r}"
+            ) from exc
+        if not isinstance(text, str):
+            raise GatewayError(
+                MALFORMED_RESPONSE, f"reply content is {type(text).__name__}, not a string"
+            )
         return BackendResult(
-            text=choice["message"]["content"],
+            text=text,
             finish_reason=choice.get("finish_reason", "stop"),
             token_usage=body.get("usage"),
         )

@@ -113,9 +113,8 @@ def score_position(
 
     Reaction matching is conditional on a partial match and considers
     only candidates attaining the best Jaccard value, all ties included.
+    An example without candidates fails whatever its label.
     """
-    if not s_gt.maps:
-        raise ValueError("ground-truth disconnection set is empty")
     if not cands:
         return PositionScore(
             partial_match=False,
@@ -126,6 +125,8 @@ def score_position(
             n_predictions=0,
             failed=True,
         )
+    if not s_gt.maps:
+        raise ValueError("ground-truth disconnection set is empty")
     similarities = [jaccard(c.s, s_gt) for c in cands]
     best = max(similarities)
     partial = any(set(c.s.maps) & set(s_gt.maps) for c in cands)

@@ -1,15 +1,16 @@
 """Canonical ordering: permutation invariance, ring normalization,
-sequential atom numbering."""
+pinned canonical text."""
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import molecules_isomorphic, permute_molecule, random_aromatic_molecule, random_molecule
 from retroanchor.chem import (
-    annotate_sequential_maps,
     canonical_smiles,
     canonicalize,
     parse_smiles,
@@ -85,41 +86,21 @@ def test_canonical_molecule_atom_order_matches_text():
     assert [a.aromatic for a in reparsed.atoms] == [a.aromatic for a in mol.atoms]
 
 
-def test_annotate_sequential_maps_numbers_heavy_atoms_in_order():
-    mol = annotate_sequential_maps(parse_smiles("CC(=O)O"))
-    maps = [a.atom_map for a in mol.atoms]
-    assert sorted(maps) == [1, 2, 3, 4]
-    assert maps == [1, 2, 3, 4]  # atom order equals emission order
-
-    reparsed = parse_smiles(mol.source_text)
-    assert [a.atom_map for a in reparsed.atoms] == [1, 2, 3, 4]
-
-
-def test_annotate_sequential_maps_overwrites_and_is_idempotent():
-    mol = parse_smiles("[CH3:90][C:80](=[O:70])[OH:60]")
-    once = annotate_sequential_maps(mol)
-    assert sorted(a.atom_map for a in once.atoms) == [1, 2, 3, 4]
-    twice = annotate_sequential_maps(once)
-    assert once.source_text == twice.source_text
-
-
-def test_annotate_sequential_maps_invariant_to_input_order():
-    rng = random.Random(11)
-    for _ in range(30):
-        mol = random_molecule(rng, with_maps=False, decorate=False)
-        reference = annotate_sequential_maps(mol).source_text
-        for _ in range(5):
-            shuffled = permute_molecule(mol, rng)
-            assert annotate_sequential_maps(shuffled).source_text == reference
-
-
-def test_annotate_skips_explicit_hydrogen_atoms():
-    mol = annotate_sequential_maps(parse_smiles("[H]OC"))
-    mapped = [(a.element, a.atom_map) for a in mol.atoms]
-    assert ("H", None) in mapped
-    heavy_maps = sorted(a.atom_map for a in mol.atoms if a.element != "H")
-    assert heavy_maps == [1, 2]
-
-
 def test_canonical_smiles_strips_maps_by_default():
     assert ":" not in canonical_smiles(parse_smiles("[CH3:1][OH:2]"))
+
+
+PINS_PATH = Path(__file__).parent / "fixtures" / "canonical_pins.json"
+
+
+def test_written_and_canonical_text_match_pins():
+    # Regenerate only for a deliberate canonical-text change:
+    # python3 scripts/gen_canonical_pins.py
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    corpus = (PINS_PATH.parent / "smiles_corpus.txt").read_text(encoding="utf-8").splitlines()
+    assert set(corpus) <= set(pins)
+    for text, (written, canonical, canonical_maps) in pins.items():
+        mol = parse_smiles(text)
+        assert write_smiles(mol) == written, text
+        assert canonical_smiles(mol) == canonical, text
+        assert canonical_smiles(mol, include_maps=True) == canonical_maps, text

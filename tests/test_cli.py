@@ -520,6 +520,29 @@ class TestSkippedRows:
         skipped = _assert_manifest_aligned(out)
         assert skipped == [{"id": "u1", "status": "skipped", "reason": "product has no atom maps"}]
 
+    def test_position_skipped_row_scores_as_failed(self, pipeline):
+        """evaluate scores a skipped row as a failed prediction without
+        reading its (empty) label, as the transition arm does."""
+        unmapped = dict(TEST_ROWS[0], id="u1", reaction_smiles="CC(=O)O.CN>>CNC(C)=O")
+        _insert_eval_rows(pipeline, {1: unmapped})
+        seed_position(pipeline)
+        out = run_position(pipeline)
+        assert main(["evaluate", "--run", str(out), "--input", str(pipeline["eval"])]) == 0
+        report = json.loads((out / "report" / "report.json").read_text())
+        assert report["counts"]["examples"] == 4
+        # u1 (skipped), e2 (no candidates) and e4 (gateway failure)
+        assert report["counts"]["failed_predictions"] == 3
+        assert report["aggregates"]["exact_match_acc"] == 25.0
+
+    def test_position_ok_row_with_empty_label_exits_1(self, pipeline, capsys):
+        rows = read_jsonl(pipeline["eval"])
+        seed_position(pipeline)
+        out = run_position(pipeline)
+        rows[0] = dict(rows[0], label_maps=[], label_kind="empty")
+        write_jsonl(pipeline["eval"], rows)
+        assert main(["evaluate", "--run", str(out), "--input", str(pipeline["eval"])]) == 1
+        assert "empty disconnection label" in capsys.readouterr().err
+
     def test_transition_empty_label_skipped(self, pipeline):
         empty = dict(TEST_ROWS[0], id="x0", label_maps=[], label_kind="empty")
         _insert_eval_rows(pipeline, {1: empty})

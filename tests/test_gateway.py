@@ -15,6 +15,7 @@ import retroanchor.gateway as gateway_module
 from retroanchor.gateway import (
     AUTH_FAILURE,
     CONTEXT_LENGTH,
+    MALFORMED_RESPONSE,
     REPLAY_MISS,
     REQUEST_REJECTED,
     RETRIES_EXHAUSTED,
@@ -302,9 +303,9 @@ class TestDigestPins:
 
 
 class _FakeResponse:
-    def __init__(self, status_code: int, body: dict | None = None, text: str = ""):
+    def __init__(self, status_code: int, body: object = None, text: str = ""):
         self.status_code = status_code
-        self._body = body or {}
+        self._body = {} if body is None else body
         self.text = text or json.dumps(self._body)
 
     def json(self):
@@ -398,6 +399,54 @@ class TestHttpBackend:
         with pytest.raises(GatewayError) as err:
             backend.send("q")
         assert err.value.kind == REQUEST_REJECTED
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {},
+            [],
+            {"choices": []},
+            {"choices": "text"},
+            {"choices": [{"finish_reason": "stop"}]},
+            {"choices": [{"message": {}}]},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": 42}}]},
+        ],
+    )
+    def test_200_without_string_content_is_malformed(self, monkeypatch, body):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        backend = HttpBackend(_http_cfg(), session=_FakeSession([_FakeResponse(200, body)]))
+        with pytest.raises(GatewayError) as err:
+            backend.send("q")
+        assert err.value.kind == MALFORMED_RESPONSE
+
+    def test_200_with_non_json_body_is_malformed(self, monkeypatch):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        response = requests.Response()
+        response.status_code = 200
+        response._content = b"<html>upstream error</html>"
+        backend = HttpBackend(_http_cfg(), session=_FakeSession([response]))
+        with pytest.raises(GatewayError) as err:
+            backend.send("q")
+        assert err.value.kind == MALFORMED_RESPONSE
+
+    def test_malformed_reply_fails_one_item_of_a_batch(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        session = _FakeSession(
+            [
+                _FakeResponse(200, self._ok_body("first")),
+                _FakeResponse(200, {"choices": [{"message": {}}]}),
+                _FakeResponse(200, self._ok_body("third")),
+            ]
+        )
+        cfg = _http_cfg()
+        gateway = Gateway(cfg, tmp_path, mode="live", backend=HttpBackend(cfg, session=session))
+        results = gateway.run_batch([_prompt("a"), _prompt("b"), _prompt("c")], parallelism=1)
+        assert [r.text for r in (results[0], results[2])] == ["first", "third"]
+        assert isinstance(results[1], GatewayFailure)
+        assert (results[1].kind, results[1].attempts) == (MALFORMED_RESPONSE, 1)
+        assert len(session.requests) == 3  # never retried
+        assert request_digest(_prompt("b"), cfg) not in gateway.cache
 
     def test_relative_endpoint_rejected(self):
         with pytest.raises(GatewayError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from retroanchor.chem import AtomMapSet, parse_smiles, position_tokens, resolve_map_set
@@ -53,8 +55,21 @@ def test_position_tokens_ascending_and_aromatic_case():
         position_tokens(mol, AtomMapSet.of([3, 404]))
 
 
-def test_components_and_heavy_count():
+def test_components():
     mol = parse_smiles("CCO.[Na+].[Cl-]")
     assert mol.components() == [[0, 1, 2], [3], [4]]
-    assert mol.heavy_atom_count() == 5
-    assert parse_smiles("[H]C([H])([H])[H]").heavy_atom_count() == 1
+
+
+def test_parsed_atoms_and_bonds_stay_immutable():
+    # Equal atoms and bonds are shared between molecules, which is safe
+    # only while assignment keeps failing.
+    mol = parse_smiles("[CH3:1]C=O")
+    atom, bond = mol.atoms[0], mol.bonds[1]
+    with pytest.raises(FrozenInstanceError):
+        atom.atom_map = 2
+    with pytest.raises(FrozenInstanceError):
+        bond.kind = "single"
+    assert replace(atom, atom_map=2).atom_map == 2
+    assert replace(bond, stereo="/").stereo == "/"
+    assert (atom.atom_map, bond.kind, bond.stereo) == (1, "double", None)
+    assert parse_smiles("[CH3:1]C=O") == mol
