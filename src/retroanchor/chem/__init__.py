@@ -14,7 +14,7 @@ from retroanchor.chem.mol import (
     strip_stereo,
 )
 from retroanchor.chem.smiles import parse_smiles, write_smiles
-from retroanchor.chem.canon import canonical_smiles, canonicalize
+from retroanchor.chem.canon import canonical_smiles
 from retroanchor.chem.match import substructure_match
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Molecule",
     "SmilesError",
     "canonical_smiles",
-    "canonicalize",
     "parse_smiles",
     "position_tokens",
     "resolve_map_set",

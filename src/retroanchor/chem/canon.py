@@ -1,4 +1,4 @@
-"""Canonical atom ordering by iterative invariant refinement.
+"""Canonical SMILES: rank the atoms, then write the text in rank order.
 
 The ranking starts from per-atom invariants (element, aromatic flag,
 charge, isotope, implicit hydrogen count, degree), refines each atom by
@@ -6,8 +6,13 @@ the sorted multiset of its neighbors' ranks until the partition is
 stable, and resolves residual ties by promoting one member of the
 lowest tied class and refining again.  The promoted member is chosen by
 atom map when one is present, else by input position; for the symmetric
-ties this resolves, the choices are interchangeable, so the emitted
-text does not depend on input atom order.
+ties this resolves, the choices are interchangeable.  ``write_smiles``
+then emits the text in one depth-first traversal ordered by rank
+(Weininger, Weininger & Weininger, J. Chem. Inf. Comput. Sci. 29:97,
+1989).  The text does not depend on input atom order, except for
+chirality tags and directional bond marks: they are copied as written,
+not re-derived for the emission order, so equivalent stereo spellings
+can give different texts.
 
 Before ranking, any six-ring of plain carbons and nitrogens whose bonds
 strictly alternate single/double is rewritten to aromatic form, so the
@@ -16,43 +21,18 @@ two kekulized spellings of such a ring collapse to one canonical text.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, Molecule, _atom, _bond
 from retroanchor.chem.smiles import write_smiles
 
 
-def canonicalize(molecule: Molecule) -> Molecule:
-    """Return the molecule with atoms reordered into canonical order.
-
-    The result's atom order equals its SMILES emission order, so the
-    i-th atom of the result is the i-th atom token of its canonical
-    text, and ``source_text`` holds that text (atom maps included).
-    """
-    reordered = _reordered(molecule)
-    return replace(reordered, source_text=write_smiles(reordered, include_maps=True))
-
-
 def canonical_smiles(molecule: Molecule, include_maps: bool = False) -> str:
     """Canonical SMILES text; atom maps are dropped unless requested."""
-    return write_smiles(_reordered(molecule), include_maps=include_maps)
-
-
-def _reordered(molecule: Molecule) -> Molecule:
-    """The molecule in canonical atom order, without ``source_text``."""
     normalized = _normalize_alternating_rings(molecule)
-    ranks = _canonical_ranks(normalized)
-    order = _emission_order(normalized, ranks)
-    remap = {old: new for new, old in enumerate(order)}
-    atoms = tuple(normalized.atoms[i] for i in order)
-    bonds = tuple(
-        sorted(
-            (_bond(remap[b.a], remap[b.b], b.kind, b.stereo) for b in normalized.bonds),
-            key=lambda b: b.key(),
-        )
+    return write_smiles(
+        normalized, include_maps=include_maps, ranks=_canonical_ranks(normalized)
     )
-    return Molecule(atoms=atoms, bonds=bonds)
 
 
 def _normalize_alternating_rings(molecule: Molecule) -> Molecule:
@@ -178,39 +158,3 @@ def _canonical_ranks(molecule: Molecule) -> list[int]:
 def _promotion_key(molecule: Molecule, idx: int) -> tuple[int, int]:
     atom_map = molecule.atoms[idx].atom_map
     return (0, atom_map) if atom_map is not None else (1, idx)
-
-
-def _emission_order(molecule: Molecule, ranks: list[int]) -> list[int]:
-    """Depth-first pre-order from the lowest-ranked atom of each component,
-    visiting neighbors in rank order; components ordered the same way."""
-    components = sorted(
-        molecule.components(), key=lambda comp: min(ranks[i] for i in comp)
-    )
-    order: list[int] = []
-    visited: set[int] = set()
-    for component in components:
-        root = min(component, key=lambda i: ranks[i])
-        visited.add(root)
-        order.append(root)
-        stack = [(root, iter(sorted((n for n, _ in molecule.neighbors(root)), key=lambda j: ranks[j])))]
-        while stack:
-            _, nbr_iter = stack[-1]
-            for nbr in nbr_iter:
-                if nbr not in visited:
-                    visited.add(nbr)
-                    order.append(nbr)
-                    stack.append(
-                        (
-                            nbr,
-                            iter(
-                                sorted(
-                                    (n for n, _ in molecule.neighbors(nbr)),
-                                    key=lambda j: ranks[j],
-                                )
-                            ),
-                        )
-                    )
-                    break
-            else:
-                stack.pop()
-    return order

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 from retroanchor.chem.mol import (
     AROMATIC,
@@ -319,30 +320,35 @@ def _finalize(atoms: list[_AtomDraft], bonds: list[list], source: str) -> Molecu
     return Molecule(atoms=tuple(final_atoms), bonds=tuple(final_bonds), source_text=source)
 
 
-def write_smiles(molecule: Molecule, include_maps: bool = True) -> str:
+def write_smiles(
+    molecule: Molecule, include_maps: bool = True, ranks: Sequence[int] | None = None
+) -> str:
     """Serialize a molecule back to SMILES.
 
-    The traversal is deterministic: depth-first from the lowest atom
-    index of each component, visiting neighbors in ascending index
-    order, components joined by dots in order of their lowest index.
-    Parsing the output reconstructs an isomorphic molecule.
+    ``ranks`` gives each atom index a distinct sort key; without it an
+    atom's rank is its index.  The traversal is depth-first from the
+    lowest-ranked atom of each component, visiting neighbors in
+    ascending rank, components joined by dots in order of their lowest
+    rank.  Parsing the output reconstructs an isomorphic molecule.
     """
     if not molecule.atoms:
         return ""
+    rank = ranks.__getitem__ if ranks is not None else None
+
+    def ranked_neighbors(idx: int):
+        return iter(sorted((n for n, _ in molecule.neighbors(idx)), key=rank))
 
     visited = [False] * len(molecule.atoms)
     tree_children: dict[int, list[tuple[int, Bond]]] = {i: [] for i in range(len(molecule.atoms))}
     ring_bonds_at: dict[int, list[tuple[int, Bond]]] = {}  # opener -> [(closer, bond)]
     emit_order: list[int] = []
-    roots: list[int] = []
+    roots = sorted((min(c, key=rank) for c in molecule.components()), key=rank)
 
     ring_pairs: set[tuple[int, int]] = set()
-    for component in molecule.components():
-        root = component[0]
-        roots.append(root)
+    for root in roots:
         visited[root] = True
         emit_order.append(root)
-        stack = [(root, iter(sorted(n for n, _ in molecule.neighbors(root))))]
+        stack = [(root, ranked_neighbors(root))]
         parent = {root: -1}
         while stack:
             current, nbr_iter = stack[-1]
@@ -354,7 +360,7 @@ def write_smiles(molecule: Molecule, include_maps: bool = True) -> str:
                     emit_order.append(nbr)
                     parent[nbr] = current
                     tree_children[current].append((nbr, bond))
-                    stack.append((nbr, iter(sorted(n for n, _ in molecule.neighbors(nbr)))))
+                    stack.append((nbr, ranked_neighbors(nbr)))
                     advanced = True
                     break
                 if nbr != parent[current] and bond.key() not in ring_pairs:

@@ -460,11 +460,14 @@ def cmd_evaluate(args) -> int:
     outcomes_path = args.run / "outcomes.jsonl"
     if not config_path.exists() or not outcomes_path.exists():
         raise CliError(f"{args.run} is not a run directory (missing config.json/outcomes.jsonl)")
-    config = json.loads(config_path.read_text(encoding="utf-8"))
-    stage = config.get("stage")
+    try:
+        config = json.loads(config_path.read_text(encoding="utf-8"))
+        outcome_rows = read_jsonl(outcomes_path)
+    except ValueError as exc:
+        raise CliError(f"cannot read run {args.run}: {exc}") from exc
+    stage = config.get("stage") if isinstance(config, dict) else None
     if stage not in ("position", "transition"):
         raise CliError(f"run config has unknown stage {stage!r}")
-    outcome_rows = read_jsonl(outcomes_path)
     if not outcome_rows:
         raise CliError(f"{args.run} holds no outcomes to evaluate")
 

@@ -25,7 +25,7 @@ REQUIRED_COLUMNS = ("id", "reaction_smiles", "reaction_name", "reaction_class", 
 
 
 class DatasetError(ValueError):
-    """File-level dataset fault: unreadable file or missing columns."""
+    """File-level dataset fault: unreadable file, missing columns, malformed line."""
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,6 @@ class ReactionRecord:
     reaction_class: str
     split: str
     extra: dict = field(default_factory=dict)
-
-    @property
-    def is_classified(self) -> bool:
-        return bool(self.reaction_name)
 
 
 @dataclass(frozen=True)
@@ -145,30 +141,32 @@ def record_from_row(row: dict) -> ReactionRecord:
     )
 
 
-def ingest_dataset(path: Path | str, fmt: str | None = None) -> tuple[list[ReactionRecord], list[dict]]:
+def ingest_dataset(path: Path | str) -> tuple[list[ReactionRecord], list[dict]]:
     """Read a dataset file into records plus a rejects report.
 
-    Per-row faults (malformed SMILES, missing fields, duplicate-map
-    injections) land in the rejects list as ``{"row", "id", "error"}``;
-    file-level faults raise DatasetError.
+    A ``.csv`` suffix means CSV; any other means JSON lines.  Per-row
+    faults (malformed SMILES, missing fields, duplicate-map injections)
+    land in the rejects list as ``{"row", "id", "error"}``; file-level
+    faults, a JSONL line that is not a JSON object among them, raise
+    DatasetError.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "jsonl"
     try:
-        if fmt == "csv":
+        if path.suffix.lower() == ".csv":
             with open(path, newline="", encoding="utf-8") as handle:
                 reader = csv.DictReader(handle)
                 if reader.fieldnames is None:
-                    raise DatasetError(f"{path}: empty CSV file")
+                    raise ValueError(f"{path}: empty CSV file")
                 missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
                 if missing:
-                    raise DatasetError(f"{path}: missing columns: {', '.join(missing)}")
+                    raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
                 rows = list(reader)
         else:
             rows = read_jsonl(path)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise DatasetError(str(exc)) from exc
 
     records: list[ReactionRecord] = []
     rejects: list[dict] = []

@@ -2,8 +2,8 @@
 
 Every completion is cached under a content-addressed digest before it is
 returned, so a live run is replayable byte-for-byte afterwards.  Replay
-mode never touches the network; a missing cache entry is a classified
-failure, not a crash.
+mode never touches the network.  A cache entry missing in replay, or
+unreadable in either mode, is a classified failure, not a crash.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     import requests
 
 AUTH_FAILURE = "auth_failure"
+CACHE_CORRUPT = "cache_corrupt"
 CONTEXT_LENGTH = "context_length"
 MALFORMED_RESPONSE = "malformed_response"
 RETRIES_EXHAUSTED = "retries_exhausted"
@@ -127,11 +128,28 @@ class CompletionCache:
         return self.directory / f"{digest}.json"
 
     def get(self, digest: str) -> dict | None:
+        """The cached entry, or None on a miss.
+
+        An entry that cannot be replayed raises ``cache_corrupt`` and is
+        left on disk as it is, never overwritten.
+        """
         path = self._path(digest)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        try:
+            entry = json.loads(path.read_bytes().decode("utf-8"))
+        except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
+            raise GatewayError(CACHE_CORRUPT, f"unreadable cache entry {path}: {exc}") from exc
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("text"), str)
+            and type(entry.get("latency_ms", 0)) is int
+            and type(entry.get("attempts", 1)) is int
+        ):
+            raise GatewayError(
+                CACHE_CORRUPT, f"cache entry {path} lacks a string text or integer counts"
+            )
+        return entry
 
     def put(self, digest: str, entry: dict) -> None:
         atomic_write_text(self._path(digest), stable_json_dumps(entry))
@@ -239,9 +257,6 @@ class Gateway:
             self.backend = HttpBackend(cfg)
         self._sleep = sleeper
 
-    def complete(self, prompt: RenderedPrompt) -> Completion:
-        return self._complete(prompt, request_digest(prompt, self.cfg))
-
     def _complete(self, prompt: RenderedPrompt, digest: str) -> Completion:
         cached = self.cache.get(digest)
         if cached is not None:
@@ -326,9 +341,9 @@ def _completion(digest: str, entry: dict, from_cache: bool) -> Completion:
         request_digest=digest,
         text=entry["text"],
         finish_reason=entry.get("finish_reason", "stop"),
-        latency_ms=int(entry.get("latency_ms", 0)),
+        latency_ms=entry.get("latency_ms", 0),
         token_usage=entry.get("token_usage"),
-        attempts=int(entry.get("attempts", 1)),
+        attempts=entry.get("attempts", 1),
         from_cache=from_cache,
     )
 

@@ -72,16 +72,16 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def load_template(name: str, override_dir: Path | str | None = None) -> PromptTemplate:
+def load_template(name: str) -> PromptTemplate:
     """Load a template by name from the package assets.
 
-    An override directory (argument or RETROANCHOR_TEMPLATE_DIR) swaps in
-    user-provided text without a rebuild; overridden bodies keep their own
-    digest so downstream caching still keys off the real content.
+    A directory named by RETROANCHOR_TEMPLATE_DIR swaps in user-provided
+    text without a rebuild; overridden bodies keep their own digest so
+    downstream caching still keys off the real content.
     """
     if name not in TEMPLATE_PLACEHOLDERS:
         raise ValueError(f"unknown template {name!r}")
-    directory = override_dir if override_dir is not None else os.environ.get(TEMPLATE_DIR_ENV)
+    directory = os.environ.get(TEMPLATE_DIR_ENV)
     if directory:
         body = (Path(directory) / f"{name}.txt").read_text(encoding="utf-8")
     else:

@@ -42,12 +42,24 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 
 
 def read_jsonl(path: Path | str) -> list[dict]:
+    """Rows of a JSON-lines file; blank lines are skipped.
+
+    A line that is not a JSON object raises ValueError naming the path
+    and the 1-based line number.
+    """
     rows = []
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: not JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{number}: not a JSON object")
+            rows.append(row)
     return rows
 
 

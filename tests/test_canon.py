@@ -12,7 +12,6 @@ import pytest
 from helpers import molecules_isomorphic, permute_molecule, random_aromatic_molecule, random_molecule
 from retroanchor.chem import (
     canonical_smiles,
-    canonicalize,
     parse_smiles,
     write_smiles,
 )
@@ -62,28 +61,28 @@ def test_five_ring_kekulized_not_rewritten():
     assert canonical_smiles(parse_smiles("C1=CC=CS1")) != canonical_smiles(parse_smiles("c1cccs1"))
 
 
-def test_canonicalize_idempotent():
+def test_canonical_text_is_a_fixpoint():
     rng = random.Random(9)
     for _ in range(40):
-        mol = random_molecule(rng)
-        once = canonicalize(mol)
-        twice = canonicalize(once)
-        assert once.source_text == twice.source_text
+        text = canonical_smiles(random_molecule(rng, with_maps=rng.random() < 0.5), include_maps=True)
+        assert canonical_smiles(parse_smiles(text), include_maps=True) == text
 
 
 def test_canonical_text_reparses_to_isomorphic_molecule():
     rng = random.Random(10)
     for _ in range(40):
         mol = random_molecule(rng, with_maps=True)
-        canon = canonicalize(mol)
-        assert molecules_isomorphic(canon, parse_smiles(canon.source_text))
+        assert molecules_isomorphic(mol, parse_smiles(canonical_smiles(mol, include_maps=True)))
 
 
-def test_canonical_molecule_atom_order_matches_text():
-    mol = canonicalize(parse_smiles("O=C(O)c1ccc(N)cc1"))
-    reparsed = parse_smiles(write_smiles(mol))
-    assert [a.element for a in reparsed.atoms] == [a.element for a in mol.atoms]
-    assert [a.aromatic for a in reparsed.atoms] == [a.aromatic for a in mol.atoms]
+def test_text_written_in_any_rank_order_reparses_to_isomorphic_molecule():
+    rng = random.Random(11)
+    for k in range(60):
+        mol = random_molecule(rng, with_maps=True) if k % 2 else random_aromatic_molecule(rng, with_maps=True)
+        for _ in range(4):
+            ranks = list(range(len(mol.atoms)))
+            rng.shuffle(ranks)
+            assert molecules_isomorphic(mol, parse_smiles(write_smiles(mol, ranks=ranks))), ranks
 
 
 def test_canonical_smiles_strips_maps_by_default():

@@ -277,6 +277,19 @@ class TestLabel:
         assert code == 1
         assert "missing columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["not json", "[1, 2]", '"a string"', "{"])
+    @pytest.mark.parametrize(
+        "stage", [["label"], ["ontology", "--split", "train"], ["subsample"]]
+    )
+    def test_malformed_jsonl_line_exits_1(self, tmp_path, capsys, stage, line):
+        source = tmp_path / "rows.jsonl"
+        source.write_text(json.dumps(TRAIN_ROWS[0]) + "\n" + line + "\n")
+        out = tmp_path / "out.jsonl"
+        code = main([stage[0], "--input", str(source), "--output", str(out), *stage[1:]])
+        assert code == 1
+        assert f"error: {source}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOntology:
     def test_entries_sorted_unique(self, pipeline):
@@ -629,6 +642,30 @@ class TestEvaluate:
         (run_dir / "outcomes.jsonl").write_text("")
         code = main(["evaluate", "--run", str(run_dir), "--input", str(pipeline["eval"])])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("outcomes.jsonl", '{"id": "e1", "status": "ok"}\n{"id": "e2", ', "outcomes.jsonl:2:"),
+            ("outcomes.jsonl", '{"id": "e1", "status": "ok"}\n["e2"]\n', "outcomes.jsonl:2:"),
+            ("config.json", '{"stage": "posi', "cannot read run"),
+            ("config.json", '["position"]', "unknown stage"),
+            ("ground_truth", '{"id": "e1"}\nnull\n', "truth.jsonl:2:"),
+        ],
+    )
+    def test_malformed_run_or_input_exits_1(self, pipeline, capsys, name, text, where):
+        seed_position(pipeline)
+        run_dir = run_position(pipeline)
+        truth = pipeline["eval"]
+        if name == "ground_truth":
+            truth = pipeline["root"] / "truth.jsonl"
+            truth.write_text(text)
+        else:
+            (run_dir / name).write_text(text)
+        code = main(["evaluate", "--run", str(run_dir), "--input", str(truth)])
+        assert code == 1
+        assert where in capsys.readouterr().err
+        assert not (run_dir / "report").exists()
 
     def test_missing_ground_truth_errors(self, pipeline, capsys):
         seed_position(pipeline)

@@ -86,10 +86,6 @@ class TestRecordFromRow:
         record = record_from_row(row)
         assert record.product.atom_maps() == {1}
 
-    def test_empty_name_means_unclassified(self):
-        record = _record("r1", name="")
-        assert not record.is_classified
-
 
 class TestIngest:
     def test_jsonl_with_rejects(self, tmp_path):

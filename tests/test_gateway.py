@@ -12,8 +12,10 @@ import requests
 from helpers import golden_fixture_dir, run_golden_pipeline
 
 import retroanchor.gateway as gateway_module
+from retroanchor.cli import _manifest_row
 from retroanchor.gateway import (
     AUTH_FAILURE,
+    CACHE_CORRUPT,
     CONTEXT_LENGTH,
     MALFORMED_RESPONSE,
     REPLAY_MISS,
@@ -123,32 +125,32 @@ class TestModelConfig:
 class TestCompleteAndCache:
     def test_live_call_writes_cache_then_serves_hits(self, tmp_path):
         gateway = Gateway(CFG, tmp_path, mode="live", backend=EchoBackend())
-        first = gateway.complete(_prompt("hello"))
+        first = gateway.run_batch([_prompt("hello")], 1)[0]
         assert first.text == "echo:hello"
         assert not first.from_cache
-        second = gateway.complete(_prompt("hello"))
+        second = gateway.run_batch([_prompt("hello")], 1)[0]
         assert second.from_cache
         assert second.text == first.text
         assert second.latency_ms == first.latency_ms
 
     def test_live_then_replay_equals_replay_then_replay(self, tmp_path):
         live = Gateway(CFG, tmp_path, mode="live", backend=EchoBackend())
-        live.complete(_prompt("alpha"))
-        replay_a = Gateway(CFG, tmp_path, mode="replay").complete(_prompt("alpha"))
-        replay_b = Gateway(CFG, tmp_path, mode="replay").complete(_prompt("alpha"))
+        live.run_batch([_prompt("alpha")], 1)
+        replay_a = Gateway(CFG, tmp_path, mode="replay").run_batch([_prompt("alpha")], 1)[0]
+        replay_b = Gateway(CFG, tmp_path, mode="replay").run_batch([_prompt("alpha")], 1)[0]
         assert replay_a.text == replay_b.text == "echo:alpha"
         assert replay_a.request_digest == replay_b.request_digest
 
     def test_replay_miss_is_classified(self, tmp_path):
         gateway = Gateway(CFG, tmp_path, mode="replay")
-        with pytest.raises(GatewayError) as err:
-            gateway.complete(_prompt("never seen"))
-        assert err.value.kind == REPLAY_MISS
+        failure = gateway.run_batch([_prompt("never seen")], 1)[0]
+        assert isinstance(failure, GatewayFailure)
+        assert failure.kind == REPLAY_MISS
 
     def test_seed_cache_plants_replayable_text(self, tmp_path):
         prompt = _prompt("planted")
         seed_cache(tmp_path, prompt, CFG, '{"disconnections": []}')
-        completion = Gateway(CFG, tmp_path, mode="replay").complete(prompt)
+        completion = Gateway(CFG, tmp_path, mode="replay").run_batch([prompt], 1)[0]
         assert completion.text == '{"disconnections": []}'
 
     def test_invalid_mode_rejected(self, tmp_path):
@@ -163,7 +165,7 @@ class TestRetries:
             [TransientBackendError("503"), TransientBackendError("503"), "recovered"]
         )
         gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=sleeps.append)
-        completion = gateway.complete(_prompt("flaky"))
+        completion = gateway.run_batch([_prompt("flaky")], 1)[0]
         assert completion.text == "recovered"
         assert completion.attempts == 3
         assert sleeps == [0.5, 1.0]
@@ -175,24 +177,24 @@ class TestRetries:
         gateway = Gateway(
             CFG, tmp_path, mode="live", backend=backend, sleeper=lambda _: None
         )
-        with pytest.raises(GatewayError) as err:
-            gateway.complete(_prompt("doomed"))
-        assert err.value.kind == RETRIES_EXHAUSTED
+        failure = gateway.run_batch([_prompt("doomed")], 1)[0]
+        assert isinstance(failure, GatewayFailure)
+        assert failure.kind == RETRIES_EXHAUSTED
         assert backend.calls == 3
 
     def test_auth_failure_is_not_retried(self, tmp_path):
         backend = ScriptedBackend([GatewayError(AUTH_FAILURE, "bad key"), "unreached"])
         gateway = Gateway(CFG, tmp_path, mode="live", backend=backend)
-        with pytest.raises(GatewayError) as err:
-            gateway.complete(_prompt("locked"))
-        assert err.value.kind == AUTH_FAILURE
+        failure = gateway.run_batch([_prompt("locked")], 1)[0]
+        assert isinstance(failure, GatewayFailure)
+        assert failure.kind == AUTH_FAILURE
         assert backend.calls == 1
 
     def test_nothing_cached_on_failure(self, tmp_path):
         backend = ScriptedBackend([TransientBackendError("x")] * 3)
         gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=lambda _: None)
-        with pytest.raises(GatewayError):
-            gateway.complete(_prompt("doomed"))
+        failure = gateway.run_batch([_prompt("doomed")], 1)[0]
+        assert isinstance(failure, GatewayFailure)
         assert request_digest(_prompt("doomed"), CFG) not in gateway.cache
 
 
@@ -286,6 +288,55 @@ class TestRunBatch:
         )
         assert missed.kind == REPLAY_MISS
         assert missed.attempts == 0
+
+
+def _rewrite_entry(**changes):
+    def corrupt(raw: bytes) -> bytes:
+        entry = json.loads(raw)
+        entry.update(changes)
+        return json.dumps(entry).encode("utf-8")
+
+    return corrupt
+
+
+CORRUPT_ENTRIES = {
+    "truncated": lambda raw: raw[:20],
+    "empty": lambda raw: b"",
+    "not_utf8": lambda raw: b"\xff\xfe" + raw,
+    "json_list": lambda raw: b"[1, 2]",
+    "json_string": lambda raw: b'"text"',
+    "text_null": _rewrite_entry(text=None),
+    "text_missing": lambda raw: json.dumps(
+        {k: v for k, v in json.loads(raw).items() if k != "text"}
+    ).encode("utf-8"),
+    "text_number": _rewrite_entry(text=7),
+    "latency_string": _rewrite_entry(latency_ms="12"),
+    "latency_float": _rewrite_entry(latency_ms=1.5),
+    "attempts_null": _rewrite_entry(attempts=None),
+    "attempts_bool": _rewrite_entry(attempts=True),
+}
+
+
+@pytest.mark.parametrize("mode", ["replay", "live"])
+@pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES))
+def test_unreadable_cache_entry_fails_only_its_item(tmp_path, case, mode):
+    prompts = [_prompt("first"), _prompt("broken"), _prompt("last")]
+    for prompt in prompts:
+        seed_cache(tmp_path, prompt, CFG, f"cached {prompt.text}")
+    path = tmp_path / f"{request_digest(prompts[1], CFG)}.json"
+    corrupted = CORRUPT_ENTRIES[case](path.read_bytes())
+    path.write_bytes(corrupted)
+
+    backend = ScriptedBackend([])  # a send would pop from an empty script
+    gateway = Gateway(CFG, tmp_path, mode=mode, backend=backend)
+    first, broken, last = gateway.run_batch(prompts, parallelism=2)
+
+    assert (first.text, last.text) == ("cached first", "cached last")
+    assert isinstance(broken, GatewayFailure)
+    assert (broken.kind, broken.attempts) == (CACHE_CORRUPT, 0)
+    assert _manifest_row(CFG, broken)["outcome"] == CACHE_CORRUPT
+    assert backend.calls == 0
+    assert path.read_bytes() == corrupted  # left for inspection, never overwritten
 
 
 class TestDigestPins:

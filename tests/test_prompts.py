@@ -46,18 +46,20 @@ class TestLoadTemplate:
         with pytest.raises(ValueError, match="unknown template"):
             load_template("mystery")
 
-    def test_override_directory_swaps_body(self, tmp_path):
+    def test_override_directory_swaps_body(self, tmp_path, monkeypatch):
         (tmp_path / "position.txt").write_text(
             "custom <reaction_ontology> and <canonicalized_product>"
         )
-        template = load_template("position", override_dir=tmp_path)
+        monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(tmp_path))
+        template = load_template("position")
         assert template.body.startswith("custom")
         assert template.digest != TEMPLATE_DIGESTS["position"]
 
-    def test_override_missing_placeholder_rejected(self, tmp_path):
+    def test_override_missing_placeholder_rejected(self, tmp_path, monkeypatch):
         (tmp_path / "position.txt").write_text("no placeholders at all")
+        monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(tmp_path))
         with pytest.raises(ValueError, match="lacks placeholders"):
-            load_template("position", override_dir=tmp_path)
+            load_template("position")
 
     def test_env_override(self, tmp_path, monkeypatch):
         (tmp_path / "position.txt").write_text(
