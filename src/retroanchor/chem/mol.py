@@ -148,7 +148,8 @@ class Bond:
 # whole pipeline builds only a few thousand distinct atoms and bonds.
 # The caches are unbounded because chemistry bounds the key space;
 # typed=True keeps True and 1 apart.  Callers pass every field
-# positionally, so one value has one cache key.
+# positionally, so one value has one cache key.  The SMILES reader keeps
+# one more such cache, from bracket-atom token text to Atom.
 _atom = lru_cache(maxsize=None, typed=True)(Atom)
 _bond = lru_cache(maxsize=None, typed=True)(Bond)
 
@@ -166,15 +167,17 @@ class Molecule:
         adjacency: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
         lookup: dict[tuple[int, int], Bond] = {}
         for bond in self.bonds:
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
-                raise ValueError(f"bond {bond.a}-{bond.b} references a missing atom")
-            if bond.a == bond.b:
-                raise ValueError(f"bond {bond.a}-{bond.b} joins an atom to itself")
-            if bond.key() in lookup:
-                raise ValueError(f"duplicate bond between atoms {bond.a} and {bond.b}")
-            lookup[bond.key()] = bond
-            adjacency[bond.a].append((bond.b, bond))
-            adjacency[bond.b].append((bond.a, bond))
+            a, b = bond.a, bond.b
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"bond {a}-{b} references a missing atom")
+            if a == b:
+                raise ValueError(f"bond {a}-{b} joins an atom to itself")
+            key = (a, b) if a < b else (b, a)
+            if key in lookup:
+                raise ValueError(f"duplicate bond between atoms {a} and {b}")
+            lookup[key] = bond
+            adjacency[a].append((b, bond))
+            adjacency[b].append((a, bond))
         object.__setattr__(self, "_adjacency", tuple(tuple(row) for row in adjacency))
         object.__setattr__(self, "_bond_lookup", lookup)
 

@@ -10,12 +10,20 @@ are carried lexically; nothing geometric is derived from them.
 Aromaticity is trusted as written.  There is no aromatic perception
 and no kekulization beyond the alternating-ring rewrite performed by
 the canonicalizer.
+
+Each bracket-atom token is parsed once per process.  A bracket atom
+states its hydrogen count, so its token text alone decides its Atom,
+and the reader keeps finished atoms keyed by that text.  The cache is
+unbounded for the reason the constructor caches in mol.py are:
+chemistry bounds the key space.  It holds lexical atom fields only.
+Anything that depends on an atom's neighbours stays out of it: the
+implicit hydrogens of bare organic-subset atoms, set in _finalize, and
+stereo parity once chirality is interpreted rather than carried as text.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 from retroanchor.chem.mol import (
@@ -29,6 +37,7 @@ from retroanchor.chem.mol import (
     SINGLE,
     TRIPLE,
     WILDCARD,
+    Atom,
     Bond,
     Molecule,
     SmilesError,
@@ -62,16 +71,17 @@ _FLIP_STEREO = {"/": "\\", "\\": "/"}
 _BOND_SYMBOL = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
 
 
-@dataclass
-class _AtomDraft:
-    element: str
-    aromatic: bool = False
-    charge: int = 0
-    isotope: int | None = None
-    hcount: int | None = None  # None means "compute from default valence"
-    atom_map: int | None = None
-    chirality: str | None = None
-    element_options: tuple[str, ...] = ()
+# Bracket-atom token text -> finished Atom (see the module docstring).
+# Only successful parses are stored; a miss parses the real text, so an
+# error carries its absolute position.
+_BRACKET_ATOMS: dict[str, Atom] = {}
+
+# Atoms written without brackets, keyed by symbol, before _finalize sets
+# their implicit hydrogens from the bonds.
+_BARE_ATOMS: dict[str, Atom] = {
+    symbol: _atom(symbol.capitalize(), symbol.islower(), 0, None, 0, None, None, ())
+    for symbol in (*ORGANIC_SUBSET, *AROMATIC_ORGANIC, WILDCARD)
+}
 
 
 def _parse_charge(token: str | None, pos: int) -> int:
@@ -88,7 +98,7 @@ def _parse_charge(token: str | None, pos: int) -> int:
     return sign * value
 
 
-def _parse_bracket(text: str, pos: int) -> tuple[_AtomDraft, int]:
+def _parse_bracket(text: str, pos: int) -> Atom:
     match = _BRACKET_RE.match(text, pos)
     if match is None:
         if "]" not in text[pos:]:
@@ -96,7 +106,7 @@ def _parse_bracket(text: str, pos: int) -> tuple[_AtomDraft, int]:
         raise SmilesError("malformed bracket atom", pos)
 
     symbols = match["symbols"]
-    draft = _AtomDraft(element=WILDCARD, hcount=0)
+    element, aromatic, options = WILDCARD, False, ()
     if symbols == WILDCARD:
         pass
     elif "," in symbols:
@@ -104,45 +114,36 @@ def _parse_bracket(text: str, pos: int) -> tuple[_AtomDraft, int]:
         for option in options:
             if option not in ELEMENT_SYMBOLS:
                 raise SmilesError(f"unknown element {option!r} in element list", pos)
-        draft.element_options = options
     elif symbols[0].isupper():
         if symbols not in ELEMENT_SYMBOLS:
             raise SmilesError(f"unknown element {symbols!r}", pos)
-        draft.element = symbols
+        element = symbols
     else:
         capitalized = symbols.capitalize()
         if capitalized not in ELEMENT_SYMBOLS:
             raise SmilesError(f"unknown element {symbols!r}", pos)
         if capitalized not in AROMATIC_ELEMENTS:
             raise SmilesError(f"element {capitalized!r} cannot be aromatic", pos)
-        draft.element = capitalized
-        draft.aromatic = True
+        element, aromatic = capitalized, True
 
+    hcount = 0
     hcount_token = match["hcount"]
     if hcount_token is not None:
-        if draft.element == WILDCARD:
+        if element == WILDCARD:
             raise SmilesError("wildcard and element-list atoms take no hydrogen count", pos)
-        if draft.element == "H":
+        if element == "H":
             raise SmilesError("hydrogen atom with a hydrogen count", pos)
-        draft.hcount = int(hcount_token[1:]) if len(hcount_token) > 1 else 1
+        hcount = int(hcount_token[1:] or 1)
 
-    isotope_token = match["isotope"]
-    if isotope_token is not None:
-        isotope = int(isotope_token)
-        if isotope == 0:
-            raise SmilesError("isotope must be positive", pos)
-        draft.isotope = isotope
+    isotope = int(match["isotope"]) if match["isotope"] else None
+    if isotope == 0:
+        raise SmilesError("isotope must be positive", pos)
+    atom_map = int(match["map"]) if match["map"] else None
+    if atom_map == 0:
+        raise SmilesError("atom map must be positive", pos)
 
-    map_token = match["map"]
-    if map_token is not None:
-        atom_map = int(map_token)
-        if atom_map == 0:
-            raise SmilesError("atom map must be positive", pos)
-        draft.atom_map = atom_map
-
-    draft.chirality = match["chiral"]
-    draft.charge = _parse_charge(match["charge"], pos)
-    return draft, match.end()
+    charge = _parse_charge(match["charge"], pos)
+    return _atom(element, aromatic, charge, isotope, hcount, atom_map, match["chiral"], options)
 
 
 def parse_smiles(text: str) -> Molecule:
@@ -153,13 +154,13 @@ def parse_smiles(text: str) -> Molecule:
     closures, unknown elements, malformed charges or isotopes, bonds
     with no atom to attach to, and duplicate bonds between one pair.
     """
-    stripped = text.strip()
-    if not stripped:
+    s = text.strip()
+    if not s:
         raise SmilesError("empty SMILES", 0)
-    s = stripped
 
-    atoms: list[_AtomDraft] = []
-    bonds: list[list] = []  # [a, b, kind | None, stereo]
+    atoms: list[Atom] = []
+    bare: list[int] = []  # indices of atoms from _BARE_ATOMS
+    bonds: list[tuple] = []  # (a, b, kind | None, stereo)
     bonded_pairs: set[tuple[int, int]] = set()
     branch_stack: list[tuple[int, int, int]] = []  # (prev, atom count, position)
     rings: dict[int, tuple[int, tuple | None, int]] = {}
@@ -174,19 +175,7 @@ def parse_smiles(text: str) -> Molecule:
         if key in bonded_pairs:
             raise SmilesError(f"duplicate bond between atoms {key[0]} and {key[1]}", pos)
         bonded_pairs.add(key)
-        bonds.append([a, b, kind, stereo])
-
-    def attach_atom(draft: _AtomDraft, pos: int) -> None:
-        nonlocal prev, pending
-        atoms.append(draft)
-        idx = len(atoms) - 1
-        if prev is not None:
-            kind, stereo = pending if pending else (None, None)
-            add_bond(prev, idx, kind, stereo, pos)
-        elif pending:
-            raise SmilesError("bond with no preceding atom", pending_pos)
-        pending = None
-        prev = idx
+        bonds.append((a, b, kind, stereo))
 
     i = 0
     while i < len(s):
@@ -219,11 +208,11 @@ def parse_smiles(text: str) -> Molecule:
             pending = _BOND_CHARS[ch]
             pending_pos = i
             i += 1
-        elif ch.isdigit() or ch == "%":
+        elif ch.isdecimal() or ch == "%":  # isdigit() also passes "²", which int() rejects
             if prev is None:
                 raise SmilesError("ring closure with no preceding atom", i)
             if ch == "%":
-                if not s[i + 1 : i + 3].isdigit() or len(s[i + 1 : i + 3]) < 2:
+                if not s[i + 1 : i + 3].isdecimal() or len(s[i + 1 : i + 3]) < 2:
                     raise SmilesError("'%' ring closure needs two digits", i)
                 number = int(s[i + 1 : i + 3])
                 width = 3
@@ -238,26 +227,33 @@ def parse_smiles(text: str) -> Molecule:
                 rings[number] = (prev, pending, i)
             pending = None
             i += width
-        elif ch == "[":
-            draft, end = _parse_bracket(s, i)
-            attach_atom(draft, i)
-            i = end
         else:
-            two = s[i : i + 2]
-            if two in ("Cl", "Br"):
-                attach_atom(_AtomDraft(element=two), i)
-                i += 2
-            elif ch in "BCNOPSFI":
-                attach_atom(_AtomDraft(element=ch), i)
-                i += 1
-            elif ch in "bcnops":
-                attach_atom(_AtomDraft(element=ch.upper(), aromatic=True), i)
-                i += 1
-            elif ch == WILDCARD:
-                attach_atom(_AtomDraft(element=WILDCARD, hcount=0), i)
-                i += 1
+            idx = len(atoms)
+            if ch == "[":
+                end = s.find("]", i) + 1
+                token = s[i:end]
+                atom = _BRACKET_ATOMS.get(token)
+                if atom is None:
+                    atom = _BRACKET_ATOMS[token] = _parse_bracket(s, i)
             else:
-                raise SmilesError(f"unexpected character {ch!r}", i)
+                token = s[i : i + 2]
+                atom = _BARE_ATOMS.get(token)  # Cl and Br before C and B
+                if atom is None:
+                    token = ch
+                    atom = _BARE_ATOMS.get(ch)
+                    if atom is None:
+                        raise SmilesError(f"unexpected character {ch!r}", i)
+                end = i + len(token)
+                bare.append(idx)
+            atoms.append(atom)
+            if prev is not None:
+                kind, stereo = pending if pending else (None, None)
+                add_bond(prev, idx, kind, stereo, i)
+            elif pending:
+                raise SmilesError("bond with no preceding atom", pending_pos)
+            pending = None
+            prev = idx
+            i = end
 
     if pending:
         raise SmilesError("dangling bond at end of input", pending_pos)
@@ -267,7 +263,7 @@ def parse_smiles(text: str) -> Molecule:
         number, (_, _, pos) = sorted(rings.items())[0]
         raise SmilesError(f"unpaired ring closure {number}", pos)
 
-    return _finalize(atoms, bonds, s)
+    return _finalize(atoms, bare, bonds, s)
 
 
 def _combine_ring_specs(
@@ -285,39 +281,23 @@ def _combine_ring_specs(
     return open_spec or close_spec or (None, None)
 
 
-def _finalize(atoms: list[_AtomDraft], bonds: list[list], source: str) -> Molecule:
+def _finalize(atoms: list[Atom], bare: list[int], bonds: list[tuple], source: str) -> Molecule:
     final_bonds = []
+    order_sums = [0.0] * len(atoms)
     for a, b, kind, stereo in bonds:
         if kind is None:
-            both_aromatic = atoms[a].aromatic and atoms[b].aromatic
-            kind = AROMATIC if both_aromatic else SINGLE
+            kind = AROMATIC if atoms[a].aromatic and atoms[b].aromatic else SINGLE
         final_bonds.append(_bond(a, b, kind, stereo))
+        order = BOND_ORDER[kind]
+        order_sums[a] += order
+        order_sums[b] += order
 
-    order_sums = [0.0] * len(atoms)
-    for bond in final_bonds:
-        order_sums[bond.a] += BOND_ORDER[bond.kind]
-        order_sums[bond.b] += BOND_ORDER[bond.kind]
+    for idx in bare:
+        atom = atoms[idx]
+        hydrogens = implicit_hydrogens(atom.element, atom.aromatic, order_sums[idx])
+        atoms[idx] = _atom(atom.element, atom.aromatic, 0, None, hydrogens, None, None, ())
 
-    final_atoms = []
-    for draft, order_sum in zip(atoms, order_sums):
-        if draft.hcount is not None:
-            hydrogens = draft.hcount
-        else:
-            hydrogens = implicit_hydrogens(draft.element, draft.aromatic, order_sum)
-        final_atoms.append(
-            _atom(
-                draft.element,
-                draft.aromatic,
-                draft.charge,
-                draft.isotope,
-                hydrogens,
-                draft.atom_map,
-                draft.chirality,
-                draft.element_options,
-            )
-        )
-
-    return Molecule(atoms=tuple(final_atoms), bonds=tuple(final_bonds), source_text=source)
+    return Molecule(atoms=tuple(atoms), bonds=tuple(final_bonds), source_text=source)
 
 
 def write_smiles(

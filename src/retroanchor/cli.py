@@ -53,6 +53,7 @@ from retroanchor.outputs import (
     parse_transition_output,
 )
 from retroanchor.prompts import (
+    PromptTemplate,
     RenderedPrompt,
     load_template,
     render_position_prompt,
@@ -156,6 +157,13 @@ def _load_ontology(path: Path) -> Ontology:
         return Ontology.from_json_obj(data)
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed ontology file {path}") from exc
+
+
+def _load_template(name: str) -> PromptTemplate:
+    try:
+        return load_template(name)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _sha256_file(path: Path) -> str:
@@ -338,7 +346,7 @@ def cmd_run_position(args) -> int:
     ontology = _load_ontology(args.ontology)
     if len(ontology) == 0:
         raise CliError(f"ontology {args.ontology} has no entries")
-    template = load_template("position")
+    template = _load_template("position")
 
     def render(record: ReactionRecord) -> RenderedPrompt:
         return render_position_prompt(record.product, ontology, template)
@@ -379,7 +387,7 @@ def cmd_run_transition(args) -> int:
     records, rejects = _ingest(args.input)
     train_records, train_rejects = _ingest(args.train)
     template_name = "transition" if args.prompt_variant == "full" else "transition_short"
-    template = load_template(template_name)
+    template = _load_template(template_name)
     # sample_examples still filters each group by split, id and name, so
     # the pool, its order and the draw equal those over the full list.
     train_by_name: dict[str, list[ReactionRecord]] = {}
@@ -422,19 +430,22 @@ def cmd_run_transition(args) -> int:
 def _candidates_from_row(row: dict) -> list[DisconnectionCandidate]:
     if row.get("status") != "ok":
         return []
-    return [
-        DisconnectionCandidate(
-            s=AtomMapSet.of(c["s"]),
-            reaction_name=c["reaction_name"],
-            reaction_class=c["reaction_class"],
-            in_ontology=bool(c["in_ontology"]),
-            importance=int(c["importance"]),
-            priority=int(c["priority"]),
-            rationale=c.get("rationale", ""),
-            claimed_in_ontology=c.get("claimed_in_ontology"),
-        )
-        for c in row.get("candidates", [])
-    ]
+    try:
+        return [
+            DisconnectionCandidate(
+                s=AtomMapSet.of(c["s"]),
+                reaction_name=c["reaction_name"],
+                reaction_class=c["reaction_class"],
+                in_ontology=bool(c["in_ontology"]),
+                importance=int(c["importance"]),
+                priority=int(c["priority"]),
+                rationale=c.get("rationale", ""),
+                claimed_in_ontology=c.get("claimed_in_ontology"),
+            )
+            for c in row.get("candidates", [])
+        ]
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CliError(f"run outcome for {row.get('id')} holds a malformed candidate: {exc!r}") from exc
 
 
 def _predictions_from_row(row: dict) -> list[TransitionPrediction]:
@@ -453,6 +464,8 @@ def _predictions_from_row(row: dict) -> list[TransitionPrediction]:
         ]
     except SmilesError as exc:
         raise CliError(f"run outcome for {row.get('id')} holds unparsable SMILES: {exc}") from exc
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CliError(f"run outcome for {row.get('id')} holds a malformed prediction: {exc!r}") from exc
 
 
 def cmd_evaluate(args) -> int:

@@ -203,18 +203,25 @@ def find_template_assignment(
     gt_reactants: list[Molecule],
     min_share: float = TEMPLATE_SHARE_THRESHOLD,
     denominator: str = "template",
+    embeddings: dict[tuple[int, int], bool] | None = None,
 ) -> list[tuple[int, int]] | None:
     """Injective pairing of every ground-truth reactant with a distinct
     template reactant passing both the share threshold and an embedding
-    check, or None when no such assignment exists."""
+    check, or None when no such assignment exists.  ``embeddings`` keeps
+    the embedding check of each (template, ground-truth) index pair across
+    calls on the same reactants."""
+    if embeddings is None:
+        embeddings = {}
     edges: list[list[int]] = []
     for gt_idx, gt in enumerate(gt_reactants):
-        row = [
-            t_idx
-            for t_idx, template in enumerate(template_reactants)
-            if atom_share(template, gt, denominator) >= min_share
-            and substructure_match(template, gt)
-        ]
+        row = []
+        for t_idx, template in enumerate(template_reactants):
+            if atom_share(template, gt, denominator) < min_share:
+                continue
+            if (t_idx, gt_idx) not in embeddings:
+                embeddings[t_idx, gt_idx] = substructure_match(template, gt)
+            if embeddings[t_idx, gt_idx]:
+                row.append(t_idx)
         if not row:
             return None
         edges.append(row)
@@ -265,17 +272,21 @@ def score_transition(
         and reactant_multiset(p.reactants, ignore_stereo=ignore_stereo) == gt_multiset
         for p in preds
     )
+    # Both denominators share each prediction's embedding checks.
+    embeddings: list[dict] = [{} for _ in preds]
     template_acc = any(
         p.is_valid
         and p.is_template
-        and find_template_assignment(p.reactants, r_gt, denominator="template") is not None
-        for p in preds
+        and find_template_assignment(p.reactants, r_gt, denominator="template", embeddings=e)
+        is not None
+        for p, e in zip(preds, embeddings)
     )
     template_acc_alt = any(
         p.is_valid
         and p.is_template
-        and find_template_assignment(p.reactants, r_gt, denominator="gt") is not None
-        for p in preds
+        and find_template_assignment(p.reactants, r_gt, denominator="gt", embeddings=e)
+        is not None
+        for p, e in zip(preds, embeddings)
     )
     return TransitionScore(
         template_acc=template_acc,

@@ -73,7 +73,8 @@ def _digest(text: str) -> str:
 
 
 def load_template(name: str) -> PromptTemplate:
-    """Load a template by name from the package assets.
+    """Load a template by name from the package assets, which must match
+    TEMPLATE_DIGESTS.
 
     A directory named by RETROANCHOR_TEMPLATE_DIR swaps in user-provided
     text without a rebuild; overridden bodies keep their own digest so
@@ -90,11 +91,14 @@ def load_template(name: str) -> PromptTemplate:
             .joinpath("templates", f"{name}.txt")
             .read_text(encoding="utf-8")
         )
+    digest = _digest(body)
+    if not directory and digest != TEMPLATE_DIGESTS[name]:
+        raise ValueError(f"packaged template {name!r} does not match its pinned digest")
     placeholders = TEMPLATE_PLACEHOLDERS[name]
     missing = [token for token in placeholders if token not in body]
     if missing:
         raise ValueError(f"template {name!r} lacks placeholders: {', '.join(missing)}")
-    return PromptTemplate(name=name, body=body, placeholders=placeholders, digest=_digest(body))
+    return PromptTemplate(name=name, body=body, placeholders=placeholders, digest=digest)
 
 
 def _render(template: PromptTemplate, values: dict[str, str], example_count: int) -> RenderedPrompt:

@@ -14,7 +14,12 @@ from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
 from retroanchor.cli import main
 from retroanchor.datasets import ingest_dataset, sample_examples
 from retroanchor.gateway import ModelConfig, seed_cache
-from retroanchor.prompts import load_template, render_position_prompt, render_transition_prompt
+from retroanchor.prompts import (
+    TEMPLATE_DIGESTS,
+    load_template,
+    render_position_prompt,
+    render_transition_prompt,
+)
 from retroanchor.utils import read_jsonl, write_jsonl
 
 TRAIN_ROWS = [
@@ -118,6 +123,10 @@ TRANSITION_TEXT_E2 = json.dumps(
         ]
     }
 )
+
+
+# Marks a field deleted from an outcome row.
+MISSING = "<missing>"
 
 
 def model_config() -> ModelConfig:
@@ -437,6 +446,29 @@ class TestRunPosition:
         assert code == 1
 
 
+class TestTemplateFaults:
+    @pytest.mark.parametrize("stage", ["run-position", "run-transition"])
+    @pytest.mark.parametrize("fault", ["digest", "placeholders"])
+    def test_unusable_template_exits_1(self, pipeline, capsys, monkeypatch, stage, fault):
+        name = stage.removeprefix("run-")
+        if fault == "digest":
+            monkeypatch.setitem(TEMPLATE_DIGESTS, name, "0" * 64)
+        else:
+            (pipeline["root"] / f"{name}.txt").write_text("no placeholders")
+            monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(pipeline["root"]))
+        inputs = (
+            ["--ontology", str(pipeline["ontology"])]
+            if stage == "run-position"
+            else ["--train", str(pipeline["labeled"])]
+        )
+        code = main(
+            [stage, "--input", str(pipeline["eval"]), *inputs]
+            + ["--output", str(pipeline["root"] / "r"), "--model", "m", "--backend", "replay"]
+        )
+        assert code == 1
+        assert f"template '{name}'" in capsys.readouterr().err
+
+
 class TestRunTransition:
     def test_replay_outcomes(self, pipeline):
         seed_transition(pipeline)
@@ -665,6 +697,40 @@ class TestEvaluate:
         code = main(["evaluate", "--run", str(run_dir), "--input", str(truth)])
         assert code == 1
         assert where in capsys.readouterr().err
+        assert not (run_dir / "report").exists()
+
+    @pytest.mark.parametrize(
+        "arm, field, value",
+        [
+            ("position", "reaction_name", MISSING),
+            ("position", "reaction_class", MISSING),
+            ("position", "importance", "high"),
+            ("position", "priority", None),
+            ("position", "s", "abc"),
+            ("transition", "is_valid", MISSING),
+            ("transition", "is_template", MISSING),
+            pytest.param("transition", "reactants", ["C", 5], id="transition-reactants-not-text"),
+            ("transition", "reactants", MISSING),
+        ],
+    )
+    def test_malformed_outcome_field_exits_1(self, pipeline, capsys, arm, field, value):
+        if arm == "position":
+            seed_position(pipeline)
+            run_dir, items = run_position(pipeline), "candidates"
+        else:
+            seed_transition(pipeline)
+            run_dir, items = run_transition(pipeline), "predictions"
+        outcomes = run_dir / "outcomes.jsonl"
+        rows = read_jsonl(outcomes)
+        [row] = [r for r in rows if r["id"] == "e1"]
+        if value is MISSING:
+            del row[items][0][field]
+        else:
+            row[items][0][field] = value
+        write_jsonl(outcomes, rows)
+        code = main(["evaluate", "--run", str(run_dir), "--input", str(pipeline["eval"])])
+        assert code == 1
+        assert f"run outcome for e1 holds a malformed {items[:-1]}" in capsys.readouterr().err
         assert not (run_dir / "report").exists()
 
     def test_missing_ground_truth_errors(self, pipeline, capsys):

@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from retroanchor.chem import AtomMapSet, parse_smiles
+from retroanchor import metrics
+from retroanchor.chem import AtomMapSet, parse_smiles, substructure_match
 from retroanchor.metrics import (
     ConfusionLabel,
     EvaluationReport,
@@ -326,6 +327,24 @@ class TestScoreTransition:
         score = score_transition(preds, [GT_ACID])
         assert score.template_acc
         assert not score.template_acc_alt
+
+    def test_each_template_pair_embedded_once(self, monkeypatch):
+        # Both denominators pass on both pairs; the second prediction is
+        # never tried because both routes already hold.
+        calls = []
+
+        def counting_match(template, gt):
+            calls.append((template.source_text, gt.source_text))
+            return substructure_match(template, gt)
+
+        monkeypatch.setattr(metrics, "substructure_match", counting_match)
+        reactants = ["[CH3:6][NH2:7]", "[CH3:1][CH2:2][C:3](=[O:4])[OH:5]"]
+        preds = [_pred(reactants, is_template=True), _pred(reactants, is_template=True)]
+        score = score_transition(preds, [GT_ACID, GT_AMINE])
+        assert score.template_acc and score.template_acc_alt
+        assert sorted(calls) == sorted(
+            [(reactants[1], GT_ACID.source_text), (reactants[0], GT_AMINE.source_text)]
+        )
 
     def test_stereo_flag_forwarded(self):
         preds = [_pred(["NC(C)C(=O)O"])]

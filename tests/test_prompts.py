@@ -36,6 +36,17 @@ class TestLoadTemplate:
         assert template.digest == TEMPLATE_DIGESTS[name]
         assert hashlib.sha256(template.body.encode()).hexdigest() == TEMPLATE_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", sorted(TEMPLATE_DIGESTS))
+    def test_packaged_body_must_match_pinned_digest(self, name, tmp_path, monkeypatch):
+        body = load_template(name).body
+        monkeypatch.setitem(TEMPLATE_DIGESTS, name, hashlib.sha256(b"edited").hexdigest())
+        with pytest.raises(ValueError, match=f"packaged template '{name}' does not match"):
+            load_template(name)
+        # The same body from an override directory keeps its own digest.
+        (tmp_path / f"{name}.txt").write_text(body, encoding="utf-8")
+        monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(tmp_path))
+        assert load_template(name).digest == hashlib.sha256(body.encode()).hexdigest()
+
     @pytest.mark.parametrize("name", sorted(TEMPLATE_PLACEHOLDERS))
     def test_declared_placeholders_present(self, name):
         template = load_template(name)

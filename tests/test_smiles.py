@@ -7,8 +7,8 @@ import random
 import pytest
 
 from helpers import brute_force_isomorphic, molecules_isomorphic, random_molecule
-from retroanchor.chem import SmilesError, parse_smiles, write_smiles
-from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE
+from retroanchor.chem import SmilesError, parse_smiles, smiles, write_smiles
+from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom
 
 
 def test_linear_chain():
@@ -105,41 +105,82 @@ def test_default_bond_between_aromatic_atoms_is_aromatic():
     assert linking.kind == SINGLE
 
 
+# (text, id fragment, exact reason, exact position).  The later rows put
+# a malformed token after valid ones, so a bracket token already read
+# (and cached) precedes the fault.
+PARSE_ERRORS = [
+    ("", "empty", "empty SMILES", 0),
+    ("C(", "unclosed branch", "unclosed branch", 1),
+    ("C)", "unmatched", "unmatched ')'", 1),
+    ("C()", "empty branch", "empty branch", 2),
+    ("C1CC", "unpaired ring closure", "unpaired ring closure 1", 1),
+    ("CC=", "dangling bond", "dangling bond at end of input", 2),
+    ("=CC", "bond with no preceding atom", "bond with no preceding atom", 0),
+    ("C=.C", "adjacent to '.'", "bond symbol adjacent to '.'", 2),
+    ("C.=C", "bond with no preceding atom", "bond with no preceding atom", 2),
+    ("C==C", "two bond symbols", "two bond symbols in a row", 2),
+    ("C11", "itself", "ring closure bonds an atom to itself", 2),
+    ("C12C12", "duplicate bond", "duplicate bond between atoms 0 and 1", 4),
+    ("[Xx]", "unknown element", "unknown element 'Xx'", 0),
+    ("[C", "unclosed bracket", "unclosed bracket atom", 0),
+    ("[]", "malformed bracket", "malformed bracket atom", 0),
+    ("[C+H]", "malformed bracket", "malformed bracket atom", 0),
+    ("[0C]", "isotope", "isotope must be positive", 0),
+    ("[CH4:0]", "atom map", "atom map must be positive", 0),
+    ("[*H2]", "no hydrogen count", "wildcard and element-list atoms take no hydrogen count", 0),
+    ("[F,Cl,Br,I]C[F,Xq]", "unknown element", "unknown element 'Xq' in element list", 12),
+    ("C$C", "unexpected character", "unexpected character '$'", 1),
+    ("1CC", "ring closure with no preceding atom", "ring closure with no preceding atom", 0),
+    ("C%1C", "two digits", "'%' ring closure needs two digits", 1),
+    ("C=1CC-1", "conflicting bond symbols", "conflicting bond symbols on ring closure", 6),
+    ("[cl]", "cannot be aromatic", "element 'Cl' cannot be aromatic", 0),
+    ("[HH]", "hydrogen count", "hydrogen atom with a hydrogen count", 0),
+    ("[C:1]C[Zz]", "unknown element", "unknown element 'Zz'", 6),
+    ("[C:1]C[C:1", "unclosed bracket", "unclosed bracket atom", 6),
+    ("[C:1]C[C:0]", "atom map", "atom map must be positive", 6),
+    ("[NH4+].[C+H]", "malformed bracket", "malformed bracket atom", 7),
+    ("[OH-]C(=O)[C+16]", "charge", "charge magnitude 16 out of range", 10),
+    ("[C:1]C(", "unclosed branch", "unclosed branch", 6),
+    ("[C:1][C:1]1[C:1]1", "duplicate bond", "duplicate bond between atoms 1 and 2", 16),
+    ("C\u00b2", "unexpected character", "unexpected character '\u00b2'", 1),
+    ("C%\u00b2\u00b3C", "two digits", "'%' ring closure needs two digits", 1),
+]
+
+
 @pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("", "empty"),
-        ("C(", "unclosed branch"),
-        ("C)", "unmatched"),
-        ("C()", "empty branch"),
-        ("C1CC", "unpaired ring closure"),
-        ("CC=", "dangling bond"),
-        ("=CC", "bond with no preceding atom"),
-        ("C=.C", "adjacent to '.'"),
-        ("C.=C", "bond with no preceding atom"),
-        ("C==C", "two bond symbols"),
-        ("C11", "itself"),
-        ("C12C12", "duplicate bond"),
-        ("[Xx]", "unknown element"),
-        ("[C", "unclosed bracket"),
-        ("[]", "malformed bracket"),
-        ("[C+H]", "malformed bracket"),
-        ("[0C]", "isotope"),
-        ("[CH4:0]", "atom map"),
-        ("[*H2]", "no hydrogen count"),
-        ("[F,Cl,Br,I]C[F,Xq]", "unknown element"),
-        ("C$C", "unexpected character"),
-        ("1CC", "ring closure with no preceding atom"),
-        ("C%1C", "two digits"),
-        ("C=1CC-1", "conflicting bond symbols"),
-        ("[cl]", "cannot be aromatic"),
-    ],
+    "text,fragment,reason,position",
+    PARSE_ERRORS,
+    ids=[f"{text}-{fragment}" for text, fragment, _, _ in PARSE_ERRORS],
 )
-def test_parse_errors_carry_position(text, fragment):
-    with pytest.raises(SmilesError) as excinfo:
-        parse_smiles(text)
-    assert fragment in str(excinfo.value)
-    assert excinfo.value.position >= 0
+def test_parse_errors_carry_position(text, fragment, reason, position, monkeypatch):
+    # Cold from an empty token cache, then warm: the first attempt cached
+    # every bracket token that parsed before the fault.
+    monkeypatch.setattr(smiles, "_BRACKET_ATOMS", {})
+    for _ in range(2):
+        with pytest.raises(SmilesError) as excinfo:
+            parse_smiles(text)
+        assert fragment in excinfo.value.reason
+        assert (excinfo.value.reason, excinfo.value.position) == (reason, position)
+        assert str(excinfo.value) == f"{reason} (at position {position})"
+
+
+def test_bracket_token_gives_equal_atoms_in_any_bond_context(monkeypatch):
+    # One token in different molecules: alone, after a single or double
+    # bond, opening a ring, in a branch and in an aromatic ring.
+    texts = ["[CH2:7]", "C[CH2:7]", "C=[CH2:7]", "[CH2:7]1CC1", "C([CH2:7])(=O)O", "c1cc[CH2:7]cc1"]
+    expected = Atom("C", False, 0, None, 2, 7, None, ())
+    monkeypatch.setattr(smiles, "_BRACKET_ATOMS", {})
+    for _ in range(2):  # cold, then from the cache
+        for text in texts:
+            [atom] = [a for a in parse_smiles(text).atoms if a.atom_map == 7]
+            assert atom == expected
+    assert list(smiles._BRACKET_ATOMS) == ["[CH2:7]"]
+    # Only tokens that parse are stored.
+    with pytest.raises(SmilesError):
+        parse_smiles("[C:1]C[Zz]")
+    assert list(smiles._BRACKET_ATOMS) == ["[CH2:7]", "[C:1]"]
+    # Bare atoms take their hydrogens from their bonds.
+    assert [a.implicit_h for a in parse_smiles("C=CC").atoms] == [2, 1, 3]
 
 
 def test_duplicate_bond_via_ring_closure():
