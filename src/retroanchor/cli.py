@@ -427,45 +427,48 @@ def cmd_run_transition(args) -> int:
 # ------------------------------------------------------------- evaluate
 
 
-def _candidates_from_row(row: dict) -> list[DisconnectionCandidate]:
+def _exact(value, *kinds: type):
+    """``value`` when its type is exactly one of ``kinds`` (so JSON ``true``
+    is no int); a wrongly typed outcome field is never coerced."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {kinds[0].__name__}, got {value!r}")
+    return value
+
+
+def _candidate(c: dict) -> DisconnectionCandidate:
+    return DisconnectionCandidate(
+        s=AtomMapSet.of(_exact(m, int) for m in _exact(c["s"], list)),
+        reaction_name=_exact(c["reaction_name"], str),
+        reaction_class=_exact(c["reaction_class"], str),
+        in_ontology=_exact(c["in_ontology"], bool),
+        importance=_exact(c["importance"], int),
+        priority=_exact(c["priority"], int),
+        rationale=_exact(c.get("rationale", ""), str),
+        claimed_in_ontology=_exact(c.get("claimed_in_ontology"), bool, type(None)),
+    )
+
+
+def _prediction(p: dict) -> TransitionPrediction:
+    return TransitionPrediction(
+        reactants=tuple(parse_smiles(_exact(t, str)) for t in _exact(p["reactants"], list)),
+        is_valid=_exact(p["is_valid"], bool),
+        is_template=_exact(p["is_template"], bool),
+        reasoning=_exact(p.get("reasoning", ""), str),
+        reaction_name=_exact(p.get("reaction_name", ""), str),
+    )
+
+
+def _items_from_row(row: dict, key: str, build: Callable[[dict], object]) -> list:
+    """The ``key`` list of an ``ok`` outcome row, each item built by ``build``;
+    any other row has no items and scores as a failed prediction."""
     if row.get("status") != "ok":
         return []
     try:
-        return [
-            DisconnectionCandidate(
-                s=AtomMapSet.of(c["s"]),
-                reaction_name=c["reaction_name"],
-                reaction_class=c["reaction_class"],
-                in_ontology=bool(c["in_ontology"]),
-                importance=int(c["importance"]),
-                priority=int(c["priority"]),
-                rationale=c.get("rationale", ""),
-                claimed_in_ontology=c.get("claimed_in_ontology"),
-            )
-            for c in row.get("candidates", [])
-        ]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CliError(f"run outcome for {row.get('id')} holds a malformed candidate: {exc!r}") from exc
-
-
-def _predictions_from_row(row: dict) -> list[TransitionPrediction]:
-    if row.get("status") != "ok":
-        return []
-    try:
-        return [
-            TransitionPrediction(
-                reactants=tuple(parse_smiles(text) for text in p["reactants"]),
-                is_valid=bool(p["is_valid"]),
-                is_template=bool(p["is_template"]),
-                reasoning=p.get("reasoning", ""),
-                reaction_name=p.get("reaction_name", ""),
-            )
-            for p in row.get("predictions", [])
-        ]
+        return [build(item) for item in _exact(row[key], list)]
     except SmilesError as exc:
         raise CliError(f"run outcome for {row.get('id')} holds unparsable SMILES: {exc}") from exc
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CliError(f"run outcome for {row.get('id')} holds a malformed prediction: {exc!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"run outcome for {row.get('id')} holds a malformed {key[:-1]}: {exc!r}") from exc
 
 
 def cmd_evaluate(args) -> int:
@@ -487,6 +490,30 @@ def cmd_evaluate(args) -> int:
     records, _rejects = _ingest(args.input)
     by_id = {r.record_id: r for r in records}
 
+    def score_position_row(row: dict, record: ReactionRecord):
+        # A row without an answer scores as a failed prediction before
+        # its label is read: a skipped row may have no label at all.
+        s_gt = AtomMapSet()
+        if row.get("status") == "ok":
+            s_gt, _kind = _record_label(record)
+            if not s_gt.maps:
+                raise CliError(f"example {record.record_id} has an empty disconnection label")
+        cands = _items_from_row(row, "candidates", _candidate)
+        score = score_position(cands, s_gt, record.reaction_name)
+        rep = representative_candidate(cands, s_gt)
+        named = rep is not None and rep.in_ontology
+        return score, ConfusionLabel(
+            class_gt=record.reaction_class,
+            name_gt=record.reaction_name,
+            class_pred=rep.reaction_class if named else None,
+            name_pred=rep.reaction_name if named else None,
+        )
+
+    def score_transition_row(row: dict, record: ReactionRecord):
+        preds = _items_from_row(row, "predictions", _prediction)
+        return score_transition(preds, list(record.reactants), ignore_stereo=args.ignore_stereo), None
+
+    score_row = score_position_row if stage == "position" else score_transition_row
     scores: list = []
     labels: list[ConfusionLabel | None] = []
     ids: list[str] = []
@@ -494,34 +521,12 @@ def cmd_evaluate(args) -> int:
         record = by_id.get(str(row.get("id")))
         if record is None:
             raise CliError(f"ground truth file lacks example {row.get('id')!r}")
+        score, label = score_row(row, record)
         ids.append(record.record_id)
-        if stage == "position":
-            # A row without an answer scores as a failed prediction before
-            # its label is read: a skipped row may have no label at all.
-            s_gt = AtomMapSet()
-            if row.get("status") == "ok":
-                s_gt, _kind = _record_label(record)
-                if not s_gt.maps:
-                    raise CliError(f"example {record.record_id} has an empty disconnection label")
-            cands = _candidates_from_row(row)
-            scores.append(score_position(cands, s_gt, record.reaction_name))
-            rep = representative_candidate(cands, s_gt)
-            named = rep is not None and rep.in_ontology
-            labels.append(
-                ConfusionLabel(
-                    class_gt=record.reaction_class,
-                    name_gt=record.reaction_name,
-                    class_pred=rep.reaction_class if named else None,
-                    name_pred=rep.reaction_name if named else None,
-                )
-            )
-        else:
-            preds = _predictions_from_row(row)
-            scores.append(
-                score_transition(preds, list(record.reactants), ignore_stereo=args.ignore_stereo)
-            )
+        scores.append(score)
+        labels.append(label)
 
-    report = aggregate(scores, labels=labels if stage == "position" else None, ids=ids)
+    report = aggregate(scores, labels=labels, ids=ids)
     out_dir = args.output if args.output else args.run / "report"
     paths = write_report(report, out_dir)
     print(paths["summary"].read_text(encoding="utf-8"), end="")

@@ -9,6 +9,7 @@ denominator so every reported number can be re-derived from the rows.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,17 +94,6 @@ class EvaluationReport:
     counts: dict
     confusion_class: dict[str, dict[str, int]]
     confusion_name: dict[str, dict[str, int]]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "aggregates": self.aggregates,
-            "denominators": self.denominators,
-            "counts": self.counts,
-            "confusion_class": self.confusion_class,
-            "confusion_name": self.confusion_name,
-            "rows": list(self.rows),
-        }
 
 
 def score_position(
@@ -201,22 +191,19 @@ def atom_share(template: Molecule, gt: Molecule, denominator: str = "template") 
 def find_template_assignment(
     template_reactants: tuple[Molecule, ...],
     gt_reactants: list[Molecule],
-    min_share: float = TEMPLATE_SHARE_THRESHOLD,
+    embeddings: dict[tuple[int, int], bool],
     denominator: str = "template",
-    embeddings: dict[tuple[int, int], bool] | None = None,
 ) -> list[tuple[int, int]] | None:
     """Injective pairing of every ground-truth reactant with a distinct
     template reactant passing both the share threshold and an embedding
     check, or None when no such assignment exists.  ``embeddings`` keeps
     the embedding check of each (template, ground-truth) index pair across
     calls on the same reactants."""
-    if embeddings is None:
-        embeddings = {}
     edges: list[list[int]] = []
     for gt_idx, gt in enumerate(gt_reactants):
         row = []
         for t_idx, template in enumerate(template_reactants):
-            if atom_share(template, gt, denominator) < min_share:
+            if atom_share(template, gt, denominator) < TEMPLATE_SHARE_THRESHOLD:
                 continue
             if (t_idx, gt_idx) not in embeddings:
                 embeddings[t_idx, gt_idx] = substructure_match(template, gt)
@@ -272,21 +259,14 @@ def score_transition(
         and reactant_multiset(p.reactants, ignore_stereo=ignore_stereo) == gt_multiset
         for p in preds
     )
-    # Both denominators share each prediction's embedding checks.
-    embeddings: list[dict] = [{} for _ in preds]
-    template_acc = any(
-        p.is_valid
-        and p.is_template
-        and find_template_assignment(p.reactants, r_gt, denominator="template", embeddings=e)
-        is not None
-        for p, e in zip(preds, embeddings)
-    )
-    template_acc_alt = any(
-        p.is_valid
-        and p.is_template
-        and find_template_assignment(p.reactants, r_gt, denominator="gt", embeddings=e)
-        is not None
-        for p, e in zip(preds, embeddings)
+    # Both denominators share each template prediction's embedding checks.
+    templates = [(p.reactants, {}) for p in preds if p.is_valid and p.is_template]
+    template_acc, template_acc_alt = (
+        any(
+            find_template_assignment(reactants, r_gt, embeddings, denominator) is not None
+            for reactants, embeddings in templates
+        )
+        for denominator in ("template", "gt")
     )
     return TransitionScore(
         template_acc=template_acc,
@@ -298,20 +278,33 @@ def score_transition(
     )
 
 
-def _percent(hits: int, total: int) -> float:
+def _percent(hits: float, total: int) -> float:
     if total == 0:
         return 0.0
     return round(100.0 * hits / total, 2)
 
 
-def _percent_of_mean(values: list[float]) -> float:
-    if not values:
-        return 0.0
-    return round(100.0 * sum(values) / len(values), 2)
+def _tally(matrix: dict[str, dict[str, int]], gt: str | None, pred: str | None) -> None:
+    row = matrix.setdefault(gt or MISCELLANEOUS, {})
+    pred = pred or MISCELLANEOUS
+    row[pred] = row.get(pred, 0) + 1
 
 
-def _bucket(value: str | None) -> str:
-    return value if value else MISCELLANEOUS
+# Per arm: report kind and {aggregate: (score field averaged as a percentage,
+# field a row needs true to join the denominator, or None for every row)}.
+_ARM_METRICS = {
+    PositionScore: ("position", {
+        "partial_match_acc": ("partial_match", None),
+        "exact_match_acc": ("exact_match", None),
+        "mean_best_jaccard": ("best_jaccard", None),
+        "reaction_acc": ("reaction_match", "partial_match"),
+        "reaction_acc_in_ontology": ("reaction_match_in_ontology", "partial_match"),
+    }),
+    TransitionScore: ("transition", {
+        field: (field, None)
+        for field in ("template_acc", "reactant_acc", "combined_acc", "template_acc_alt")
+    }),
+}
 
 
 def aggregate(
@@ -325,7 +318,7 @@ def aggregate(
     zero); the reaction-name accuracies average over partial-match rows
     only.  Prediction counts and averages cover non-failed examples.
     Confusion matrices use only partial-match rows whose predicted name
-    is inside the ontology.
+    is inside the ontology; ``labels`` apply to position scores only.
     """
     if not scores:
         raise ValueError("no score rows to aggregate")
@@ -349,81 +342,27 @@ def aggregate(
         else 0.0,
     }
 
+    kind, metrics = _ARM_METRICS[type(scores[0])]
+    aggregates: dict[str, float] = {}
+    denominators: dict[str, int] = {}
+    for metric, (field, pool_field) in metrics.items():
+        pool = [s for s in scores if pool_field is None or getattr(s, pool_field)]
+        aggregates[metric] = _percent(sum(getattr(s, field) for s in pool), len(pool))
+        denominators[metric] = len(pool)
+
     rows: list[dict] = []
     confusion_class: dict[str, dict[str, int]] = {}
     confusion_name: dict[str, dict[str, int]] = {}
-
-    if isinstance(scores[0], PositionScore):
-        kind = "position"
-        partial_rows = [s for s in scores if s.partial_match]
-        aggregates = {
-            "partial_match_acc": _percent(sum(s.partial_match for s in scores), n),
-            "exact_match_acc": _percent(sum(s.exact_match for s in scores), n),
-            "mean_best_jaccard": _percent_of_mean([s.best_jaccard for s in scores]),
-            "reaction_acc": _percent(
-                sum(bool(s.reaction_match) for s in partial_rows), len(partial_rows)
-            ),
-            "reaction_acc_in_ontology": _percent(
-                sum(bool(s.reaction_match_in_ontology) for s in partial_rows),
-                len(partial_rows),
-            ),
-        }
-        denominators = {
-            "partial_match_acc": n,
-            "exact_match_acc": n,
-            "mean_best_jaccard": n,
-            "reaction_acc": len(partial_rows),
-            "reaction_acc_in_ontology": len(partial_rows),
-        }
-        for example_id, score, label in zip(ids, scores, labels):
-            row = {
-                "id": example_id,
-                "partial_match": score.partial_match,
-                "best_jaccard": round(score.best_jaccard, 4),
-                "exact_match": score.exact_match,
-                "reaction_match": score.reaction_match,
-                "reaction_match_in_ontology": score.reaction_match_in_ontology,
-                "n_predictions": score.n_predictions,
-                "failed": score.failed,
-            }
+    for example_id, score, label in zip(ids, scores, labels):
+        row = {"id": example_id, **vars(score)}
+        if kind == "position":
+            row["best_jaccard"] = round(score.best_jaccard, 4)
             if label is not None:
-                row["name_gt"] = label.name_gt
-                row["name_pred"] = label.name_pred
-            rows.append(row)
-            if score.partial_match and label is not None and label.name_pred is not None:
-                gt_class = _bucket(label.class_gt)
-                pred_class = _bucket(label.class_pred)
-                gt_name = _bucket(label.name_gt)
-                pred_name = _bucket(label.name_pred)
-                confusion_class.setdefault(gt_class, {})
-                confusion_class[gt_class][pred_class] = (
-                    confusion_class[gt_class].get(pred_class, 0) + 1
-                )
-                confusion_name.setdefault(gt_name, {})
-                confusion_name[gt_name][pred_name] = (
-                    confusion_name[gt_name].get(pred_name, 0) + 1
-                )
-    else:
-        kind = "transition"
-        aggregates = {
-            "template_acc": _percent(sum(s.template_acc for s in scores), n),
-            "reactant_acc": _percent(sum(s.reactant_acc for s in scores), n),
-            "combined_acc": _percent(sum(s.combined_acc for s in scores), n),
-            "template_acc_alt": _percent(sum(s.template_acc_alt for s in scores), n),
-        }
-        denominators = {key: n for key in aggregates}
-        for example_id, score in zip(ids, scores):
-            rows.append(
-                {
-                    "id": example_id,
-                    "template_acc": score.template_acc,
-                    "reactant_acc": score.reactant_acc,
-                    "combined_acc": score.combined_acc,
-                    "template_acc_alt": score.template_acc_alt,
-                    "n_predictions": score.n_predictions,
-                    "failed": score.failed,
-                }
-            )
+                row.update(name_gt=label.name_gt, name_pred=label.name_pred)
+                if score.partial_match and label.name_pred is not None:
+                    _tally(confusion_class, label.class_gt, label.class_pred)
+                    _tally(confusion_name, label.name_gt, label.name_pred)
+        rows.append(row)
 
     return EvaluationReport(
         kind=kind,
@@ -463,14 +402,13 @@ def write_report(report: EvaluationReport, directory: Path | str) -> dict[str, P
         "confusion_name": directory / "confusion_name.csv",
         "summary": directory / "summary.txt",
     }
-    atomic_write_text(paths["report"], stable_json_dumps(report.to_json_obj()))
+    atomic_write_text(paths["report"], stable_json_dumps(vars(report)))
 
-    fieldnames = list(report.rows[0].keys())
-    with open(paths["rows"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in report.rows:
-            writer.writerow(row)
+    rows_csv = io.StringIO()
+    writer = csv.DictWriter(rows_csv, fieldnames=list(report.rows[0]))
+    writer.writeheader()
+    writer.writerows(report.rows)
+    atomic_write_text(paths["rows"], rows_csv.getvalue())
 
     _write_confusion_csv(report.confusion_class, paths["confusion_class"])
     _write_confusion_csv(report.confusion_name, paths["confusion_name"])

@@ -172,11 +172,11 @@ def parse_position_output(raw: str, product: Molecule, ontology: Ontology) -> Pa
                 dropped.append(_drop(reaction, "missing forwardReaction name"))
                 continue
             importance = _importance_of(reaction)
-            if not isinstance(importance, int) or importance not in (1, 2, 3, 4):
+            if type(importance) is not int or importance not in (1, 2, 3, 4):
                 dropped.append(_drop(reaction, "importance out of range 1-4"))
                 continue
             priority = _priority_of(reaction)
-            if not isinstance(priority, int) or priority < 1:
+            if type(priority) is not int or priority < 1:
                 dropped.append(_drop(reaction, "priority must be a positive integer"))
                 continue
             key = (s.maps, normalize_name(name))

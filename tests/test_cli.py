@@ -565,19 +565,34 @@ class TestSkippedRows:
         skipped = _assert_manifest_aligned(out)
         assert skipped == [{"id": "u1", "status": "skipped", "reason": "product has no atom maps"}]
 
-    def test_position_skipped_row_scores_as_failed(self, pipeline):
+    @pytest.mark.parametrize(
+        "arm, failed, metric",
+        [
+            # u1 (skipped), e2 (no candidates) and e4 (gateway failure)
+            pytest.param("position", 3, "exact_match_acc", id="position"),
+            # u1 (skipped) and e4 (gateway failure); e2 holds an invalid prediction
+            pytest.param("transition", 2, "reactant_acc", id="transition"),
+        ],
+    )
+    def test_skipped_row_scores_as_failed(self, pipeline, arm, failed, metric):
         """evaluate scores a skipped row as a failed prediction without
-        reading its (empty) label, as the transition arm does."""
+        reading its (empty) label, in both arms."""
         unmapped = dict(TEST_ROWS[0], id="u1", reaction_smiles="CC(=O)O.CN>>CNC(C)=O")
         _insert_eval_rows(pipeline, {1: unmapped})
-        seed_position(pipeline)
-        out = run_position(pipeline)
+        if arm == "position":
+            seed_position(pipeline)
+            out = run_position(pipeline)
+        else:
+            seed_transition(pipeline)
+            out = run_transition(pipeline)
+        assert _assert_manifest_aligned(out)[0]["id"] == "u1"
         assert main(["evaluate", "--run", str(out), "--input", str(pipeline["eval"])]) == 0
         report = json.loads((out / "report" / "report.json").read_text())
         assert report["counts"]["examples"] == 4
-        # u1 (skipped), e2 (no candidates) and e4 (gateway failure)
-        assert report["counts"]["failed_predictions"] == 3
-        assert report["aggregates"]["exact_match_acc"] == 25.0
+        assert report["counts"]["failed_predictions"] == failed
+        assert report["aggregates"][metric] == 25.0
+        u1 = report["rows"][1]
+        assert (u1["id"], u1["failed"], u1["n_predictions"]) == ("u1", True, 0)
 
     def test_position_ok_row_with_empty_label_exits_1(self, pipeline, capsys):
         rows = read_jsonl(pipeline["eval"])
@@ -707,10 +722,27 @@ class TestEvaluate:
             ("position", "importance", "high"),
             ("position", "priority", None),
             ("position", "s", "abc"),
+            # a wrong JSON type is rejected, never cast
+            pytest.param("position", "s", [1.9], id="position-s-float-map"),
+            pytest.param("position", "s", [True], id="position-s-bool-map"),
+            ("position", "in_ontology", "no"),
+            ("position", "in_ontology", 1),
+            ("position", "importance", 2.5),
+            ("position", "priority", True),
+            ("position", "reaction_name", 5),
+            ("position", "claimed_in_ontology", "yes"),
+            ("position", "rationale", None),
+            # an ok row without its item list is not an empty answer
+            ("position", "candidates", MISSING),
             ("transition", "is_valid", MISSING),
             ("transition", "is_template", MISSING),
             pytest.param("transition", "reactants", ["C", 5], id="transition-reactants-not-text"),
             ("transition", "reactants", MISSING),
+            ("transition", "reactants", "CC(=O)O"),
+            ("transition", "is_valid", "no"),
+            ("transition", "is_template", 0),
+            ("transition", "reasoning", 7),
+            ("transition", "predictions", MISSING),
         ],
     )
     def test_malformed_outcome_field_exits_1(self, pipeline, capsys, arm, field, value):
@@ -723,10 +755,11 @@ class TestEvaluate:
         outcomes = run_dir / "outcomes.jsonl"
         rows = read_jsonl(outcomes)
         [row] = [r for r in rows if r["id"] == "e1"]
+        target = row if field == items else row[items][0]
         if value is MISSING:
-            del row[items][0][field]
+            del target[field]
         else:
-            row[items][0][field] = value
+            target[field] = value
         write_jsonl(outcomes, rows)
         code = main(["evaluate", "--run", str(run_dir), "--input", str(pipeline["eval"])])
         assert code == 1

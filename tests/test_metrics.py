@@ -214,42 +214,42 @@ class TestAtomShare:
 class TestTemplateAssignment:
     def test_single_pair_above_threshold(self):
         template = parse_smiles("C[CH2:2][C:3](=[O:4])[OH:5]")
-        assignment = find_template_assignment((template,), [GT_ACID])
+        assignment = find_template_assignment((template,), [GT_ACID], {})
         assert assignment == [(0, 0)]
 
     def test_exact_threshold_accepted(self):
         # 3 mapped of 4 non-wildcard heavy atoms: share exactly 0.75
         template = parse_smiles("C[C:3](=[O:4])[OH:5]")
         assert atom_share(template, GT_ACID) == pytest.approx(0.75)
-        assert find_template_assignment((template,), [GT_ACID]) is not None
+        assert find_template_assignment((template,), [GT_ACID], {}) is not None
 
     def test_below_threshold_rejected(self):
         template = parse_smiles("CC[C:3](=[O:4])O")
         assert atom_share(template, GT_ACID) == pytest.approx(0.4)
-        assert find_template_assignment((template,), [GT_ACID]) is None
+        assert find_template_assignment((template,), [GT_ACID], {}) is None
 
     def test_share_without_embedding_rejected(self):
         # maps agree but the double bond is drawn single: no embedding
         template = parse_smiles("[CH3:1][CH2:2][C:3]([OH:4])[OH:5]")
         assert atom_share(template, GT_ACID) == pytest.approx(1.0)
-        assert find_template_assignment((template,), [GT_ACID]) is None
+        assert find_template_assignment((template,), [GT_ACID], {}) is None
 
     def test_injective_two_by_two(self):
         t_acid = parse_smiles("C[CH2:2][C:3](=[O:4])[OH:5]")
         t_amine = parse_smiles("[CH3:6][NH2:7]")
-        assignment = find_template_assignment((t_amine, t_acid), [GT_ACID, GT_AMINE])
+        assignment = find_template_assignment((t_amine, t_acid), [GT_ACID, GT_AMINE], {})
         assert assignment == [(0, 1), (1, 0)]
 
     def test_wildcard_anchors_onto_real_atom(self):
         gt_ester = parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[O:5]C")
         template = parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[O:5][*]")
-        assert find_template_assignment((template,), [gt_ester]) == [(0, 0)]
+        assert find_template_assignment((template,), [gt_ester], {}) == [(0, 0)]
         # the acid has no sixth heavy atom for the wildcard to land on
-        assert find_template_assignment((template,), [GT_ACID]) is None
+        assert find_template_assignment((template,), [GT_ACID], {}) is None
 
     def test_one_template_cannot_cover_two_gt(self):
         t_acid = parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[OH:5]")
-        assert find_template_assignment((t_acid,), [GT_ACID, GT_AMINE]) is None
+        assert find_template_assignment((t_acid,), [GT_ACID, GT_AMINE], {}) is None
 
     def test_extra_template_reactants_allowed(self):
         templates = (
@@ -257,7 +257,7 @@ class TestTemplateAssignment:
             parse_smiles("[CH3:6][NH2:7]"),
             parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[OH:5]"),
         )
-        assignment = find_template_assignment(templates, [GT_ACID, GT_AMINE])
+        assignment = find_template_assignment(templates, [GT_ACID, GT_AMINE], {})
         assert assignment == [(0, 2), (1, 1)]
 
     def test_certificate_reverifies(self):
@@ -268,7 +268,7 @@ class TestTemplateAssignment:
             parse_smiles("C[CH2:2][C:3](=[O:4])[OH:5]"),
         )
         gt = [GT_ACID, GT_AMINE]
-        assignment = find_template_assignment(templates, gt)
+        assignment = find_template_assignment(templates, gt, {})
         assert assignment is not None
         for gt_idx, t_idx in assignment:
             assert atom_share(templates[t_idx], gt[gt_idx]) >= 0.75
@@ -499,6 +499,11 @@ class TestAggregate:
         assert report.aggregates["combined_acc"] == pytest.approx(66.67)
         assert report.counts["failed_predictions"] == 1
         assert report.rows[0]["id"] == "a"
+
+    def test_transition_aggregate_ignores_labels(self):
+        rows = [TransitionScore(True, False, True, True, 2, False)]
+        label = ConfusionLabel("Acylation", "Amide coupling", "Acylation", "Amide coupling")
+        assert aggregate(rows, labels=[label]) == aggregate(rows)
 
     def test_misaligned_labels_rejected(self):
         with pytest.raises(ValueError, match="align"):

@@ -139,6 +139,14 @@ class TestParsePositionOutput:
         assert outcome.failed
         assert "importance" in outcome.dropped[0]["reason"]
 
+    @pytest.mark.parametrize("field", ["importance", "priority"])
+    def test_boolean_importance_or_priority_dropped(self, field):
+        # JSON true is no integer, though Python's bool subclasses int.
+        raw = _payload({"disconnection": "C:12", "reactions": [_reaction(**{field: True})]})
+        outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
+        assert outcome.failed
+        assert field in outcome.dropped[0]["reason"]
+
     def test_nonpositive_priority_dropped(self):
         raw = _payload({"disconnection": "C:12", "reactions": [_reaction(priority=0)]})
         outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
