@@ -22,50 +22,14 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
-from retroanchor.chem.mol import SmilesError
-from retroanchor.datasets import (
-    DatasetError,
-    ExampleLibrary,
-    Ontology,
-    ReactionRecord,
-    build_ontology,
-    ingest_dataset,
-    sample_examples,
-    subsample_eval_set,
-)
-from retroanchor.gateway import Completion, Gateway, GatewayFailure, ModelConfig
-from retroanchor.labels import extract_structural_label
-from retroanchor.metrics import (
-    ConfusionLabel,
-    aggregate,
-    representative_candidate,
-    score_position,
-    score_transition,
-    write_report,
-)
-from retroanchor.outputs import (
-    DisconnectionCandidate,
-    ParseOutcome,
-    TransitionPrediction,
-    parse_position_output,
-    parse_transition_output,
-)
-from retroanchor.prompts import (
-    PromptTemplate,
-    RenderedPrompt,
-    load_template,
-    render_position_prompt,
-    render_transition_prompt,
-)
-from retroanchor.utils import (
-    atomic_write_text,
-    normalize_name,
-    read_jsonl,
-    stable_json_dumps,
-    write_jsonl,
-)
+if TYPE_CHECKING:
+    from retroanchor.chem import AtomMapSet
+    from retroanchor.datasets import Ontology, ReactionRecord
+    from retroanchor.gateway import Completion, GatewayFailure, ModelConfig
+    from retroanchor.outputs import DisconnectionCandidate, ParseOutcome, TransitionPrediction
+    from retroanchor.prompts import PromptTemplate, RenderedPrompt
 
 DEFAULT_UNCLASSIFIED = "otherReaction"
 
@@ -129,37 +93,58 @@ def _record_to_row(record: ReactionRecord) -> dict:
     return row
 
 
+def _exact(value, *kinds: type):
+    """``value`` when its type is exactly one of ``kinds`` (so JSON ``true``
+    is no int); a wrongly typed field is never coerced."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {kinds[0].__name__}, got {value!r}")
+    return value
+
+
 def _record_label(record: ReactionRecord) -> tuple[AtomMapSet, str]:
-    """Label columns from a labeled file, else a fresh extraction."""
-    maps = record.extra.get("label_maps")
-    kind = record.extra.get("label_kind")
-    if isinstance(maps, list) and isinstance(kind, str):
-        return AtomMapSet.of(maps), kind
-    label = extract_structural_label(record)
-    return label.maps, label.kind
-
-
-def _ingest(path: Path) -> tuple[list[ReactionRecord], list[dict]]:
+    """Label columns from a labeled file, else a fresh extraction; ValueError
+    for a wrongly typed column or a reaction that does not parse."""
+    from retroanchor.chem import AtomMapSet
+    if "label_maps" not in record.extra and "label_kind" not in record.extra:
+        from retroanchor.labels import extract_structural_label
+        label = extract_structural_label(record)
+        return label.maps, label.kind
+    maps, kind = record.extra.get("label_maps"), record.extra.get("label_kind")
     try:
-        return ingest_dataset(path)
+        return AtomMapSet.of(_exact(m, int) for m in _exact(maps, list)), _exact(kind, str)
+    except TypeError as exc:
+        raise ValueError(f"label_maps/label_kind: {exc}") from exc
+
+
+def _ingest(path: Path, parse: bool = True) -> tuple[list[ReactionRecord], list[dict]]:
+    from retroanchor.datasets import DatasetError, ingest_dataset
+    try:
+        return ingest_dataset(path, parse)
     except DatasetError as exc:
         raise CliError(str(exc)) from exc
 
 
 def _load_ontology(path: Path) -> Ontology:
+    from retroanchor.datasets import Ontology
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read ontology {path}: {exc}") from exc
     try:
         if isinstance(data, dict):
-            return Ontology.from_json_obj(data["entries"], data.get("source_split", ""))
-        return Ontology.from_json_obj(data)
+            ontology = Ontology.from_json_obj(data["entries"], data.get("source_split", ""))
+        else:
+            ontology = Ontology.from_json_obj(data)
+        for entry in ontology.entries:
+            _exact(entry.id, str)
+            _exact(entry.reaction_class, str)
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed ontology file {path}") from exc
+    return ontology
 
 
 def _load_template(name: str) -> PromptTemplate:
+    from retroanchor.prompts import load_template
     try:
         return load_template(name)
     except ValueError as exc:
@@ -174,6 +159,8 @@ def _sha256_file(path: Path) -> str:
 
 
 def cmd_label(args) -> int:
+    from retroanchor.labels import extract_structural_label
+    from retroanchor.utils import write_jsonl
     records, rejects = _ingest(args.input)
     rows = []
     for record in records:
@@ -193,7 +180,9 @@ def cmd_label(args) -> int:
 
 
 def cmd_ontology(args) -> int:
-    records, rejects = _ingest(args.input)
+    from retroanchor.datasets import build_ontology
+    from retroanchor.utils import atomic_write_text, stable_json_dumps
+    records, rejects = _ingest(args.input, parse=False)
     try:
         ontology = build_ontology(records, args.split)
     except ValueError as exc:
@@ -208,7 +197,9 @@ def cmd_ontology(args) -> int:
 
 
 def cmd_subsample(args) -> int:
-    records, rejects = _ingest(args.input)
+    from retroanchor.datasets import subsample_eval_set
+    from retroanchor.utils import write_jsonl
+    records, rejects = _ingest(args.input, parse=False)
     if args.split is not None:
         records = [r for r in records if r.split == args.split]
     usable = [r for r in records if r.extra.get("label_kind") != "empty"]
@@ -238,6 +229,7 @@ def _check_live_config(args) -> None:
 
 
 def _run_config(args, stage: str, **fields) -> RunConfig:
+    from retroanchor.gateway import ModelConfig
     _check_live_config(args)
     return RunConfig(
         stage=stage,
@@ -254,6 +246,7 @@ def _run_config(args, stage: str, **fields) -> RunConfig:
 
 
 def _manifest_row(cfg: ModelConfig, result: Completion | GatewayFailure) -> dict:
+    from retroanchor.gateway import Completion
     if isinstance(result, Completion):
         outcome = "cache_hit" if result.from_cache else "ok"
         latency_ms = result.latency_ms
@@ -281,6 +274,8 @@ def _execute_run(
     is skipped and sends no request.  ``parse`` returns the parse outcome
     plus the stage's own fields for the ``ok`` row.
     """
+    from retroanchor.gateway import Gateway, GatewayFailure
+    from retroanchor.utils import atomic_write_text, stable_json_dumps, write_jsonl
     pending: list[tuple[ReactionRecord, RenderedPrompt | None, str]] = []
     for record in records:
         try:
@@ -341,6 +336,8 @@ def _candidate_row(cand: DisconnectionCandidate) -> dict:
 
 
 def cmd_run_position(args) -> int:
+    from retroanchor.outputs import parse_position_output
+    from retroanchor.prompts import render_position_prompt
     run = _run_config(args, "position", ontology_path=args.ontology)
     records, rejects = _ingest(args.input)
     ontology = _load_ontology(args.ontology)
@@ -366,6 +363,7 @@ def cmd_run_position(args) -> int:
 
 
 def _prediction_row(pred: TransitionPrediction) -> dict:
+    from retroanchor.chem import canonical_smiles
     return {
         "reactants": [canonical_smiles(m, include_maps=True) for m in pred.reactants],
         "is_valid": pred.is_valid,
@@ -376,6 +374,10 @@ def _prediction_row(pred: TransitionPrediction) -> dict:
 
 
 def cmd_run_transition(args) -> int:
+    from retroanchor.datasets import ExampleLibrary, sample_examples
+    from retroanchor.outputs import parse_transition_output
+    from retroanchor.prompts import render_transition_prompt
+    from retroanchor.utils import normalize_name
     run = _run_config(
         args,
         "transition",
@@ -427,15 +429,9 @@ def cmd_run_transition(args) -> int:
 # ------------------------------------------------------------- evaluate
 
 
-def _exact(value, *kinds: type):
-    """``value`` when its type is exactly one of ``kinds`` (so JSON ``true``
-    is no int); a wrongly typed outcome field is never coerced."""
-    if type(value) not in kinds:
-        raise TypeError(f"expected {kinds[0].__name__}, got {value!r}")
-    return value
-
-
 def _candidate(c: dict) -> DisconnectionCandidate:
+    from retroanchor.chem import AtomMapSet
+    from retroanchor.outputs import DisconnectionCandidate
     return DisconnectionCandidate(
         s=AtomMapSet.of(_exact(m, int) for m in _exact(c["s"], list)),
         reaction_name=_exact(c["reaction_name"], str),
@@ -449,6 +445,8 @@ def _candidate(c: dict) -> DisconnectionCandidate:
 
 
 def _prediction(p: dict) -> TransitionPrediction:
+    from retroanchor.chem import parse_smiles
+    from retroanchor.outputs import TransitionPrediction
     return TransitionPrediction(
         reactants=tuple(parse_smiles(_exact(t, str)) for t in _exact(p["reactants"], list)),
         is_valid=_exact(p["is_valid"], bool),
@@ -461,6 +459,7 @@ def _prediction(p: dict) -> TransitionPrediction:
 def _items_from_row(row: dict, key: str, build: Callable[[dict], object]) -> list:
     """The ``key`` list of an ``ok`` outcome row, each item built by ``build``;
     any other row has no items and scores as a failed prediction."""
+    from retroanchor.chem import SmilesError
     if row.get("status") != "ok":
         return []
     try:
@@ -472,6 +471,10 @@ def _items_from_row(row: dict, key: str, build: Callable[[dict], object]) -> lis
 
 
 def cmd_evaluate(args) -> int:
+    from retroanchor.chem import AtomMapSet
+    from retroanchor.metrics import ConfusionLabel, aggregate, representative_candidate
+    from retroanchor.metrics import score_position, score_transition, write_report
+    from retroanchor.utils import read_jsonl
     config_path = args.run / "config.json"
     outcomes_path = args.run / "outcomes.jsonl"
     if not config_path.exists() or not outcomes_path.exists():
@@ -487,7 +490,8 @@ def cmd_evaluate(args) -> int:
     if not outcome_rows:
         raise CliError(f"{args.run} holds no outcomes to evaluate")
 
-    records, _rejects = _ingest(args.input)
+    # A position run reads only ids, names and label columns of the truth.
+    records, _rejects = _ingest(args.input, parse=stage == "transition")
     by_id = {r.record_id: r for r in records}
 
     def score_position_row(row: dict, record: ReactionRecord):
@@ -495,7 +499,10 @@ def cmd_evaluate(args) -> int:
         # its label is read: a skipped row may have no label at all.
         s_gt = AtomMapSet()
         if row.get("status") == "ok":
-            s_gt, _kind = _record_label(record)
+            try:
+                s_gt, _kind = _record_label(record)
+            except ValueError as exc:
+                raise CliError(f"example {record.record_id} has a malformed label: {exc}") from exc
             if not s_gt.maps:
                 raise CliError(f"example {record.record_id} has an empty disconnection label")
         cands = _items_from_row(row, "candidates", _candidate)

@@ -4,8 +4,8 @@ Rows arrive as JSONL or CSV with columns id, reaction_smiles,
 reaction_name, reaction_class, and split.  Reaction SMILES follow the
 ``reactants>reagents>product`` convention (``>>`` for no reagents),
 with dots separating molecules on each side.  Atom maps form a partial
-injection from product atoms onto reactant atoms; reagents are carried
-but never labeled.
+injection from product atoms onto reactant atoms; reagents are parsed
+but neither kept nor labeled.
 """
 
 from __future__ import annotations
@@ -13,13 +13,16 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from retroanchor.chem import Molecule, parse_smiles
-from retroanchor.chem.mol import SmilesError
 from retroanchor.utils import normalize_name, read_jsonl
+
+if TYPE_CHECKING:
+    from retroanchor.chem import Molecule
 
 REQUIRED_COLUMNS = ("id", "reaction_smiles", "reaction_name", "reaction_class", "split")
 
@@ -30,17 +33,33 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class ReactionRecord:
-    """One reaction with its parsed molecules and passthrough metadata."""
+    """One reaction row with passthrough metadata; molecules parse on first read."""
 
     record_id: str
     reaction_smiles: str
-    reactants: tuple[Molecule, ...]
-    reagents: tuple[Molecule, ...]
-    product: Molecule
     reaction_name: str
     reaction_class: str
     split: str
     extra: dict = field(default_factory=dict)
+
+    @cached_property
+    def _molecules(self) -> tuple[tuple[Molecule, ...], Molecule]:
+        """Reactants and product, parsed with the reagents; ValueError for
+        malformed SMILES or a product atom map on two reactant atoms."""
+        reactants, _reagents, product = parse_reaction_smiles(self.reaction_smiles)
+        reactant_maps = Counter(atom.atom_map for molecule in reactants for atom in molecule.atoms)
+        duplicated = sorted(m for m in product.atom_maps() if reactant_maps[m] > 1)
+        if duplicated:
+            raise ValueError(f"product atom maps appear on multiple reactant atoms: {duplicated}")
+        return tuple(reactants), product
+
+    @property
+    def reactants(self) -> tuple[Molecule, ...]:
+        return self._molecules[0]
+
+    @property
+    def product(self) -> Molecule:
+        return self._molecules[1]
 
 
 @dataclass(frozen=True)
@@ -91,6 +110,8 @@ class ExampleLibrary:
 
 def parse_reaction_smiles(text: str) -> tuple[list[Molecule], list[Molecule], Molecule]:
     """Split and parse a reaction SMILES into (reactants, reagents, product)."""
+    from retroanchor.chem import parse_smiles
+
     segments = text.split(">")
     if len(segments) != 3:
         raise ValueError("reaction SMILES must have exactly two '>' separators")
@@ -108,47 +129,33 @@ def parse_reaction_smiles(text: str) -> tuple[list[Molecule], list[Molecule], Mo
     return reactants, reagents, product
 
 
-def record_from_row(row: dict) -> ReactionRecord:
-    """Build a record from one dataset row, validating the map injection."""
+def record_from_row(row: dict, parse: bool = True) -> ReactionRecord:
+    """Build a record from one dataset row; with ``parse``, a malformed reaction raises here."""
     missing = [c for c in REQUIRED_COLUMNS if c not in row]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
-    reactants, reagents, product = parse_reaction_smiles(str(row["reaction_smiles"]))
-
-    product_maps = product.atom_maps()
-    reactant_map_counts: dict[int, int] = {}
-    for molecule in reactants:
-        for atom in molecule.atoms:
-            if atom.atom_map is not None:
-                reactant_map_counts[atom.atom_map] = reactant_map_counts.get(atom.atom_map, 0) + 1
-    duplicated = sorted(
-        m for m in product_maps if reactant_map_counts.get(m, 0) > 1
-    )
-    if duplicated:
-        raise ValueError(f"product atom maps appear on multiple reactant atoms: {duplicated}")
-
-    extra = {k: v for k, v in row.items() if k not in REQUIRED_COLUMNS}
-    return ReactionRecord(
+    record = ReactionRecord(
         record_id=str(row["id"]),
         reaction_smiles=str(row["reaction_smiles"]),
-        reactants=tuple(reactants),
-        reagents=tuple(reagents),
-        product=product,
         reaction_name=str(row["reaction_name"] or ""),
         reaction_class=str(row["reaction_class"] or ""),
         split=str(row["split"]),
-        extra=extra,
+        extra={k: v for k, v in row.items() if k not in REQUIRED_COLUMNS},
     )
+    if parse:
+        record._molecules  # parses and caches the molecules now
+    return record
 
 
-def ingest_dataset(path: Path | str) -> tuple[list[ReactionRecord], list[dict]]:
+def ingest_dataset(path: Path | str, parse: bool = True) -> tuple[list[ReactionRecord], list[dict]]:
     """Read a dataset file into records plus a rejects report.
 
     A ``.csv`` suffix means CSV; any other means JSON lines.  Per-row
-    faults (malformed SMILES, missing fields, duplicate-map injections)
-    land in the rejects list as ``{"row", "id", "error"}``; file-level
-    faults, a JSONL line that is not a JSON object among them, raise
-    DatasetError.
+    faults (missing fields and, with ``parse``, malformed SMILES and
+    duplicate-map injections) land in the rejects list as ``{"row",
+    "id", "error"}``; file-level faults, a JSONL line that is not a JSON
+    object among them, raise DatasetError.  Without ``parse``, a record
+    parses its molecules when ``reactants`` or ``product`` is first read.
     """
     path = Path(path)
     try:
@@ -172,8 +179,8 @@ def ingest_dataset(path: Path | str) -> tuple[list[ReactionRecord], list[dict]]:
     rejects: list[dict] = []
     for number, row in enumerate(rows, start=1):
         try:
-            records.append(record_from_row(row))
-        except (ValueError, SmilesError) as exc:
+            records.append(record_from_row(row, parse))
+        except ValueError as exc:
             rejects.append({"row": number, "id": str(row.get("id", "")), "error": str(exc)})
     return records, rejects
 

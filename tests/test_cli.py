@@ -128,6 +128,19 @@ TRANSITION_TEXT_E2 = json.dumps(
 # Marks a field deleted from an outcome row.
 MISSING = "<missing>"
 
+# A product map that two reactant atoms carry: no injection.
+DUPLICATE_MAP_SMILES = "[CH3:1]O.[CH3:1]N>>[CH3:1]O"
+
+
+def _with_malformed(rows: list[dict], names=("Branch fault", "Map fault")) -> list[dict]:
+    """``rows`` with two rows made from the first one inserted between valid
+    rows: ``x1``, whose product has an unclosed branch, after the first row,
+    and ``x2``, whose maps are no injection, after the second."""
+    first = rows[0]
+    branch = dict(first, id="x1", reaction_smiles=first["reaction_smiles"] + "(", reaction_name=names[0])
+    duplicate = dict(first, id="x2", reaction_smiles=DUPLICATE_MAP_SMILES, reaction_name=names[1])
+    return [first, branch, rows[1], duplicate, *rows[2:]]
+
 
 def model_config() -> ModelConfig:
     return ModelConfig(model_id="test-model", endpoint="", api_key_env="RETROANCHOR_API_KEY")
@@ -433,6 +446,29 @@ class TestRunPosition:
         assert code == 1
         assert "RETROANCHOR_API_KEY" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param({"id": 5, "class": "1"}, id="id-int"),
+            pytest.param({"id": "Amide coupling", "class": None}, id="class-null"),
+        ],
+    )
+    def test_malformed_ontology_entry_exits_1(self, pipeline, capsys, entry):
+        """An entry's id and class must be JSON strings."""
+        pipeline["ontology"].write_text(json.dumps({"source_split": "train", "entries": [entry]}))
+        code = main(
+            [
+                "run-position",
+                "--input", str(pipeline["eval"]),
+                "--ontology", str(pipeline["ontology"]),
+                "--output", str(pipeline["root"] / "r"),
+                "--model", "m",
+            ]
+        )
+        assert code == 1
+        assert f"malformed ontology file {pipeline['ontology']}" in capsys.readouterr().err
+        assert not (pipeline["root"] / "r").exists()
+
     def test_missing_ontology_errors(self, pipeline):
         code = main(
             [
@@ -625,6 +661,106 @@ class TestSkippedRows:
             {"id": "x404", "status": "skipped", "reason": "atom maps not present in molecule: [404]"}
         ]
 
+    @pytest.mark.parametrize(
+        "maps, kind, reason",
+        [
+            pytest.param(["x"], "connectivity", "expected int, got 'x'", id="maps-text"),
+            pytest.param([1.9, True], "connectivity", "expected int, got 1.9", id="maps-float-bool"),
+            pytest.param([True], "connectivity", "expected int, got True", id="maps-bool"),
+            pytest.param([2], 5, "expected str, got 5", id="kind-int"),
+            pytest.param("2", "connectivity", "expected list, got '2'", id="maps-not-list"),
+        ],
+    )
+    def test_transition_malformed_label_skipped(self, pipeline, maps, kind, reason):
+        """Label columns are read by exact JSON type, never cast."""
+        bad = dict(TEST_ROWS[0], id="x9", label_maps=maps, label_kind=kind)
+        _insert_eval_rows(pipeline, {1: bad})
+        seed_transition(pipeline)
+        out = run_transition(pipeline)
+        skipped = _assert_manifest_aligned(out)
+        assert skipped == [{"id": "x9", "status": "skipped", "reason": f"label_maps/label_kind: {reason}"}]
+
+
+class TestMalformedMolecules:
+    """Only the stages that read molecules reject a row whose SMILES do
+    not parse or whose maps are no injection."""
+
+    def test_label_rejects_both(self, tmp_path, capsys):
+        source, out = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl"
+        write_jsonl(source, _with_malformed(TRAIN_ROWS + TEST_ROWS))
+        assert main(["label", "--input", str(source), "--output", str(out)]) == 0
+        assert "(2 rejected)" in capsys.readouterr().out
+        assert [r["id"] for r in read_jsonl(out)] == [r["id"] for r in TRAIN_ROWS + TEST_ROWS]
+        assert read_jsonl(tmp_path / "labeled.rejects.jsonl") == [
+            {"row": 2, "id": "x1", "error": "unclosed branch (at position 33)"},
+            {"row": 4, "id": "x2", "error": "product atom maps appear on multiple reactant atoms: [1]"},
+        ]
+
+    def test_ontology_counts_their_names(self, tmp_path, capsys):
+        source, out = tmp_path / "train.jsonl", tmp_path / "ontology.json"
+        write_jsonl(source, _with_malformed(TRAIN_ROWS))
+        assert main(["ontology", "--input", str(source), "--split", "train", "--output", str(out)]) == 0
+        assert "(0 rows rejected)" in capsys.readouterr().out
+        assert [e["id"] for e in json.loads(out.read_text())["entries"]] == [
+            "Alkene hydrogenation",
+            "Amide coupling",
+            "Branch fault",
+            "Map fault",
+            "Williamson ether synthesis",
+        ]
+
+    def test_subsample_keeps_them(self, tmp_path, capsys):
+        rows = [dict(r, label_maps=[1], label_kind="connectivity") for r in _with_malformed(TEST_ROWS)]
+        source, out = tmp_path / "labeled.jsonl", tmp_path / "eval.jsonl"
+        write_jsonl(source, rows)
+        code = main(["subsample", "--input", str(source), "--split", "test", "--cap", "9", "--output", str(out)])
+        assert code == 0
+        assert "0 rejected" in capsys.readouterr().out
+        assert read_jsonl(out) == rows
+
+    def test_position_evaluate_scores_them(self, pipeline):
+        """Position scoring reads only ids, names and label columns, so
+        breaking the SMILES of labeled rows leaves the report unchanged."""
+        seed_position(pipeline)
+        run_dir = run_position(pipeline)
+        assert main(["evaluate", "--run", str(run_dir), "--input", str(pipeline["eval"])]) == 0
+        rows = read_jsonl(pipeline["eval"])
+        assert [r["id"] for r in rows[:2]] == ["e1", "e2"]
+        rows[0]["reaction_smiles"] += "("
+        rows[1]["reaction_smiles"] = DUPLICATE_MAP_SMILES
+        truth, out = pipeline["root"] / "truth.jsonl", pipeline["root"] / "report2"
+        write_jsonl(truth, rows)
+        assert main(["evaluate", "--run", str(run_dir), "--input", str(truth), "--output", str(out)]) == 0
+        produced = sorted(path.name for path in out.iterdir())
+        assert produced == sorted(path.name for path in (run_dir / "report").iterdir())
+        for name in produced:
+            assert (out / name).read_bytes() == (run_dir / "report" / name).read_bytes()
+
+    def test_run_transition_train_leaves_them_out(self, pipeline):
+        """Rows named like ``e1`` that do not parse never join its few-shot
+        pool: every request digest equals that of a train file without them."""
+        seed_transition(pipeline)
+        runs = {}
+        for name, rows in (("clean", TRAIN_ROWS), ("faulty", _with_malformed(TRAIN_ROWS, ("Amide coupling",) * 2))):
+            train, out = pipeline["root"] / f"{name}.jsonl", pipeline["root"] / f"run_{name}"
+            write_jsonl(train, rows)
+            code = main(
+                [
+                    "run-transition",
+                    "--input", str(pipeline["eval"]),
+                    "--train", str(train),
+                    "--output", str(out),
+                    "--model", "test-model",
+                    "--backend", "replay",
+                    "--cache-dir", str(pipeline["cache"]),
+                ]
+            )
+            assert code == 0
+            runs[name] = out
+        assert json.loads((runs["faulty"] / "config.json").read_text())["train_ingest_rejects"] == 2
+        for artifact in ("manifest.jsonl", "outcomes.jsonl"):
+            assert (runs["faulty"] / artifact).read_bytes() == (runs["clean"] / artifact).read_bytes()
+
 
 class TestEvaluate:
     def test_position_report(self, pipeline, capsys):
@@ -698,6 +834,35 @@ class TestEvaluate:
             ("config.json", '{"stage": "posi', "cannot read run"),
             ("config.json", '["position"]', "unknown stage"),
             ("ground_truth", '{"id": "e1"}\nnull\n', "truth.jsonl:2:"),
+            # label columns are read by exact JSON type, never cast
+            *(
+                pytest.param(
+                    "ground_truth",
+                    json.dumps(dict(TEST_ROWS[0], label_maps=maps, label_kind=kind)),
+                    f"example e1 has a malformed label: label_maps/label_kind: {message}",
+                    id=f"ground_truth-label-{case}",
+                )
+                for case, maps, kind, message in (
+                    ("maps-text", ["x"], "connectivity", "expected int, got 'x'"),
+                    ("maps-float-bool", [1.9, True], "connectivity", "expected int, got 1.9"),
+                    ("maps-not-list", 2, "connectivity", "expected list, got 2"),
+                    ("kind-int", [2, 4], 5, "expected str, got 5"),
+                    ("kind-missing", [2, 4], None, "expected str, got None"),
+                )
+            ),
+            # without label columns the label is extracted, which parses the reaction
+            *(
+                pytest.param(
+                    "ground_truth",
+                    json.dumps(dict(TEST_ROWS[0], reaction_smiles=smiles)),
+                    f"example e1 has a malformed label: {message}",
+                    id=f"ground_truth-unlabeled-{case}",
+                )
+                for case, smiles, message in (
+                    ("unclosed-branch", TEST_ROWS[0]["reaction_smiles"] + "(", "unclosed branch (at position 33)"),
+                    ("duplicate-map", DUPLICATE_MAP_SMILES, "product atom maps appear on multiple reactant atoms: [1]"),
+                )
+            ),
         ],
     )
     def test_malformed_run_or_input_exits_1(self, pipeline, capsys, name, text, where):
@@ -844,13 +1009,50 @@ class TestParser:
         assert excinfo.value.code == 2
 
 
-def test_import_leaves_requests_unloaded():
-    """Stages that send no request skip the cost of importing requests."""
+_CHEM = ("chem", "chem.canon", "chem.match", "chem.mol", "chem.smiles")
+
+# The package modules each stage loads, below ``retroanchor.cli`` itself.
+STAGE_LAYERS = {
+    "--help": (),
+    "ontology": ("datasets", "utils"),
+    "subsample": ("datasets", "utils"),
+    "label": ("datasets", "utils", *_CHEM, "labels"),
+    "evaluate": ("datasets", "utils", *_CHEM, "metrics", "outputs"),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_LAYERS))
+def test_import_leaves_requests_unloaded(pipeline, stage):
+    """A stage process imports only the layers its subcommand calls: no
+    stage here loads requests, the gateway's thread pool or the prompts."""
+    root = pipeline["root"]
+    if stage == "evaluate":
+        seed_position(pipeline)
+        run_position(pipeline)
+    argv = {
+        "--help": ["--help"],
+        "label": ["label", "--input", str(pipeline["raw"]), "--output", str(root / "l.jsonl")],
+        "ontology": ["ontology", "--input", str(pipeline["labeled"]), "--split", "train",
+                     "--output", str(root / "o.json")],
+        "subsample": ["subsample", "--input", str(pipeline["labeled"]), "--output", str(root / "e.jsonl")],
+        "evaluate": ["evaluate", "--run", str(root / "run_pos"), "--input", str(pipeline["eval"])],
+    }[stage]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, retroanchor.cli; print('requests' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    probe = (
+        "import json, sys\n"
+        "from retroanchor.cli import main\n"
+        "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "names = [m for m in sys.modules if m.startswith('retroanchor') or m in ('concurrent.futures', 'requests')]\n"
+        "print(json.dumps({'code': code, 'modules': sorted(names)}))"
     )
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(result.stdout.splitlines()[-1])
+    assert loaded["code"] == 0
+    assert "requests" not in loaded["modules"]
+    assert "concurrent.futures" not in loaded["modules"]
+    expected = ["retroanchor", "retroanchor.cli", *(f"retroanchor.{m}" for m in STAGE_LAYERS[stage])]
+    assert loaded["modules"] == sorted(expected)
