@@ -1,0 +1,184 @@
+"""Paired A/B runs of perfbench: a base revision against this checkout.
+
+Checks out ``--base`` with ``git worktree add`` under ``.perfbench_work/``,
+then runs ``perfbench/run.py`` alternately in that worktree and in this
+checkout's working tree (the head), ``--pairs`` times: the base runs first
+in odd pairs, the head first in even ones.  Each side runs its own
+perfbench.  A run that is not ``correct: true`` stops the comparison, and
+so does a pair whose ``outputs`` hash lines differ.  The worktree is
+removed afterwards.
+
+Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  Results are merged
+into ``BENCH_<n>.json`` at the repo root, one entry per workload and seed:
+the base and head ids, the seed, each run's end-to-end values, and per
+metric the medians, quartiles and the pairs the head won.  A gain is shown
+when the head wins at least nine tenths of the pairs (ties count for
+neither) and the medians differ by more than the base's interquartile
+range.  The head is identified by ``tree_digest``, a digest of its
+``src/`` and ``perfbench/``: an uncommitted change has no commit id yet,
+so a dirty head records the commit it sits on as ``parent_commit``.  All
+workloads in one file must measure the same base commit and head tree.
+Run from the repo root:
+
+    python3 scripts/ab.py --base HEAD --workload catalog --seed 7 --pairs 10 --bench 12
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORK = ROOT / ".perfbench_work"
+
+
+class AbError(RuntimeError):
+    """A run or pair that cannot be compared."""
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def head_identity() -> dict:
+    """The working tree: a digest of ``src/`` and ``perfbench/`` as they
+    are on disk, and its commit, or its parent commit if it has changes."""
+    digest = hashlib.sha256()
+    for base in (ROOT / "src", ROOT / "perfbench"):
+        for path in sorted(base.rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                digest.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes())
+    dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
+    commit_key = "parent_commit" if dirty else "commit"
+    return {commit_key: _git("rev-parse", "HEAD"), "tree_digest": digest.hexdigest()}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+    """One perfbench run: its end-to-end metrics and its outputs line."""
+    argv = [
+        sys.executable, "perfbench/run.py",
+        "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise AbError(f"{checkout}: no result (exit {proc.returncode}): {proc.stderr[-2000:]}") from None
+    if result.get("correct") is not True:
+        raise AbError(f"{checkout}: run is not correct: {proc.stderr[-2000:]}")
+    outputs = [line for line in lines if line.startswith("outputs ")]
+    if len(outputs) != 1:
+        raise AbError(f"{checkout}: expected one outputs line, got {len(outputs)}")
+    return {name: m["value"] for name, m in result["metrics"].items()}, outputs[0]
+
+
+def _quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def summarize(base_runs: list[dict], head_runs: list[dict], declared: list[dict]) -> dict:
+    """Medians, quartiles and pairs won for every declared end-to-end metric."""
+    out = {}
+    for spec in declared:
+        name = spec["name"]
+        base = [run[name] for run in base_runs]
+        head = [run[name] for run in head_runs]
+        sign = 1 if spec["better"] == "lower" else -1
+        won = sum(sign * (b - h) > 0 for b, h in zip(base, head))
+        lost = sum(sign * (b - h) < 0 for b, h in zip(base, head))
+        base_q = _quartiles(base)
+        base_median, head_median = statistics.median(base), statistics.median(head)
+        out[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "base": base,
+            "head": head,
+            "base_median": base_median,
+            "base_quartiles": base_q,
+            "head_median": head_median,
+            "head_quartiles": _quartiles(head),
+            "change": (head_median - base_median) / base_median if base_median else None,
+            "head_won": won,
+            "head_lost": lost,
+            "gain_shown": won >= 0.9 * len(base)
+            and sign * (base_median - head_median) > base_q[1] - base_q[0],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="paired perfbench runs, base against head")
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--bench", type=int, required=True, help="writes BENCH_<n>.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = declared["run_seconds"]
+    base_commit = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
+    head = head_identity()
+    out_path = ROOT / f"BENCH_{args.bench}.json"
+    bench = json.loads(out_path.read_text(encoding="utf-8")) if out_path.exists() else {}
+    if bench and (bench["base"]["commit"], bench["head"]["tree_digest"]) != (
+        base_commit, head["tree_digest"]
+    ):
+        print(f"error: {out_path.name} measures another base or head", file=sys.stderr)
+        return 2
+
+    worktree = WORK / f"ab-base-{base_commit[:12]}"
+    WORK.mkdir(exist_ok=True)
+    _git("worktree", "add", "--detach", str(worktree), base_commit)
+    try:
+        base_runs, head_runs, order = [], [], []
+        for pair in range(1, args.pairs + 1):
+            sides = ("base", "head") if pair % 2 else ("head", "base")
+            outputs = {}
+            for side in sides:
+                checkout = worktree if side == "base" else ROOT
+                values, outputs[side] = run_once(checkout, args.workload, args.seed, seconds)
+                (base_runs if side == "base" else head_runs).append(values)
+                print(f"pair {pair} {side}: " + " ".join(
+                    f"{spec['name']}={values[spec['name']]:.4g}" for spec in declared["end_to_end"]
+                ), file=sys.stderr, flush=True)
+            if outputs["base"] != outputs["head"]:
+                raise AbError(f"pair {pair}: outputs differ: {outputs['base']} / {outputs['head']}")
+            order.append(list(sides))
+    except AbError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        _git("worktree", "remove", "--force", str(worktree))
+        _git("worktree", "prune")
+
+    bench["base"] = {"rev": args.base, "commit": base_commit}
+    bench["head"] = head
+    bench.setdefault("workloads", {})[f"{args.workload}:{args.seed}"] = {
+        "seed": args.seed,
+        "seconds": seconds,
+        "pairs": args.pairs,
+        "order": order,
+        "outputs": outputs["head"].split()[1:],
+        "metrics": summarize(base_runs, head_runs, declared["end_to_end"]),
+    }
+    out_path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out_path.name}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

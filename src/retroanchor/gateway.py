@@ -106,15 +106,32 @@ class BackendResult:
     token_usage: dict | None = None
 
 
+# JSON escapes per character and "text" sorts last, so parts are hashed escaped one by one in the
+# payload's frame.  Per frame head: the last parts and the states after each, only ever copied.
+_DIGEST_MEMO: dict[str, tuple] = {}
+
+
 def request_digest(prompt: RenderedPrompt, cfg: ModelConfig) -> str:
     """Content address of one request; template edits change the key."""
     payload = {
-        "text": prompt.text,
+        "text": "",
         "template_digest": prompt.template_digest,
         "model_id": cfg.model_id,
         "sampling": cfg.sampling_params(),
     }
-    return hashlib.sha256(stable_json_dumps(payload).encode("utf-8")).hexdigest()
+    head, tail = stable_json_dumps(payload).rsplit('""', 1)
+    memo_parts, states = _DIGEST_MEMO.get(head) or ((), (hashlib.sha256(f'{head}"'.encode()),))
+    shared, limit = 0, min(len(prompt.parts), len(memo_parts))
+    while shared < limit and prompt.parts[shared] == memo_parts[shared]:
+        shared += 1
+    states = list(states[: shared + 1])  # reuse the state after the shared leading parts
+    for part in prompt.parts[shared:]:
+        states.append(states[-1].copy())
+        states[-1].update(json.dumps(part, ensure_ascii=False)[1:-1].encode())
+    _DIGEST_MEMO[head] = (prompt.parts, tuple(states))
+    final = states[-1].copy()
+    final.update(f'"{tail}'.encode())
+    return final.hexdigest()
 
 
 class CompletionCache:

@@ -1,8 +1,8 @@
 """Prompt rendering for the disconnection and reactant-prediction stages.
 
 Templates ship as text assets pinned by digest.  Rendering substitutes
-only the declared placeholders; every other angle-bracket token in a
-template is illustrative output-format text and is left untouched.
+only the declared placeholders, in one pass, so no value is rescanned;
+every other angle-bracket token is illustrative output-format text.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -53,19 +54,27 @@ class PromptTemplate:
     """One named template body with its declared placeholders."""
 
     name: str
-    body: str
     placeholders: tuple[str, ...]
     digest: str
+    pieces: tuple[str, ...]  # body split at placeholders: literals at even indices
+
+    @property
+    def body(self) -> str:
+        return "".join(self.pieces)
 
 
 @dataclass(frozen=True)
 class RenderedPrompt:
-    """Final prompt text plus the template it came from."""
+    """Final prompt as template segments interleaved with values."""
 
     template_name: str
-    text: str
+    parts: tuple[str, ...]
     example_count: int
     template_digest: str
+
+    @property
+    def text(self) -> str:
+        return "".join(self.parts)
 
 
 def _digest(text: str) -> str:
@@ -98,22 +107,16 @@ def load_template(name: str) -> PromptTemplate:
     missing = [token for token in placeholders if token not in body]
     if missing:
         raise ValueError(f"template {name!r} lacks placeholders: {', '.join(missing)}")
-    return PromptTemplate(name=name, body=body, placeholders=placeholders, digest=digest)
+    foreign = [token for token in _ALL_PLACEHOLDERS if token in body and token not in placeholders]
+    if foreign:
+        raise ValueError(f"template {name!r} holds undeclared placeholders: {', '.join(foreign)}")
+    pieces = re.split("(" + "|".join(map(re.escape, placeholders)) + ")", body)
+    return PromptTemplate(name, placeholders, digest, tuple(pieces))
 
 
 def _render(template: PromptTemplate, values: dict[str, str], example_count: int) -> RenderedPrompt:
-    text = template.body
-    for token in template.placeholders:
-        text = text.replace(token, values[token])
-    residual = [token for token in _ALL_PLACEHOLDERS if token in text]
-    if residual:
-        raise ValueError(f"rendered prompt retains placeholders: {', '.join(residual)}")
-    return RenderedPrompt(
-        template_name=template.name,
-        text=text,
-        example_count=example_count,
-        template_digest=template.digest,
-    )
+    parts = tuple(values[piece] if i % 2 else piece for i, piece in enumerate(template.pieces))
+    return RenderedPrompt(template.name, parts, example_count, template.digest)
 
 
 def render_position_prompt(

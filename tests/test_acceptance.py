@@ -264,7 +264,7 @@ def test_criterion_6_golden_replay(tmp_path, no_network):
 def _prompt(text: str) -> RenderedPrompt:
     return RenderedPrompt(
         template_name="position",
-        text=text,
+        parts=(text,),
         example_count=0,
         template_digest="t" * 64,
     )

@@ -16,6 +16,7 @@ from retroanchor.datasets import ingest_dataset, sample_examples
 from retroanchor.gateway import ModelConfig, seed_cache
 from retroanchor.prompts import (
     TEMPLATE_DIGESTS,
+    TEMPLATE_PLACEHOLDERS,
     load_template,
     render_position_prompt,
     render_transition_prompt,
@@ -484,13 +485,16 @@ class TestRunPosition:
 
 class TestTemplateFaults:
     @pytest.mark.parametrize("stage", ["run-position", "run-transition"])
-    @pytest.mark.parametrize("fault", ["digest", "placeholders"])
+    @pytest.mark.parametrize("fault", ["digest", "placeholders", "foreign"])
     def test_unusable_template_exits_1(self, pipeline, capsys, monkeypatch, stage, fault):
         name = stage.removeprefix("run-")
         if fault == "digest":
             monkeypatch.setitem(TEMPLATE_DIGESTS, name, "0" * 64)
         else:
-            (pipeline["root"] / f"{name}.txt").write_text("no placeholders")
+            body = "no placeholders"
+            if fault == "foreign":  # every declared placeholder plus another template's
+                body = " ".join(TEMPLATE_PLACEHOLDERS[name]) + " <REACTION_NAME><reaction_ontology>"
+            (pipeline["root"] / f"{name}.txt").write_text(body)
             monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(pipeline["root"]))
         inputs = (
             ["--ontology", str(pipeline["ontology"])]

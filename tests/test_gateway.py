@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+import sys
 import threading
 import time
 
@@ -33,13 +36,13 @@ from retroanchor.gateway import (
     seed_cache,
 )
 from retroanchor.prompts import RenderedPrompt
-from retroanchor.utils import read_jsonl
+from retroanchor.utils import read_jsonl, stable_json_dumps
 
 
 def _prompt(text: str, template: str = "position") -> RenderedPrompt:
     return RenderedPrompt(
         template_name=template,
-        text=text,
+        parts=(text,),
         example_count=0,
         template_digest="deadbeef" * 8,
     )
@@ -99,11 +102,73 @@ class TestDigest:
         assert request_digest(_prompt("hi"), warm) != base
         other_template = RenderedPrompt(
             template_name="position",
-            text="hi",
+            parts=("hi",),
             example_count=0,
             template_digest="feedface" * 8,
         )
         assert request_digest(other_template, CFG) != base
+
+
+def _reference_digest(prompt: RenderedPrompt, cfg: ModelConfig) -> str:
+    """The cache-key formula over the whole text, hashed in one piece."""
+    payload = {
+        "text": "".join(prompt.parts),
+        "template_digest": prompt.template_digest,
+        "model_id": cfg.model_id,
+        "sampling": cfg.sampling_params(),
+    }
+    return hashlib.sha256(stable_json_dumps(payload).encode("utf-8")).hexdigest()
+
+
+# Characters JSON escapes (quotes, backslash, control characters) or
+# writes as multi-byte UTF-8, plus plain ASCII.
+DIGEST_ALPHABET = 'ab Z<>/"\\\n\t\r\b\f\x00\x1f\x7fé漢\u2028🙂'
+
+
+class TestDigestParts:
+    def test_random_splits_match_reference(self):
+        rng = random.Random(12)
+        cfgs = (CFG, ModelConfig(model_id="other", temperature=0.5, extensions={"k": "é"}))
+        template_digests = ("deadbeef" * 8, "feedface" * 8)
+
+        def word(longest):
+            return "".join(rng.choice(DIGEST_ALPHABET) for _ in range(rng.randint(0, longest)))
+
+        shared = tuple(word(400) for _ in range(6)) + ("",)
+        for round_ in range(400):
+            parts = list(shared[: rng.randint(0, len(shared))])
+            parts += [word(40) for _ in range(rng.randint(0, 4))]
+            prompt = RenderedPrompt(
+                template_name="position",
+                parts=tuple(parts),
+                example_count=0,
+                template_digest=template_digests[round_ // 3 % 2],
+            )
+            cfg = cfgs[round_ % 2]
+            expected = _reference_digest(prompt, cfg)
+            assert request_digest(prompt, cfg) == expected
+            whole = RenderedPrompt("position", (prompt.text,), 0, prompt.template_digest)
+            assert request_digest(whole, cfg) == expected
+
+    def test_parallel_batch_over_shared_prefix_matches_reference(self, tmp_path):
+        prefix = ("head \"quoted\"\n", "é\\" * 20_000, "\tmiddle\n")
+        prompts = [
+            RenderedPrompt(
+                template_name="position",
+                parts=prefix[: 1 + i % 3] + (f"product-{i}", "\x00end"),
+                example_count=0,
+                template_digest=("deadbeef", "feedface")[i % 2] * 8,
+            )
+            for i in range(40)
+        ]
+        gateway = Gateway(CFG, tmp_path, mode="live", backend=EchoBackend())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the digest as often as possible
+        try:
+            results = gateway.run_batch(prompts, parallelism=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.request_digest for r in results] == [_reference_digest(p, CFG) for p in prompts]
 
 
 class TestModelConfig:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
-from retroanchor.chem import AtomMapSet, parse_smiles
+from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
 from retroanchor.datasets import ExampleLibrary, Ontology, OntologyEntry
 from retroanchor.prompts import (
     TEMPLATE_DIGESTS,
@@ -72,6 +73,19 @@ class TestLoadTemplate:
         with pytest.raises(ValueError, match="lacks placeholders"):
             load_template("position")
 
+    def test_override_foreign_placeholder_rejected(self, tmp_path, monkeypatch):
+        (tmp_path / "position.txt").write_text(
+            "<reaction_ontology> <canonicalized_product> for <REACTION_NAME>"
+        )
+        monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(tmp_path))
+        with pytest.raises(ValueError, match="undeclared placeholders: <REACTION_NAME>"):
+            load_template("position")
+
+    @pytest.mark.parametrize("name", sorted(TEMPLATE_PLACEHOLDERS))
+    def test_pieces_hold_declared_placeholders(self, name):
+        template = load_template(name)
+        assert set(template.pieces[1::2]) == set(template.placeholders)
+
     def test_env_override(self, tmp_path, monkeypatch):
         (tmp_path / "position.txt").write_text(
             "env <reaction_ontology> <canonicalized_product>"
@@ -103,6 +117,14 @@ class TestPositionPrompt:
         first = render_position_prompt(MAPPED_PRODUCT, ontology)
         second = render_position_prompt(MAPPED_PRODUCT, ontology)
         assert first.text == second.text
+
+    @pytest.mark.parametrize("token", ["<canonicalized_product>", "<REACTION_NAME>"])
+    def test_placeholder_in_ontology_name_renders_literally(self, token):
+        name = f"Coupling {token}"
+        rendered = render_position_prompt(MAPPED_PRODUCT, _ontology(name))
+        assert f'"id": "{name}"' in rendered.text
+        product = canonical_smiles(MAPPED_PRODUCT, include_maps=True)
+        assert rendered.text.count(product) == 1
 
     def test_unmapped_product_rejected(self):
         with pytest.raises(ValueError, match="no atom maps"):
@@ -169,6 +191,16 @@ class TestTransitionPrompt:
         )
         for token in TEMPLATE_PLACEHOLDERS["transition"]:
             assert token not in rendered.text
+
+    @pytest.mark.parametrize("variant", ["full", "short"])
+    def test_placeholder_in_reaction_name_renders_literally(self, variant):
+        name = "Coupling <PRODUCT_SMILES>"
+        rendered = render_transition_prompt(
+            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), name, _library(), variant=variant
+        )
+        assert json.dumps(name) in rendered.text
+        product = canonical_smiles(MAPPED_PRODUCT, include_maps=True)
+        assert rendered.text.count(product) == 1
 
     def test_unresolvable_map_rejected(self):
         with pytest.raises(ValueError, match="99"):
