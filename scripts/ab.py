@@ -1,12 +1,12 @@
 """Paired A/B runs of perfbench: a base revision against this checkout.
 
-Checks out ``--base`` with ``git worktree add`` under ``.perfbench_work/``,
-then runs ``perfbench/run.py`` alternately in that worktree and in this
-checkout's working tree (the head), ``--pairs`` times: the base runs first
-in odd pairs, the head first in even ones.  Each side runs its own
-perfbench.  A run that is not ``correct: true`` stops the comparison, and
-so does a pair whose ``outputs`` hash lines differ.  The worktree is
-removed afterwards.
+Extracts the committed files of ``--base`` with ``git archive`` under
+``.perfbench_work/``, then runs ``perfbench/run.py`` alternately in that
+copy and in this checkout's working tree (the head), ``--pairs`` times:
+the base runs first in odd pairs, the head first in even ones.  Each side
+runs its own perfbench.  A run that is not ``correct: true`` stops the
+comparison, and so does a pair whose ``outputs`` hash lines differ.  The
+copy is removed afterwards.
 
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  Results are merged
 into ``BENCH_<n>.json`` at the repo root, one entry per workload and seed:
@@ -27,10 +27,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,16 +143,20 @@ def main(argv=None) -> int:
         print(f"error: {out_path.name} measures another base or head", file=sys.stderr)
         return 2
 
-    worktree = WORK / f"ab-base-{base_commit[:12]}"
-    WORK.mkdir(exist_ok=True)
-    _git("worktree", "add", "--detach", str(worktree), base_commit)
+    base_dir = WORK / f"ab-base-{base_commit[:12]}"
+    base_dir.mkdir(parents=True, exist_ok=True)
+    archive = subprocess.run(
+        ["git", "archive", base_commit], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(base_dir, filter="data")
     try:
         base_runs, head_runs, order = [], [], []
         for pair in range(1, args.pairs + 1):
             sides = ("base", "head") if pair % 2 else ("head", "base")
             outputs = {}
             for side in sides:
-                checkout = worktree if side == "base" else ROOT
+                checkout = base_dir if side == "base" else ROOT
                 values, outputs[side] = run_once(checkout, args.workload, args.seed, seconds)
                 (base_runs if side == "base" else head_runs).append(values)
                 print(f"pair {pair} {side}: " + " ".join(
@@ -162,8 +169,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        _git("worktree", "remove", "--force", str(worktree))
-        _git("worktree", "prune")
+        shutil.rmtree(base_dir)
 
     bench["base"] = {"rev": args.base, "commit": base_commit}
     bench["head"] = head

@@ -108,14 +108,11 @@ def _dense_ranks(keys: list) -> list[int]:
     return [rank_of[key] for key in keys]
 
 
-def _refine(molecule: Molecule, ranks: list[int]) -> list[int]:
+def _refine(neighbors: list[list[int]], ranks: list[int]) -> list[int]:
     while True:
         keys = [
-            (
-                ranks[i],
-                tuple(sorted(ranks[j] for j, _ in molecule.neighbors(i))),
-            )
-            for i in range(len(ranks))
+            (ranks[i], tuple(sorted([ranks[j] for j in nbrs])))
+            for i, nbrs in enumerate(neighbors)
         ]
         refined = _dense_ranks(keys)
         if refined == ranks:
@@ -127,6 +124,7 @@ def _canonical_ranks(molecule: Molecule) -> list[int]:
     n = len(molecule.atoms)
     if n == 0:
         return []
+    neighbors = [[j for j, _ in molecule.neighbors(i)] for i in range(n)]
     initial = [
         (
             atom.element,
@@ -135,13 +133,13 @@ def _canonical_ranks(molecule: Molecule) -> list[int]:
             atom.charge,
             atom.isotope or 0,
             atom.implicit_h,
-            molecule.degree(i),
+            len(neighbors[i]),
         )
         for i, atom in enumerate(molecule.atoms)
     ]
     ranks = _dense_ranks(initial)
     while True:
-        ranks = _refine(molecule, ranks)
+        ranks = _refine(neighbors, ranks)
         if max(ranks) + 1 == n:
             return ranks
         class_sizes: dict[int, int] = {}

@@ -311,46 +311,42 @@ def write_smiles(
     ascending rank, components joined by dots in order of their lowest
     rank.  Parsing the output reconstructs an isomorphic molecule.
     """
-    if not molecule.atoms:
+    n = len(molecule.atoms)
+    if not n:
         return ""
-    rank = ranks.__getitem__ if ranks is not None else None
-
-    def ranked_neighbors(idx: int):
-        return iter(sorted((n for n, _ in molecule.neighbors(idx)), key=rank))
-
-    visited = [False] * len(molecule.atoms)
-    tree_children: dict[int, list[tuple[int, Bond]]] = {i: [] for i in range(len(molecule.atoms))}
+    rank = ranks if ranks is not None else range(n)
+    # Adjacency lists hold bond order, so index ranks need the sort too.
+    ranked_neighbors = [
+        sorted(molecule.neighbors(idx), key=lambda item: rank[item[0]]) for idx in range(n)
+    ]
+    position = [-1] * n  # emission position; -1 until emitted
+    tree_children: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
     ring_bonds_at: dict[int, list[tuple[int, Bond]]] = {}  # opener -> [(closer, bond)]
     emit_order: list[int] = []
-    roots = sorted((min(c, key=rank) for c in molecule.components()), key=rank)
+    roots: list[int] = []
 
-    ring_pairs: set[tuple[int, int]] = set()
-    for root in roots:
-        visited[root] = True
+    # The first atom in rank order not yet emitted roots the next component.
+    for root in sorted(range(n), key=rank.__getitem__):
+        if position[root] >= 0:
+            continue
+        roots.append(root)
+        position[root] = len(emit_order)
         emit_order.append(root)
-        stack = [(root, ranked_neighbors(root))]
-        parent = {root: -1}
+        stack = [(root, -1, iter(ranked_neighbors[root]))]
         while stack:
-            current, nbr_iter = stack[-1]
-            advanced = False
-            for nbr in nbr_iter:
-                bond = molecule.bond_between(current, nbr)
-                if not visited[nbr]:
-                    visited[nbr] = True
+            current, parent, nbr_iter = stack[-1]
+            for nbr, bond in nbr_iter:
+                if position[nbr] < 0:
+                    position[nbr] = len(emit_order)
                     emit_order.append(nbr)
-                    parent[nbr] = current
                     tree_children[current].append((nbr, bond))
-                    stack.append((nbr, ranked_neighbors(nbr)))
-                    advanced = True
+                    stack.append((nbr, current, iter(ranked_neighbors[nbr])))
                     break
-                if nbr != parent[current] and bond.key() not in ring_pairs:
+                if nbr != parent and position[nbr] < position[current]:
                     # Back edge: nbr was emitted earlier and opens the closure.
-                    ring_pairs.add(bond.key())
                     ring_bonds_at.setdefault(nbr, []).append((current, bond))
-            if not advanced:
+            else:
                 stack.pop()
-
-    position = {atom: pos for pos, atom in enumerate(emit_order)}
 
     # Assign ring-closure digits in emission order, reusing freed digits.
     in_use: set[int] = set()

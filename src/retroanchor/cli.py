@@ -377,7 +377,6 @@ def cmd_run_transition(args) -> int:
     from retroanchor.datasets import ExampleLibrary, sample_examples
     from retroanchor.outputs import parse_transition_output
     from retroanchor.prompts import render_transition_prompt
-    from retroanchor.utils import normalize_name
     run = _run_config(
         args,
         "transition",
@@ -387,14 +386,24 @@ def cmd_run_transition(args) -> int:
         train_path=args.train,
     )
     records, rejects = _ingest(args.input)
-    train_records, train_rejects = _ingest(args.train)
+    train_records, train_rejects = _ingest(args.train, parse=False)
     template_name = "transition" if args.prompt_variant == "full" else "transition_short"
     template = _load_template(template_name)
+    # Only rows under a name an input row carries can be drawn, so only
+    # they are parsed; one that fails leaves its pool as at ingest.
     # sample_examples still filters each group by split, id and name, so
     # the pool, its order and the draw equal those over the full list.
+    drawn = {record.name_key for record in records if record.reaction_name}
     train_by_name: dict[str, list[ReactionRecord]] = {}
+    n_train_rejects = len(train_rejects)
     for train in train_records:
-        train_by_name.setdefault(normalize_name(train.reaction_name), []).append(train)
+        if train.name_key in drawn:
+            try:
+                train._molecules
+            except ValueError:
+                n_train_rejects += 1
+                continue
+            train_by_name.setdefault(train.name_key, []).append(train)
 
     def render(record: ReactionRecord) -> RenderedPrompt:
         s, _kind = _record_label(record)
@@ -404,7 +413,7 @@ def cmd_run_transition(args) -> int:
         if name is None:
             library = ExampleLibrary(reaction_name="", examples=(), seed=args.seed)
         else:
-            pool = train_by_name.get(normalize_name(name), [])
+            pool = train_by_name.get(record.name_key, [])
             library = sample_examples(pool, name, record.record_id, args.examples_k, args.seed)
         return render_transition_prompt(
             record.product, s, name, library, args.prompt_variant, template
@@ -421,7 +430,7 @@ def cmd_run_transition(args) -> int:
         "template_name": template.name,
         "template_digest": template.digest,
         "ingest_rejects": len(rejects),
-        "train_ingest_rejects": len(train_rejects),
+        "train_ingest_rejects": n_train_rejects,
     }
     return _execute_run(run, records, render, parse, extra_config)
 

@@ -43,6 +43,10 @@ class ReactionRecord:
     extra: dict = field(default_factory=dict)
 
     @cached_property
+    def name_key(self) -> str:
+        return normalize_name(self.reaction_name)
+
+    @cached_property
     def _molecules(self) -> tuple[tuple[Molecule, ...], Molecule]:
         """Reactants and product, parsed with the reagents; ValueError for
         malformed SMILES or a product atom map on two reactant atoms."""
@@ -283,7 +287,7 @@ def sample_examples(
         for r in records
         if r.split == "train"
         and r.record_id != exclude_id
-        and normalize_name(r.reaction_name) == key
+        and r.name_key == key
     ]
     pool.sort(key=lambda r: r.record_id)
     rng = random.Random(seed)

@@ -1,0 +1,74 @@
+"""The paired A/B summary of ``scripts/ab.py``: pairs won, quartiles and
+when a gain counts as shown.  Only ``summarize`` runs; no git and no
+perfbench process is needed."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "ab", Path(__file__).resolve().parents[1] / "scripts" / "ab.py"
+)
+ab = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(ab)
+
+LOWER = [{"name": "t_s", "unit": "s", "better": "lower"}]
+HIGHER = [{"name": "hit", "unit": "ratio", "better": "higher"}]
+
+# Ten base runs: median 1.0, quartiles 0.9825 and 1.0175 (IQR 0.035).
+BASE = [0.95, 0.96, 0.98, 0.99, 1.0, 1.0, 1.01, 1.02, 1.04, 1.05]
+
+
+def _summary(base: list[float], head: list[float], declared=LOWER) -> dict:
+    name = declared[0]["name"]
+    return ab.summarize([{name: v} for v in base], [{name: v} for v in head], declared)[name]
+
+
+def test_nine_of_ten_wins_with_a_gap_above_the_iqr_is_shown():
+    head = [v - 0.1 for v in BASE[:9]] + [BASE[9] + 0.01]
+    out = _summary(BASE, head)
+    assert (out["head_won"], out["head_lost"]) == (9, 1)
+    assert out["base_median"] == 1.0
+    assert out["base_quartiles"] == pytest.approx([0.9825, 1.0175])
+    assert out["gain_shown"] is True
+
+
+def test_eight_of_ten_wins_is_not_shown():
+    head = [v - 0.1 for v in BASE[:8]] + [v + 0.01 for v in BASE[8:]]
+    out = _summary(BASE, head)
+    assert (out["head_won"], out["head_lost"]) == (8, 2)
+    assert out["gain_shown"] is False
+
+
+def test_every_pair_won_by_less_than_the_iqr_is_not_shown():
+    out = _summary(BASE, [v - 0.03 for v in BASE])
+    assert out["head_won"] == 10
+    assert 1.0 - out["head_median"] == pytest.approx(0.03)
+    assert out["gain_shown"] is False
+
+
+def test_ties_count_for_neither_side():
+    nine = _summary(BASE, [v - 0.1 for v in BASE[:9]] + BASE[9:])
+    assert (nine["head_won"], nine["head_lost"]) == (9, 0)
+    assert nine["gain_shown"] is True
+    eight = _summary(BASE, [v - 0.1 for v in BASE[:8]] + BASE[8:])
+    assert (eight["head_won"], eight["head_lost"]) == (8, 0)
+    assert eight["gain_shown"] is False
+
+
+def test_higher_is_better_flips_the_sign():
+    out = _summary(BASE, [v + 0.1 for v in BASE], HIGHER)
+    assert (out["head_won"], out["head_lost"]) == (10, 0)
+    assert out["gain_shown"] is True
+    assert _summary(BASE, [v - 0.1 for v in BASE], HIGHER)["head_lost"] == 10
+
+
+def test_a_single_run_has_its_value_as_both_quartiles():
+    out = _summary([2.0], [1.5])
+    assert out["base_quartiles"] == [2.0, 2.0]
+    assert out["head_quartiles"] == [1.5, 1.5]
+    assert out["change"] == pytest.approx(-0.25)
+    assert out["gain_shown"] is True

@@ -12,7 +12,7 @@ import pytest
 
 from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
 from retroanchor.cli import main
-from retroanchor.datasets import ingest_dataset, sample_examples
+from retroanchor.datasets import ingest_dataset, parse_reaction_smiles, sample_examples
 from retroanchor.gateway import ModelConfig, seed_cache
 from retroanchor.prompts import (
     TEMPLATE_DIGESTS,
@@ -740,12 +740,13 @@ class TestMalformedMolecules:
         for name in produced:
             assert (out / name).read_bytes() == (run_dir / "report" / name).read_bytes()
 
-    def test_run_transition_train_leaves_them_out(self, pipeline):
-        """Rows named like ``e1`` that do not parse never join its few-shot
-        pool: every request digest equals that of a train file without them."""
+    @staticmethod
+    def _transition_runs(pipeline, faulty_rows: list[dict]) -> dict:
+        """``run-transition`` run directories over the clean train file and
+        over ``faulty_rows``."""
         seed_transition(pipeline)
         runs = {}
-        for name, rows in (("clean", TRAIN_ROWS), ("faulty", _with_malformed(TRAIN_ROWS, ("Amide coupling",) * 2))):
+        for name, rows in (("clean", TRAIN_ROWS), ("faulty", faulty_rows)):
             train, out = pipeline["root"] / f"{name}.jsonl", pipeline["root"] / f"run_{name}"
             write_jsonl(train, rows)
             code = main(
@@ -761,9 +762,53 @@ class TestMalformedMolecules:
             )
             assert code == 0
             runs[name] = out
-        assert json.loads((runs["faulty"] / "config.json").read_text())["train_ingest_rejects"] == 2
         for artifact in ("manifest.jsonl", "outcomes.jsonl"):
             assert (runs["faulty"] / artifact).read_bytes() == (runs["clean"] / artifact).read_bytes()
+        return runs
+
+    def test_run_transition_train_leaves_them_out(self, pipeline):
+        """Rows named like ``e1`` that do not parse never join its few-shot
+        pool: every request digest equals that of a train file without them."""
+        runs = self._transition_runs(pipeline, _with_malformed(TRAIN_ROWS, ("Amide coupling",) * 2))
+        assert json.loads((runs["faulty"] / "config.json").read_text())["train_ingest_rejects"] == 2
+
+    def test_run_transition_train_skips_undrawn_names(self, pipeline):
+        """Rows under a name no input row carries are never drawn, so they
+        are neither parsed nor counted as rejects."""
+        runs = self._transition_runs(pipeline, _with_malformed(TRAIN_ROWS))
+        assert json.loads((runs["faulty"] / "config.json").read_text())["train_ingest_rejects"] == 0
+
+    def test_run_transition_parses_only_drawn_train_rows(self, pipeline, monkeypatch):
+        """Input rows parse at ingest, then the train rows under their names
+        in file order; ``t5``, under a name no input row carries, never does."""
+        undrawn = dict(TRAIN_ROWS[3], id="t5", reaction_smiles="[CH3:1]I>>[CH4:1]", reaction_name="Reduction")
+        train = pipeline["root"] / "train.jsonl"
+        write_jsonl(train, [*TRAIN_ROWS, undrawn])
+        parsed: list[str] = []
+
+        def spy(text: str):
+            parsed.append(text)
+            return parse_reaction_smiles(text)
+
+        monkeypatch.setattr("retroanchor.datasets.parse_reaction_smiles", spy)
+        out = pipeline["root"] / "run_spy"
+        code = main(
+            [
+                "run-transition",
+                "--input", str(pipeline["eval"]),
+                "--train", str(train),
+                "--output", str(out),
+                "--model", "test-model",
+                "--backend", "replay",
+                "--cache-dir", str(pipeline["cache"]),
+            ]
+        )
+        assert code == 0
+        eval_rows = read_jsonl(pipeline["eval"])
+        drawn = {row["reaction_name"] for row in eval_rows}
+        assert parsed == [row["reaction_smiles"] for row in eval_rows] + [
+            row["reaction_smiles"] for row in TRAIN_ROWS if row["reaction_name"] in drawn
+        ]
 
 
 class TestEvaluate:

@@ -6,7 +6,13 @@ import random
 
 import pytest
 
-from helpers import brute_force_isomorphic, molecules_isomorphic, random_molecule
+from helpers import (
+    brute_force_isomorphic,
+    molecules_isomorphic,
+    permute_molecule,
+    random_aromatic_molecule,
+    random_molecule,
+)
 from retroanchor.chem import SmilesError, parse_smiles, smiles, write_smiles
 from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom
 
@@ -222,6 +228,22 @@ def test_round_trip_random_molecules():
         mol = random_molecule(rng, with_maps=rng.random() < 0.5)
         rewritten = write_smiles(mol)
         assert molecules_isomorphic(mol, parse_smiles(rewritten)), rewritten
+
+
+def test_identity_ranks_write_the_default_text():
+    """Without ``ranks`` an atom's rank is its index, so passing the
+    identity ranks changes nothing; neighbour lists are in bond order, so
+    this fails for a writer that skips sorting them when no ranks are
+    given."""
+    rng = random.Random(1313)
+    for k in range(200):
+        if k % 2:
+            mol = random_aromatic_molecule(rng, with_maps=rng.random() < 0.5)
+        else:
+            mol = random_molecule(rng, with_maps=rng.random() < 0.5)
+        for molecule in (mol, permute_molecule(mol, rng)):
+            identity = list(range(len(molecule.atoms)))
+            assert write_smiles(molecule) == write_smiles(molecule, ranks=identity)
 
 
 def test_isomorphism_oracle_agrees_with_brute_force():
