@@ -9,7 +9,6 @@ from retroanchor.chem.mol import (
     Molecule,
     SmilesError,
     position_tokens,
-    resolve_map_set,
     strip_atom_maps,
     strip_stereo,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "canonical_smiles",
     "parse_smiles",
     "position_tokens",
-    "resolve_map_set",
     "strip_atom_maps",
     "strip_stereo",
     "substructure_match",

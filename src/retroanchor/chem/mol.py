@@ -255,23 +255,6 @@ class AtomMapSet:
         return value in self.maps
 
 
-def resolve_map_set(molecule: Molecule, maps: AtomMapSet) -> tuple[list[int], set[int]]:
-    """Resolve map values to atom indices.
-
-    Returns the resolved indices in ascending map order together with
-    the subset of map values that name no atom of the molecule.
-    """
-    index = molecule.atom_map_index()
-    resolved: list[int] = []
-    missing: set[int] = set()
-    for value in maps.sorted():
-        if value in index:
-            resolved.append(index[value])
-        else:
-            missing.add(value)
-    return resolved, missing
-
-
 def position_tokens(molecule: Molecule, maps: AtomMapSet) -> str:
     """Render a map set as space-separated ``Elem:map`` tokens.
 
@@ -279,12 +262,13 @@ def position_tokens(molecule: Molecule, maps: AtomMapSet) -> str:
     source atom, e.g. ``"C:12 N:14"`` or ``"c:18"``.  Raises ValueError
     when any map value does not resolve.
     """
-    resolved, missing = resolve_map_set(molecule, maps)
+    index = molecule.atom_map_index()
+    missing = sorted(maps.maps - index.keys())
     if missing:
-        raise ValueError(f"atom maps not present in molecule: {sorted(missing)}")
+        raise ValueError(f"atom maps not present in molecule: {missing}")
     tokens = []
-    for idx, value in zip(resolved, maps.sorted()):
-        atom = molecule.atoms[idx]
+    for value in maps.sorted():
+        atom = molecule.atoms[index[value]]
         symbol = atom.element.lower() if atom.aromatic else atom.element
         tokens.append(f"{symbol}:{value}")
     return " ".join(tokens)

@@ -431,23 +431,29 @@ def write_smiles(
         parts.append("]")
         return "".join(parts)
 
-    def emit(idx: int) -> str:
-        pieces = [atom_token(idx)]
-        for opener, bond, digit in closures_close.get(idx, []):
-            pieces.append(ring_digit_token(digit))
-        for closer, bond, digit in closures_open.get(idx, []):
-            pieces.append(bond_symbol(bond, idx, closer))
-            pieces.append(ring_digit_token(digit))
-        children = tree_children[idx]
-        for child, bond in children[:-1]:
-            pieces.append("(")
-            pieces.append(bond_symbol(bond, idx, child))
-            pieces.append(emit(child))
-            pieces.append(")")
-        if children:
-            child, bond = children[-1]
-            pieces.append(bond_symbol(bond, idx, child))
-            pieces.append(emit(child))
+    def emit(root: int) -> str:
+        # An explicit stack of atom indices and literal text, so a long
+        # chain needs no call frame per atom.
+        pieces: list[str] = []
+        todo: list[int | str] = [root]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+                continue
+            pieces.append(atom_token(item))
+            for opener, bond, digit in closures_close.get(item, []):
+                pieces.append(ring_digit_token(digit))
+            for closer, bond, digit in closures_open.get(item, []):
+                pieces.append(bond_symbol(bond, item, closer))
+                pieces.append(ring_digit_token(digit))
+            # Pushed in reverse: branches in parentheses, then the last child.
+            children = tree_children[item]
+            if children:
+                child, bond = children[-1]
+                todo += (child, bond_symbol(bond, item, child))
+            for child, bond in reversed(children[:-1]):
+                todo += (")", child, bond_symbol(bond, item, child), "(")
         return "".join(pieces)
 
     return ".".join(emit(root) for root in roots)

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -36,49 +36,6 @@ DEFAULT_UNCLASSIFIED = "otherReaction"
 
 class CliError(Exception):
     """Configuration or I/O fault; the process exits non-zero."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a model run depends on, snapshotted into the run dir."""
-
-    stage: str
-    input_path: Path
-    output_dir: Path
-    cache_dir: Path
-    model: ModelConfig
-    backend: str
-    parallelism: int
-    prompt_variant: str | None = None
-    examples_k: int | None = None
-    seed: int | None = None
-    ontology_path: Path | None = None
-    train_path: Path | None = None
-
-    def __post_init__(self):
-        if self.backend not in ("live", "replay"):
-            raise CliError(f"backend must be 'live' or 'replay', got {self.backend!r}")
-        if self.parallelism < 1:
-            raise CliError("parallelism must be at least 1")
-        for path in (self.input_path, self.ontology_path, self.train_path):
-            if path is not None and not Path(path).exists():
-                raise CliError(f"input path does not exist: {path}")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "stage": self.stage,
-            "input": str(self.input_path),
-            "output_dir": str(self.output_dir),
-            "cache_dir": str(self.cache_dir),
-            "backend": self.backend,
-            "parallelism": self.parallelism,
-            "prompt_variant": self.prompt_variant,
-            "examples_k": self.examples_k,
-            "seed": self.seed,
-            "ontology": str(self.ontology_path) if self.ontology_path else None,
-            "train": str(self.train_path) if self.train_path else None,
-            "model": asdict(self.model),
-        }
 
 
 def _record_to_row(record: ReactionRecord) -> dict:
@@ -128,7 +85,7 @@ def _load_ontology(path: Path) -> Ontology:
     from retroanchor.datasets import Ontology
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read ontology {path}: {exc}") from exc
     try:
         if isinstance(data, dict):
@@ -219,30 +176,30 @@ def cmd_subsample(args) -> int:
 # ------------------------------------------------------------ model runs
 
 
-def _check_live_config(args) -> None:
-    if args.backend != "live":
-        return
-    if not args.endpoint:
-        raise CliError("--endpoint is required with --backend live")
-    if not os.environ.get(args.api_key_env):
-        raise CliError(f"environment variable {args.api_key_env} is not set")
-
-
-def _run_config(args, stage: str, **fields) -> RunConfig:
+def _run_config(args, stage: str, **fields) -> tuple[ModelConfig, dict]:
+    """The run's model and its ``config.json`` record; a stage's own keys
+    go in ``fields`` or are added to the record before the run."""
     from retroanchor.gateway import ModelConfig
-    _check_live_config(args)
-    return RunConfig(
-        stage=stage,
-        input_path=args.input,
-        output_dir=args.output,
-        cache_dir=args.cache_dir if args.cache_dir else args.output / "cache",
-        model=ModelConfig(
-            model_id=args.model, endpoint=args.endpoint, api_key_env=args.api_key_env
-        ),
-        backend=args.backend,
-        parallelism=args.parallelism,
+    if args.parallelism < 1:
+        raise CliError("--parallelism must be at least 1")
+    if args.backend == "live" and not args.endpoint:
+        raise CliError("--endpoint is required with --backend live")
+    if args.backend == "live" and not os.environ.get(args.api_key_env):
+        raise CliError(f"environment variable {args.api_key_env} is not set")
+    model = ModelConfig(model_id=args.model, endpoint=args.endpoint, api_key_env=args.api_key_env)
+    config = {
+        "stage": stage,
+        "input": str(args.input),
+        "output_dir": str(args.output),
+        "cache_dir": str(args.cache_dir or args.output / "cache"),
+        "backend": args.backend,
+        "parallelism": args.parallelism,
+        "model": asdict(model),
+        # Keys that only the other stage sets are recorded as null.
+        **dict.fromkeys(("prompt_variant", "examples_k", "seed", "ontology", "train")),
         **fields,
-    )
+    }
+    return model, config
 
 
 def _manifest_row(cfg: ModelConfig, result: Completion | GatewayFailure) -> dict:
@@ -262,13 +219,14 @@ def _manifest_row(cfg: ModelConfig, result: Completion | GatewayFailure) -> dict
 
 
 def _execute_run(
-    run: RunConfig,
+    model: ModelConfig,
+    config: dict,
     records: list[ReactionRecord],
     render: Callable[[ReactionRecord], RenderedPrompt],
     parse: Callable[[str, ReactionRecord, RenderedPrompt], tuple[ParseOutcome, dict]],
-    extra_config: dict,
 ) -> int:
-    """Render, send, parse and write one run directory.
+    """Render, send, parse and write one run directory, ``config`` as its
+    ``config.json``.
 
     ``render`` raises ValueError for a record it cannot prompt; that row
     is skipped and sends no request.  ``parse`` returns the parse outcome
@@ -283,8 +241,8 @@ def _execute_run(
         except ValueError as exc:
             pending.append((record, None, str(exc)))
     prompts = [prompt for _, prompt, _ in pending if prompt is not None]
-    gateway = Gateway(run.model, cache_dir=run.cache_dir, mode=run.backend)
-    results = iter(gateway.run_batch(prompts, run.parallelism))
+    gateway = Gateway(model, cache_dir=config["cache_dir"], mode=config["backend"])
+    results = iter(gateway.run_batch(prompts, config["parallelism"]))
 
     outcomes: list[dict] = []
     manifest: list[dict] = []
@@ -294,7 +252,7 @@ def _execute_run(
             outcomes.append({"id": record.record_id, "status": "skipped", "reason": skip_reason})
             continue
         result = next(results)
-        manifest.append(_manifest_row(run.model, result))
+        manifest.append(_manifest_row(model, result))
         row = {"id": record.record_id, "digest": result.request_digest}
         if isinstance(result, GatewayFailure):
             n_failed += 1
@@ -310,15 +268,11 @@ def _execute_run(
             )
         outcomes.append(row)
 
-    config = run.to_json_obj()
-    config.update(extra_config)
-    atomic_write_text(run.output_dir / "config.json", stable_json_dumps(config))
-    write_jsonl(run.output_dir / "outcomes.jsonl", outcomes)
-    write_jsonl(run.output_dir / "manifest.jsonl", manifest)
-    print(
-        f"{run.stage} run over {len(records)} examples "
-        f"({n_failed} gateway failures) -> {run.output_dir}"
-    )
+    out = Path(config["output_dir"])
+    atomic_write_text(out / "config.json", stable_json_dumps(config))
+    write_jsonl(out / "outcomes.jsonl", outcomes)
+    write_jsonl(out / "manifest.jsonl", manifest)
+    print(f"{config['stage']} run over {len(records)} examples ({n_failed} gateway failures) -> {out}")
     return 0
 
 
@@ -338,7 +292,7 @@ def _candidate_row(cand: DisconnectionCandidate) -> dict:
 def cmd_run_position(args) -> int:
     from retroanchor.outputs import parse_position_output
     from retroanchor.prompts import render_position_prompt
-    run = _run_config(args, "position", ontology_path=args.ontology)
+    model, config = _run_config(args, "position", ontology=str(args.ontology))
     records, rejects = _ingest(args.input)
     ontology = _load_ontology(args.ontology)
     if len(ontology) == 0:
@@ -352,14 +306,14 @@ def cmd_run_position(args) -> int:
         parsed = parse_position_output(text, record.product, ontology)
         return parsed, {"candidates": [_candidate_row(c) for c in parsed.ok]}
 
-    extra_config = {
-        "template_name": template.name,
-        "template_digest": template.digest,
-        "ontology_sha256": _sha256_file(args.ontology),
-        "ontology_size": len(ontology),
-        "ingest_rejects": len(rejects),
-    }
-    return _execute_run(run, records, render, parse, extra_config)
+    config.update(
+        template_name=template.name,
+        template_digest=template.digest,
+        ontology_sha256=_sha256_file(args.ontology),
+        ontology_size=len(ontology),
+        ingest_rejects=len(rejects),
+    )
+    return _execute_run(model, config, records, render, parse)
 
 
 def _prediction_row(pred: TransitionPrediction) -> dict:
@@ -374,16 +328,18 @@ def _prediction_row(pred: TransitionPrediction) -> dict:
 
 
 def cmd_run_transition(args) -> int:
-    from retroanchor.datasets import ExampleLibrary, sample_examples
+    from retroanchor.datasets import sample_examples
     from retroanchor.outputs import parse_transition_output
     from retroanchor.prompts import render_transition_prompt
-    run = _run_config(
+    if args.examples_k < 0:
+        raise CliError("--examples-k must be at least 0")
+    model, config = _run_config(
         args,
         "transition",
         prompt_variant=args.prompt_variant,
         examples_k=args.examples_k,
         seed=args.seed,
-        train_path=args.train,
+        train=str(args.train),
     )
     records, rejects = _ingest(args.input)
     train_records, train_rejects = _ingest(args.train, parse=False)
@@ -407,32 +363,29 @@ def cmd_run_transition(args) -> int:
 
     def render(record: ReactionRecord) -> RenderedPrompt:
         s, _kind = _record_label(record)
-        if not s.maps:
-            raise ValueError("empty disconnection set")
         name = record.reaction_name or None
-        if name is None:
-            library = ExampleLibrary(reaction_name="", examples=(), seed=args.seed)
-        else:
+        examples = ()
+        if name is not None:
             pool = train_by_name.get(record.name_key, [])
-            library = sample_examples(pool, name, record.record_id, args.examples_k, args.seed)
+            examples = sample_examples(pool, name, record.record_id, args.examples_k, args.seed)
         return render_transition_prompt(
-            record.product, s, name, library, args.prompt_variant, template
+            record.product, s, name, examples, args.prompt_variant, template
         )
 
     def parse(text: str, record: ReactionRecord, prompt: RenderedPrompt):
-        parsed = parse_transition_output(text, record.product)
+        parsed = parse_transition_output(text)
         return parsed, {
             "example_count": prompt.example_count,
             "predictions": [_prediction_row(p) for p in parsed.ok],
         }
 
-    extra_config = {
-        "template_name": template.name,
-        "template_digest": template.digest,
-        "ingest_rejects": len(rejects),
-        "train_ingest_rejects": n_train_rejects,
-    }
-    return _execute_run(run, records, render, parse, extra_config)
+    config.update(
+        template_name=template.name,
+        template_digest=template.digest,
+        ingest_rejects=len(rejects),
+        train_ingest_rejects=n_train_rejects,
+    )
+    return _execute_run(model, config, records, render, parse)
 
 
 # ------------------------------------------------------------- evaluate
@@ -491,7 +444,7 @@ def cmd_evaluate(args) -> int:
     try:
         config = json.loads(config_path.read_text(encoding="utf-8"))
         outcome_rows = read_jsonl(outcomes_path)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"cannot read run {args.run}: {exc}") from exc
     stage = config.get("stage") if isinstance(config, dict) else None
     if stage not in ("position", "transition"):

@@ -103,15 +103,6 @@ class Ontology:
         return cls(entries=entries, source_split=source_split)
 
 
-@dataclass(frozen=True)
-class ExampleLibrary:
-    """Retro-oriented example reactions serialized as product>>reactants."""
-
-    reaction_name: str
-    examples: tuple[str, ...]
-    seed: int
-
-
 def parse_reaction_smiles(text: str) -> tuple[list[Molecule], list[Molecule], Molecule]:
     """Split and parse a reaction SMILES into (reactants, reagents, product)."""
     from retroanchor.chem import parse_smiles
@@ -277,7 +268,7 @@ def sample_examples(
     exclude_id: str,
     k: int,
     seed: int,
-) -> ExampleLibrary:
+) -> tuple[str, ...]:
     """Up to k train-split reactions with the given name, excluding the
     query record, serialized retro style (product>>reactants) with atom
     maps intact."""
@@ -292,8 +283,7 @@ def sample_examples(
     pool.sort(key=lambda r: r.record_id)
     rng = random.Random(seed)
     chosen = rng.sample(pool, min(k, len(pool))) if k > 0 else []
-    examples = tuple(retro_example_text(r) for r in chosen)
-    return ExampleLibrary(reaction_name=reaction_name, examples=examples, seed=seed)
+    return tuple(retro_example_text(r) for r in chosen)
 
 
 def retro_example_text(record: ReactionRecord) -> str:

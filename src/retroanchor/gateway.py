@@ -155,7 +155,7 @@ class CompletionCache:
             return None
         try:
             entry = json.loads(path.read_bytes().decode("utf-8"))
-        except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
+        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError and JSONDecodeError
             raise GatewayError(CACHE_CORRUPT, f"unreadable cache entry {path}: {exc}") from exc
         if not (
             isinstance(entry, dict)
@@ -170,9 +170,6 @@ class CompletionCache:
 
     def put(self, digest: str, entry: dict) -> None:
         atomic_write_text(self._path(digest), stable_json_dumps(entry))
-
-    def __contains__(self, digest: str) -> bool:
-        return self._path(digest).exists()
 
 
 class HttpBackend:
@@ -238,7 +235,7 @@ class HttpBackend:
             body = response.json()
             choice = body["choices"][0]
             text = choice["message"]["content"]
-        except (ValueError, LookupError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
             raise GatewayError(
                 MALFORMED_RESPONSE, f"reply has no choices[0].message.content: {exc!r}"
             ) from exc

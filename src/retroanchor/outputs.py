@@ -60,10 +60,6 @@ class ParseOutcome:
         if bool(self.ok) == (self.failure_class is not None):
             raise ValueError("failure_class must be set exactly when nothing parsed")
 
-    @property
-    def failed(self) -> bool:
-        return not self.ok
-
 
 def extract_json_object(raw: str) -> dict | None:
     """Outermost JSON object in possibly fenced, prose-wrapped text."""
@@ -78,7 +74,7 @@ def extract_json_object(raw: str) -> dict | None:
                 break
             try:
                 value, _ = decoder.raw_decode(text[brace:])
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 start = brace + 1
                 continue
             if isinstance(value, dict):
@@ -110,7 +106,10 @@ def parse_center_tokens(text: str, product: Molecule) -> AtomMapSet:
 
 
 def _drop(entry, reason: str) -> dict:
-    fragment = json.dumps(entry, default=str)
+    try:
+        fragment = json.dumps(entry, default=str)
+    except RecursionError:  # decoded nearly at the limit, a few frames up
+        fragment = "<nested too deep to show>"
     if len(fragment) > 300:
         fragment = fragment[:300] + "..."
     return {"fragment": fragment, "reason": reason}
@@ -205,7 +204,7 @@ def _has_template_atoms(molecule: Molecule) -> bool:
     return any(a.is_wildcard or a.is_element_list for a in molecule.atoms)
 
 
-def parse_transition_output(raw: str, product: Molecule) -> ParseOutcome:
+def parse_transition_output(raw: str) -> ParseOutcome:
     """Validate the reactant-prediction payload."""
     obj = extract_json_object(raw)
     if obj is None:

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from retroanchor.chem import AtomMapSet, Molecule, canonical_smiles, position_tokens
-from retroanchor.datasets import ExampleLibrary, Ontology
+from retroanchor.datasets import Ontology
 
 TEMPLATE_PLACEHOLDERS: dict[str, tuple[str, ...]] = {
     "position": ("<reaction_ontology>", "<canonicalized_product>"),
@@ -57,10 +57,6 @@ class PromptTemplate:
     placeholders: tuple[str, ...]
     digest: str
     pieces: tuple[str, ...]  # body split at placeholders: literals at even indices
-
-    @property
-    def body(self) -> str:
-        return "".join(self.pieces)
 
 
 @dataclass(frozen=True)
@@ -144,15 +140,16 @@ def render_transition_prompt(
     product: Molecule,
     s: AtomMapSet,
     reaction_name: str | None,
-    library: ExampleLibrary,
+    examples: tuple[str, ...],
     variant: str = "full",
     template: PromptTemplate | None = None,
 ) -> RenderedPrompt:
-    """Fill the reactant-prediction prompt for one disconnection site."""
+    """Fill the reactant-prediction prompt for one disconnection site,
+    with ``examples`` as ``sample_examples`` draws them."""
     if variant not in ("full", "short"):
         raise ValueError(f"variant must be 'full' or 'short', got {variant!r}")
     if not s.maps:
-        raise ValueError("disconnection set is empty")
+        raise ValueError("empty disconnection set")
     name = "transition" if variant == "full" else "transition_short"
     if template is None:
         template = load_template(name)
@@ -163,6 +160,6 @@ def render_transition_prompt(
         "<REACTION_POSITION>": json.dumps(tokens),
         "<REACTION_NAME>": json.dumps(reaction_name) if reaction_name else "null",
         "<PRODUCT_SMILES>": json.dumps(canonical_smiles(product, include_maps=True)),
-        "<TRAIN_REACTION_EXAMPLES>": json.dumps(list(library.examples), indent=2),
+        "<TRAIN_REACTION_EXAMPLES>": json.dumps(list(examples), indent=2),
     }
-    return _render(template, values, example_count=len(library.examples))
+    return _render(template, values, example_count=len(examples))

@@ -55,7 +55,7 @@ def read_jsonl(path: Path | str) -> list[dict]:
                 continue
             try:
                 row = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path}:{number}: not JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise ValueError(f"{path}:{number}: not a JSON object")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -185,7 +187,8 @@ def pipeline(tmp_path):
     return paths
 
 
-def seed_position(paths) -> None:
+def seed_position(paths, texts=(("e1", POSITION_TEXT_E1), ("e2", POSITION_TEXT_E2))) -> dict[str, str]:
+    """Plant each ``(id, reply)`` of ``texts``; returns the digests by id."""
     records, _ = ingest_dataset(paths["eval"])
     by_id = {r.record_id: r for r in records}
     ontology_data = json.loads(paths["ontology"].read_text())
@@ -194,9 +197,11 @@ def seed_position(paths) -> None:
     ontology = Ontology.from_json_obj(ontology_data["entries"], ontology_data["source_split"])
     template = load_template("position")
     cfg = model_config()
-    for rid, text in (("e1", POSITION_TEXT_E1), ("e2", POSITION_TEXT_E2)):
+    digests = {}
+    for rid, text in texts:
         prompt = render_position_prompt(by_id[rid].product, ontology, template)
-        seed_cache(paths["cache"], prompt, cfg, text)
+        digests[rid] = seed_cache(paths["cache"], prompt, cfg, text)
+    return digests
 
 
 def seed_transition(paths) -> None:
@@ -209,8 +214,8 @@ def seed_transition(paths) -> None:
     for rid, text in (("e1", TRANSITION_TEXT_E1), ("e2", TRANSITION_TEXT_E2)):
         record = by_id[rid]
         s = AtomMapSet.of(record.extra["label_maps"])
-        library = sample_examples(train_records, record.reaction_name, rid, 5, 0)
-        prompt = render_transition_prompt(record.product, s, record.reaction_name, library, "full", template)
+        examples = sample_examples(train_records, record.reaction_name, rid, 5, 0)
+        prompt = render_transition_prompt(record.product, s, record.reaction_name, examples, "full", template)
         seed_cache(paths["cache"], prompt, cfg, text)
 
 
@@ -545,11 +550,8 @@ class TestRunTransition:
         records, _ = ingest_dataset(pipeline["eval"])
         record = next(r for r in records if r.record_id == "e1")
         s = AtomMapSet.of(record.extra["label_maps"])
-        from retroanchor.datasets import ExampleLibrary
-
-        library = ExampleLibrary(reaction_name=record.reaction_name, examples=(), seed=7)
         prompt = render_transition_prompt(
-            record.product, s, record.reaction_name, library, "short", load_template("transition_short")
+            record.product, s, record.reaction_name, (), "short", load_template("transition_short")
         )
         seed_cache(pipeline["cache"], prompt, model_config(), TRANSITION_TEXT_E1)
 
@@ -573,6 +575,219 @@ class TestRunTransition:
         by_id = {r["id"]: r for r in rows}
         assert by_id["e1"]["status"] == "ok"
         assert by_id["e1"]["example_count"] == 0
+
+    def test_negative_examples_k_exits_1(self, pipeline, capsys):
+        out, cache = pipeline["root"] / "r", pipeline["root"] / "c"
+        code = main(
+            [
+                "run-transition",
+                "--input", str(pipeline["eval"]),
+                "--train", str(pipeline["labeled"]),
+                "--output", str(out),
+                "--model", "test-model",
+                "--cache-dir", str(cache),
+                "--examples-k", "-1",
+            ]
+        )
+        assert code == 1
+        assert "--examples-k must be at least 0" in capsys.readouterr().err
+        assert not out.exists() and not cache.exists()
+
+
+MODEL_RECORD = {
+    "api_key_env": "RETROANCHOR_API_KEY",
+    "backoff_s": 1.0,
+    "endpoint": "",
+    "extensions": {},
+    "max_attempts": 4,
+    "max_output_tokens": 8192,
+    "model_id": "test-model",
+    "temperature": None,
+    "thinking_budget": None,
+    "timeout_s": 120.0,
+    "top_p": None,
+}
+
+
+class TestRunConfig:
+    """``config.json`` records every key of a run, with the keys only the
+    other stage sets as null; a missing path or a bad flag exits 1 before
+    anything is written."""
+
+    @staticmethod
+    def _config(out, root) -> dict:
+        config = json.loads((out / "config.json").read_text())
+        prefix = f"{root}/"
+        return {k: v.removeprefix(prefix) if isinstance(v, str) else v for k, v in config.items()}
+
+    def test_position_config_pinned(self, pipeline):
+        seed_position(pipeline)
+        assert self._config(run_position(pipeline), pipeline["root"]) == {
+            "backend": "replay",
+            "cache_dir": "cache",
+            "examples_k": None,
+            "ingest_rejects": 0,
+            "input": "eval.jsonl",
+            "model": MODEL_RECORD,
+            "ontology": "ontology.json",
+            "ontology_sha256": "45cf8d9471f2d907ea7d78157bdd5927390b8c7d350adcf941d7506bbc96acc8",
+            "ontology_size": 3,
+            "output_dir": "run_pos",
+            "parallelism": 4,
+            "prompt_variant": None,
+            "seed": None,
+            "stage": "position",
+            "template_digest": TEMPLATE_DIGESTS["position"],
+            "template_name": "position",
+            "train": None,
+        }
+
+    def test_transition_config_pinned(self, pipeline):
+        seed_transition(pipeline)
+        assert self._config(run_transition(pipeline), pipeline["root"]) == {
+            "backend": "replay",
+            "cache_dir": "cache",
+            "examples_k": 5,
+            "ingest_rejects": 0,
+            "input": "eval.jsonl",
+            "model": MODEL_RECORD,
+            "ontology": None,
+            "output_dir": "run_trans",
+            "parallelism": 4,
+            "prompt_variant": "full",
+            "seed": 0,
+            "stage": "transition",
+            "template_digest": TEMPLATE_DIGESTS["transition"],
+            "template_name": "transition",
+            "train": "labeled.jsonl",
+            "train_ingest_rejects": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "stage, flag, value",
+        [
+            ("run-position", "--input", "missing.jsonl"),
+            ("run-position", "--ontology", "missing.json"),
+            ("run-position", "--parallelism", "0"),
+            ("run-transition", "--input", "missing.jsonl"),
+            ("run-transition", "--train", "missing.jsonl"),
+            ("run-transition", "--parallelism", "0"),
+        ],
+    )
+    def test_bad_path_or_parallelism_exits_1(self, pipeline, capsys, stage, flag, value):
+        root = pipeline["root"]
+        out, cache = root / "r", root / "c"
+        flags = {"--input": str(pipeline["eval"])}
+        if stage == "run-position":
+            flags["--ontology"] = str(pipeline["ontology"])
+        else:
+            flags["--train"] = str(pipeline["labeled"])
+        flags[flag] = value if flag == "--parallelism" else str(root / value)
+        argv = [stage, *(item for pair in flags.items() for item in pair)]
+        code = main(argv + ["--output", str(out), "--model", "m", "--cache-dir", str(cache)])
+        assert code == 1
+        assert (flag if flag == "--parallelism" else flags[flag]) in capsys.readouterr().err
+        assert not out.exists() and not cache.exists()
+
+
+# Valid JSON nested past the interpreter's recursion limit, where ``json``
+# raises RecursionError rather than ValueError.
+TOO_DEEP = "[" * 5000 + "]" * 5000
+
+
+def _deep_reply(paths, monkeypatch) -> str:
+    seed_position(paths, texts=(("e1", 'Sure: {"disconnections": ' + TOO_DEEP + "}"),))
+    return _outcome(run_position(paths), "e1")["failure_class"]
+
+
+def _deep_cache_file(paths, monkeypatch) -> str:
+    digests = seed_position(paths)
+    (paths["cache"] / f"{digests['e1']}.json").write_text(TOO_DEEP)
+    return _outcome(run_position(paths), "e1")["failure_kind"]
+
+
+def _deep_live_body(paths, monkeypatch) -> str:
+    import requests
+
+    def post(self, url, **kwargs):
+        response = requests.Response()
+        response.status_code, response._content = 200, TOO_DEEP.encode()
+        return response
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    monkeypatch.setenv("RETROANCHOR_API_KEY", "k")
+    out = paths["root"] / "live"
+    code = main(
+        [
+            "run-position",
+            "--input", str(paths["eval"]),
+            "--ontology", str(paths["ontology"]),
+            "--output", str(out),
+            "--model", "test-model",
+            "--backend", "live",
+            "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
+        ]
+    )
+    assert code == 0
+    return _outcome(out, "e1")["failure_kind"]
+
+
+def _deep_input_line(paths, monkeypatch) -> str:
+    with open(paths["eval"], "a") as handle:
+        handle.write(TOO_DEEP + "\n")
+    return _exit_1(["run-position", "--input", str(paths["eval"]), "--ontology", str(paths["ontology"]),
+                    "--output", str(paths["root"] / "r"), "--model", "m"])
+
+
+def _deep_outcome_line(paths, monkeypatch) -> str:
+    seed_position(paths)
+    out = run_position(paths)
+    with open(out / "outcomes.jsonl", "a") as handle:
+        handle.write(TOO_DEEP + "\n")
+    return _exit_1(["evaluate", "--run", str(out), "--input", str(paths["eval"])])
+
+
+def _deep_ontology(paths, monkeypatch) -> str:
+    paths["ontology"].write_text(TOO_DEEP)
+    return _exit_1(["run-position", "--input", str(paths["eval"]), "--ontology", str(paths["ontology"]),
+                    "--output", str(paths["root"] / "r"), "--model", "m"])
+
+
+def _deep_run_config(paths, monkeypatch) -> str:
+    seed_position(paths)
+    out = run_position(paths)
+    (out / "config.json").write_text(TOO_DEEP)
+    return _exit_1(["evaluate", "--run", str(out), "--input", str(paths["eval"])])
+
+
+def _outcome(out, rid: str) -> dict:
+    return {row["id"]: row for row in read_jsonl(out / "outcomes.jsonl")}[rid]
+
+
+def _exit_1(argv) -> str:
+    """Runs ``argv``, which must exit 1; returns what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    return err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "plant, expected",
+    [
+        pytest.param(_deep_reply, "no_json", id="reply"),
+        pytest.param(_deep_cache_file, "cache_corrupt", id="cache-file"),
+        pytest.param(_deep_live_body, "malformed_response", id="live-body"),
+        pytest.param(_deep_input_line, "eval.jsonl:4: not JSON", id="input-line"),
+        pytest.param(_deep_outcome_line, "outcomes.jsonl:4: not JSON", id="outcome-line"),
+        pytest.param(_deep_ontology, "error: cannot read ontology", id="ontology"),
+        pytest.param(_deep_run_config, "error: cannot read run", id="run-config"),
+    ],
+)
+def test_too_deep_json_is_a_classified_fault(pipeline, monkeypatch, plant, expected):
+    """Each place that decodes JSON turns nesting past the recursion limit
+    into its own failure kind or into exit 1 with a message."""
+    assert expected in plant(pipeline, monkeypatch)
 
 
 def _insert_eval_rows(paths, extra_rows: dict[int, dict]) -> None:

@@ -290,22 +290,22 @@ class TestExamples:
         assert retro_example_text(record) == "CCOC>>OCC.CBr"
 
     def test_pool_filters_split_name_and_query(self):
-        library = sample_examples(
+        examples = sample_examples(
             self._library_records(), "Suzuki Coupling", exclude_id="q", k=10, seed=1
         )
-        assert set(library.examples) == {"CC>>CB(O)O.CBr", "CCOC>>OCC.CBr"}
+        assert set(examples) == {"CC>>CB(O)O.CBr", "CCOC>>OCC.CBr"}
 
     def test_k_limits_count(self):
-        library = sample_examples(
+        examples = sample_examples(
             self._library_records(), "Suzuki coupling", exclude_id="q", k=1, seed=1
         )
-        assert len(library.examples) == 1
+        assert len(examples) == 1
 
     def test_k_zero_yields_empty(self):
-        library = sample_examples(
+        examples = sample_examples(
             self._library_records(), "Suzuki coupling", exclude_id="q", k=0, seed=1
         )
-        assert library.examples == ()
+        assert examples == ()
 
     def test_deterministic_under_seed(self):
         records = [
@@ -314,14 +314,14 @@ class TestExamples:
         ]
         first = sample_examples(records, "Suzuki coupling", "none", k=3, seed=7)
         second = sample_examples(records, "Suzuki coupling", "none", k=3, seed=7)
-        assert first.examples == second.examples
+        assert first == second
 
     def test_maps_survive_in_examples(self):
         records = [
             _record("t1", name="N", smiles="[CH3:1][OH:2].[CH3:3]Br>>[CH3:1][O:2][CH3:3]")
         ]
-        library = sample_examples(records, "N", exclude_id="x", k=1, seed=1)
-        assert library.examples == (
+        examples = sample_examples(records, "N", exclude_id="x", k=1, seed=1)
+        assert examples == (
             "[CH3:1][O:2][CH3:3]>>[CH3:1][OH:2].[CH3:3]Br",
         )
 

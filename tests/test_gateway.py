@@ -260,7 +260,7 @@ class TestRetries:
         gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=lambda _: None)
         failure = gateway.run_batch([_prompt("doomed")], 1)[0]
         assert isinstance(failure, GatewayFailure)
-        assert request_digest(_prompt("doomed"), CFG) not in gateway.cache
+        assert gateway.cache.get(request_digest(_prompt("doomed"), CFG)) is None
 
 
 class TestRunBatch:
@@ -562,7 +562,7 @@ class TestHttpBackend:
         assert isinstance(results[1], GatewayFailure)
         assert (results[1].kind, results[1].attempts) == (MALFORMED_RESPONSE, 1)
         assert len(session.requests) == 3  # never retried
-        assert request_digest(_prompt("b"), cfg) not in gateway.cache
+        assert gateway.cache.get(request_digest(_prompt("b"), cfg)) is None
 
     def test_relative_endpoint_rejected(self):
         with pytest.raises(GatewayError):

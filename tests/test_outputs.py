@@ -93,7 +93,7 @@ class TestParsePositionOutput:
     def test_valid_entry_parsed(self):
         raw = _payload({"disconnection": "C:12 N:14", "reactions": [_reaction()]})
         outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
-        assert not outcome.failed
+        assert outcome.ok
         (candidate,) = outcome.ok
         assert candidate.s.sorted() == [12, 14]
         assert candidate.reaction_name == "Carboxylic acid to amide conversion"
@@ -110,7 +110,7 @@ class TestParsePositionOutput:
 
     def test_no_braces_is_no_json(self):
         outcome = parse_position_output("I cannot help with that.", PRODUCT, ONTOLOGY)
-        assert outcome.failed
+        assert not outcome.ok
         assert outcome.failure_class == NO_JSON
 
     def test_wrong_root_is_schema_violation(self):
@@ -120,7 +120,7 @@ class TestParsePositionOutput:
 
     def test_empty_disconnections_means_all_items_invalid(self):
         outcome = parse_position_output(_payload(), PRODUCT, ONTOLOGY)
-        assert outcome.failed
+        assert not outcome.ok
         assert outcome.failure_class == ALL_ITEMS_INVALID
 
     def test_unresolvable_map_salvages_other_entries(self):
@@ -136,7 +136,7 @@ class TestParsePositionOutput:
     def test_importance_out_of_range_dropped(self):
         raw = _payload({"disconnection": "C:12", "reactions": [_reaction(importance=5)]})
         outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
-        assert outcome.failed
+        assert not outcome.ok
         assert "importance" in outcome.dropped[0]["reason"]
 
     @pytest.mark.parametrize("field", ["importance", "priority"])
@@ -144,13 +144,13 @@ class TestParsePositionOutput:
         # JSON true is no integer, though Python's bool subclasses int.
         raw = _payload({"disconnection": "C:12", "reactions": [_reaction(**{field: True})]})
         outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
-        assert outcome.failed
+        assert not outcome.ok
         assert field in outcome.dropped[0]["reason"]
 
     def test_nonpositive_priority_dropped(self):
         raw = _payload({"disconnection": "C:12", "reactions": [_reaction(priority=0)]})
         outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
-        assert outcome.failed
+        assert not outcome.ok
         assert "priority" in outcome.dropped[0]["reason"]
 
     def test_empty_reaction_list_dropped(self):
@@ -247,7 +247,7 @@ def _group(name="Amide coupling", *permutations):
 class TestParseTransitionOutput:
     def test_valid_permutation_parsed(self):
         raw = _transition_payload(_group("Amide coupling", _permutation(["CC(=O)O", "CN"])))
-        outcome = parse_transition_output(raw, PRODUCT)
+        outcome = parse_transition_output(raw)
         (prediction,) = outcome.ok
         assert len(prediction.reactants) == 2
         assert prediction.is_valid
@@ -263,7 +263,7 @@ class TestParseTransitionOutput:
                 _permutation(["CC(=O)O", "CN"]),
             )
         )
-        outcome = parse_transition_output(raw, PRODUCT)
+        outcome = parse_transition_output(raw)
         assert len(outcome.ok) == 1
         assert "invalid SMILES" in outcome.dropped[0]["reason"]
 
@@ -271,7 +271,7 @@ class TestParseTransitionOutput:
         raw = _transition_payload(
             _group("X", _permutation(["[*]C(=O)O", "[F,Cl,Br,I]C"], is_template=True))
         )
-        outcome = parse_transition_output(raw, PRODUCT)
+        outcome = parse_transition_output(raw)
         (prediction,) = outcome.ok
         assert prediction.is_template
         assert any(a.is_wildcard for a in prediction.reactants[0].atoms)
@@ -281,44 +281,44 @@ class TestParseTransitionOutput:
         raw = _transition_payload(
             _group("X", _permutation(["[*]C(=O)O"], is_template=False))
         )
-        outcome = parse_transition_output(raw, PRODUCT)
-        assert outcome.failed
+        outcome = parse_transition_output(raw)
+        assert not outcome.ok
         assert "wildcard" in outcome.dropped[0]["reason"]
 
     def test_missing_booleans_dropped(self):
         raw = _transition_payload(
             _group("X", {"reactants": ["CC"], "reasoning": "no flags"})
         )
-        outcome = parse_transition_output(raw, PRODUCT)
-        assert outcome.failed
+        outcome = parse_transition_output(raw)
+        assert not outcome.ok
         assert "boolean" in outcome.dropped[0]["reason"]
 
     def test_string_boolean_dropped(self):
         raw = _transition_payload(
             _group("X", _permutation(["CC"], is_valid="true"))
         )
-        outcome = parse_transition_output(raw, PRODUCT)
-        assert outcome.failed
+        outcome = parse_transition_output(raw)
+        assert not outcome.ok
 
     def test_empty_reactants_dropped(self):
         raw = _transition_payload(_group("X", _permutation([])))
-        outcome = parse_transition_output(raw, PRODUCT)
-        assert outcome.failed
+        outcome = parse_transition_output(raw)
+        assert not outcome.ok
         assert "non-empty" in outcome.dropped[0]["reason"]
 
     def test_no_json_and_schema_classes(self):
-        assert parse_transition_output("nope", PRODUCT).failure_class == NO_JSON
-        wrong_root = parse_transition_output('{"analysis": []}', PRODUCT)
+        assert parse_transition_output("nope").failure_class == NO_JSON
+        wrong_root = parse_transition_output('{"analysis": []}')
         assert wrong_root.failure_class == SCHEMA_VIOLATION
 
     def test_all_invalid_class(self):
         raw = _transition_payload(_group("X", _permutation(["CC("])))
-        outcome = parse_transition_output(raw, PRODUCT)
+        outcome = parse_transition_output(raw)
         assert outcome.failure_class == ALL_ITEMS_INVALID
 
     def test_is_valid_false_still_parsed(self):
         raw = _transition_payload(_group("X", _permutation(["CC"], is_valid=False)))
-        outcome = parse_transition_output(raw, PRODUCT)
+        outcome = parse_transition_output(raw)
         assert len(outcome.ok) == 1
         assert outcome.ok[0].is_valid is False
 
@@ -327,7 +327,7 @@ class TestParseTransitionOutput:
             _group("A", _permutation(["CC"])),
             _group("B", _permutation(["CO"]), _permutation(["CN"])),
         )
-        outcome = parse_transition_output(raw, PRODUCT)
+        outcome = parse_transition_output(raw)
         assert [p.reaction_name for p in outcome.ok] == ["A", "B", "B"]
 
 
@@ -339,3 +339,33 @@ class TestParseOutcomeInvariant:
     def test_failure_class_forbidden_when_nonempty(self):
         with pytest.raises(ValueError):
             ParseOutcome(ok=(1,), dropped=(), failure_class=NO_JSON)
+
+
+class TestDeepNesting:
+    """A reply nested past the recursion limit is no JSON, and one decoded
+    just under it is dropped item by item: neither parser raises."""
+
+    def test_too_deep_reply_is_no_json(self):
+        raw = 'Sure: {"disconnections": ' + "[" * 3000
+        assert parse_position_output(raw, PRODUCT, ONTOLOGY).failure_class == NO_JSON
+        assert parse_transition_output(raw).failure_class == NO_JSON
+
+    def test_depth_sweep_never_raises(self):
+        classes = {NO_JSON, SCHEMA_VIOLATION, ALL_ITEMS_INVALID}
+        for depth in range(900, 1101):
+            lists = "[" * depth + "]" * depth
+            objects = f'{{"a": {lists}}}'
+            position_text = json.dumps({"disconnection": "C:12", "reactions": [_reaction()]})
+            transition_text = json.dumps(_permutation(["CC"]))
+            payloads = [
+                f'{{"disconnections": {lists}}}',
+                f'{{"disconnections": [{objects}]}}',
+                f'{{"reaction_analysis": {lists}}}',
+                f'{{"reaction_analysis": [{objects}]}}',
+                f'{{"other": {lists}}}',
+                position_text.replace('"Convergent disconnection of the amide bond."', lists),
+                transition_text.replace('"ok"', lists),
+            ]
+            for raw in payloads:
+                assert parse_position_output(raw, PRODUCT, ONTOLOGY).failure_class in classes | {None}
+                assert parse_transition_output(raw).failure_class in classes | {None}

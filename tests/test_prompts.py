@@ -8,7 +8,7 @@ import json
 import pytest
 
 from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
-from retroanchor.datasets import ExampleLibrary, Ontology, OntologyEntry
+from retroanchor.datasets import Ontology, OntologyEntry
 from retroanchor.prompts import (
     TEMPLATE_DIGESTS,
     TEMPLATE_PLACEHOLDERS,
@@ -23,10 +23,6 @@ def _ontology(*names):
     return Ontology(entries=entries, source_split="train")
 
 
-def _library(*examples, seed=7):
-    return ExampleLibrary(reaction_name="Amide coupling", examples=tuple(examples), seed=seed)
-
-
 MAPPED_PRODUCT = parse_smiles("[CH3:1][C:2](=[O:3])[NH:4][CH3:5]")
 
 
@@ -35,11 +31,11 @@ class TestLoadTemplate:
     def test_shipped_bodies_match_pinned_digests(self, name):
         template = load_template(name)
         assert template.digest == TEMPLATE_DIGESTS[name]
-        assert hashlib.sha256(template.body.encode()).hexdigest() == TEMPLATE_DIGESTS[name]
+        assert hashlib.sha256("".join(template.pieces).encode()).hexdigest() == TEMPLATE_DIGESTS[name]
 
     @pytest.mark.parametrize("name", sorted(TEMPLATE_DIGESTS))
     def test_packaged_body_must_match_pinned_digest(self, name, tmp_path, monkeypatch):
-        body = load_template(name).body
+        body = "".join(load_template(name).pieces)
         monkeypatch.setitem(TEMPLATE_DIGESTS, name, hashlib.sha256(b"edited").hexdigest())
         with pytest.raises(ValueError, match=f"packaged template '{name}' does not match"):
             load_template(name)
@@ -52,7 +48,7 @@ class TestLoadTemplate:
     def test_declared_placeholders_present(self, name):
         template = load_template(name)
         for token in template.placeholders:
-            assert token in template.body
+            assert token in "".join(template.pieces)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown template"):
@@ -64,7 +60,7 @@ class TestLoadTemplate:
         )
         monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(tmp_path))
         template = load_template("position")
-        assert template.body.startswith("custom")
+        assert "".join(template.pieces).startswith("custom")
         assert template.digest != TEMPLATE_DIGESTS["position"]
 
     def test_override_missing_placeholder_rejected(self, tmp_path, monkeypatch):
@@ -91,7 +87,7 @@ class TestLoadTemplate:
             "env <reaction_ontology> <canonicalized_product>"
         )
         monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(tmp_path))
-        assert load_template("position").body.startswith("env")
+        assert "".join(load_template("position").pieces).startswith("env")
 
 
 class TestPositionPrompt:
@@ -149,37 +145,36 @@ class TestTransitionPrompt:
             product,
             AtomMapSet.of({12, 14}),
             "Carboxylic acid to amide conversion",
-            _library(),
+            (),
         )
         assert '"reaction_center_atoms": "C:12 N:14"' in rendered.text
 
     def test_absent_name_renders_null(self):
         rendered = render_transition_prompt(
-            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), None, _library()
+            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), None, ()
         )
         assert '"forward_reaction_name": null' in rendered.text
 
     def test_examples_serialized_as_json_array(self):
-        library = _library("CCO>>CC.O", "CCN>>CC.N")
         rendered = render_transition_prompt(
-            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), "Amide coupling", library
+            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), "Amide coupling", ("CCO>>CC.O", "CCN>>CC.N")
         )
         assert '"CCO>>CC.O"' in rendered.text
         assert rendered.example_count == 2
 
     def test_empty_library_renders_empty_array(self):
         rendered = render_transition_prompt(
-            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), "Amide coupling", _library()
+            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), "Amide coupling", ()
         )
         assert '"retrosynthesis_reaction_examples": []' in rendered.text
         assert rendered.example_count == 0
 
     def test_variants_pick_distinct_templates(self):
         full = render_transition_prompt(
-            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), "n", _library(), variant="full"
+            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), "n", (), variant="full"
         )
         short = render_transition_prompt(
-            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), "n", _library(), variant="short"
+            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), "n", (), variant="short"
         )
         assert full.template_digest == TEMPLATE_DIGESTS["transition"]
         assert short.template_digest == TEMPLATE_DIGESTS["transition_short"]
@@ -187,7 +182,7 @@ class TestTransitionPrompt:
 
     def test_no_declared_placeholder_survives(self):
         rendered = render_transition_prompt(
-            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), None, _library("A>>B")
+            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), None, ("A>>B",)
         )
         for token in TEMPLATE_PLACEHOLDERS["transition"]:
             assert token not in rendered.text
@@ -196,7 +191,7 @@ class TestTransitionPrompt:
     def test_placeholder_in_reaction_name_renders_literally(self, variant):
         name = "Coupling <PRODUCT_SMILES>"
         rendered = render_transition_prompt(
-            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), name, _library(), variant=variant
+            MAPPED_PRODUCT, AtomMapSet.of({2, 4}), name, (), variant=variant
         )
         assert json.dumps(name) in rendered.text
         product = canonical_smiles(MAPPED_PRODUCT, include_maps=True)
@@ -205,20 +200,20 @@ class TestTransitionPrompt:
     def test_unresolvable_map_rejected(self):
         with pytest.raises(ValueError, match="99"):
             render_transition_prompt(
-                MAPPED_PRODUCT, AtomMapSet.of({99}), "n", _library()
+                MAPPED_PRODUCT, AtomMapSet.of({99}), "n", ()
             )
 
     def test_empty_disconnection_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            render_transition_prompt(MAPPED_PRODUCT, AtomMapSet.of(()), "n", _library())
+        with pytest.raises(ValueError, match="empty disconnection set"):
+            render_transition_prompt(MAPPED_PRODUCT, AtomMapSet.of(()), "n", ())
 
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             render_transition_prompt(
-                MAPPED_PRODUCT, AtomMapSet.of({2}), "n", _library(), variant="tiny"
+                MAPPED_PRODUCT, AtomMapSet.of({2}), "n", (), variant="tiny"
             )
 
     def test_aromatic_tokens_keep_lowercase(self):
         product = parse_smiles("[cH:1]1[cH:2][cH:3][cH:4][cH:5][c:6]1[CH2:7][NH2:8]")
-        rendered = render_transition_prompt(product, AtomMapSet.of({6}), "n", _library())
+        rendered = render_transition_prompt(product, AtomMapSet.of({6}), "n", ())
         assert '"c:6"' in rendered.text

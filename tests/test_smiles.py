@@ -230,6 +230,10 @@ def test_round_trip_random_molecules():
         assert molecules_isomorphic(mol, parse_smiles(rewritten)), rewritten
 
 
+def test_long_chain_writes_without_recursion():
+    assert write_smiles(parse_smiles("C" * 5000)) == "C" * 5000
+
+
 def test_identity_ranks_write_the_default_text():
     """Without ``ranks`` an atom's rank is its index, so passing the
     identity ranks changes nothing; neighbour lists are in bond order, so
