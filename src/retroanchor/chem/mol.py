@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 SINGLE = "single"
 DOUBLE = "double"
 TRIPLE = "triple"
 AROMATIC = "aromatic"
-
-BOND_KINDS = (SINGLE, DOUBLE, TRIPLE, AROMATIC)
 
 # Aromatic bonds contribute 1.5 to each endpoint's bond-order sum, so a
 # matched pair of them counts as three: one pair behaves like one single
@@ -136,9 +134,6 @@ class Bond:
     kind: str = SINGLE
     stereo: str | None = None
 
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
@@ -180,9 +175,6 @@ class Molecule:
             adjacency[b].append((a, bond))
         object.__setattr__(self, "_adjacency", tuple(tuple(row) for row in adjacency))
         object.__setattr__(self, "_bond_lookup", lookup)
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
     def neighbors(self, idx: int) -> tuple[tuple[int, Bond], ...]:
         return self._adjacency[idx]  # type: ignore[attr-defined]
@@ -241,18 +233,6 @@ class AtomMapSet:
 
     def sorted(self) -> list[int]:
         return sorted(self.maps)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sorted())
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-    def __bool__(self) -> bool:
-        return bool(self.maps)
-
-    def __contains__(self, value: int) -> bool:
-        return value in self.maps
 
 
 def position_tokens(molecule: Molecule, maps: AtomMapSet) -> str:

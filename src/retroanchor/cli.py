@@ -88,10 +88,7 @@ def _load_ontology(path: Path) -> Ontology:
     except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read ontology {path}: {exc}") from exc
     try:
-        if isinstance(data, dict):
-            ontology = Ontology.from_json_obj(data["entries"], data.get("source_split", ""))
-        else:
-            ontology = Ontology.from_json_obj(data)
+        ontology = Ontology.from_json_obj(data["entries"], data.get("source_split", ""))
         for entry in ontology.entries:
             _exact(entry.id, str)
             _exact(entry.reaction_class, str)
@@ -276,19 +273,6 @@ def _execute_run(
     return 0
 
 
-def _candidate_row(cand: DisconnectionCandidate) -> dict:
-    return {
-        "s": cand.s.sorted(),
-        "reaction_name": cand.reaction_name,
-        "reaction_class": cand.reaction_class,
-        "in_ontology": cand.in_ontology,
-        "claimed_in_ontology": cand.claimed_in_ontology,
-        "importance": cand.importance,
-        "priority": cand.priority,
-        "rationale": cand.rationale,
-    }
-
-
 def cmd_run_position(args) -> int:
     from retroanchor.outputs import parse_position_output
     from retroanchor.prompts import render_position_prompt
@@ -304,7 +288,7 @@ def cmd_run_position(args) -> int:
 
     def parse(text: str, record: ReactionRecord, prompt: RenderedPrompt):
         parsed = parse_position_output(text, record.product, ontology)
-        return parsed, {"candidates": [_candidate_row(c) for c in parsed.ok]}
+        return parsed, {"candidates": [{**vars(c), "s": c.s.sorted()} for c in parsed.ok]}
 
     config.update(
         template_name=template.name,
@@ -316,15 +300,28 @@ def cmd_run_position(args) -> int:
     return _execute_run(model, config, records, render, parse)
 
 
-def _prediction_row(pred: TransitionPrediction) -> dict:
+def _prediction_rows(parsed: ParseOutcome) -> tuple[ParseOutcome, list[dict]]:
+    """The outcome rows of the parsed predictions, reactants canonical.
+
+    A prediction whose reactants the canonical writer cannot spell (more
+    than 99 ring closures open at once) moves to ``dropped``, like any
+    malformed permutation; the outcome is rebuilt without it.
+    """
     from retroanchor.chem import canonical_smiles
-    return {
-        "reactants": [canonical_smiles(m, include_maps=True) for m in pred.reactants],
-        "is_valid": pred.is_valid,
-        "is_template": pred.is_template,
-        "reaction_name": pred.reaction_name,
-        "reasoning": pred.reasoning,
-    }
+    from retroanchor.outputs import ALL_ITEMS_INVALID, ParseOutcome, _drop
+    ok, rows, dropped = [], [], list(parsed.dropped)
+    for pred in parsed.ok:
+        try:
+            reactants = [canonical_smiles(m, include_maps=True) for m in pred.reactants]
+        except ValueError as exc:
+            entry = {**vars(pred), "reactants": [m.source_text for m in pred.reactants]}
+            dropped.append(_drop(entry, f"reactants cannot be written as canonical SMILES: {exc}"))
+            continue
+        ok.append(pred)
+        rows.append({**vars(pred), "reactants": reactants})
+    if len(ok) < len(parsed.ok):
+        parsed = ParseOutcome(tuple(ok), tuple(dropped), None if ok else ALL_ITEMS_INVALID)
+    return parsed, rows
 
 
 def cmd_run_transition(args) -> int:
@@ -373,11 +370,8 @@ def cmd_run_transition(args) -> int:
         )
 
     def parse(text: str, record: ReactionRecord, prompt: RenderedPrompt):
-        parsed = parse_transition_output(text)
-        return parsed, {
-            "example_count": prompt.example_count,
-            "predictions": [_prediction_row(p) for p in parsed.ok],
-        }
+        parsed, rows = _prediction_rows(parse_transition_output(text))
+        return parsed, {"example_count": prompt.example_count, "predictions": rows}
 
     config.update(
         template_name=template.name,

@@ -386,7 +386,7 @@ def _write_confusion_csv(matrix: dict[str, dict[str, int]], path: Path) -> None:
 
 
 def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ',"\n'):
+    if any(ch in cell for ch in ',"\r\n'):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 

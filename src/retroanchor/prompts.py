@@ -1,6 +1,7 @@
 """Prompt rendering for the disconnection and reactant-prediction stages.
 
-Templates ship as text assets pinned by digest.  Rendering substitutes
+Templates ship as text assets pinned by digest, and only those load;
+each caller passes the template it loaded.  Rendering substitutes
 only the declared placeholders, in one pass, so no value is rescanned;
 every other angle-bracket token is illustrative output-format text.
 """
@@ -9,11 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from retroanchor.chem import AtomMapSet, Molecule, canonical_smiles, position_tokens
 from retroanchor.datasets import Ontology
@@ -42,19 +41,12 @@ TEMPLATE_DIGESTS = {
     "transition_short": "4888cac87ca674c98bef6ae09963c16cbd7905b7ca330f7a1c109ae852f5aa51",
 }
 
-TEMPLATE_DIR_ENV = "RETROANCHOR_TEMPLATE_DIR"
-
-_ALL_PLACEHOLDERS = tuple(
-    sorted({token for tokens in TEMPLATE_PLACEHOLDERS.values() for token in tokens})
-)
-
 
 @dataclass(frozen=True)
 class PromptTemplate:
-    """One named template body with its declared placeholders."""
+    """One named template body, split at its declared placeholders."""
 
     name: str
-    placeholders: tuple[str, ...]
     digest: str
     pieces: tuple[str, ...]  # body split at placeholders: literals at even indices
 
@@ -73,41 +65,21 @@ class RenderedPrompt:
         return "".join(self.parts)
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def load_template(name: str) -> PromptTemplate:
     """Load a template by name from the package assets, which must match
-    TEMPLATE_DIGESTS.
-
-    A directory named by RETROANCHOR_TEMPLATE_DIR swaps in user-provided
-    text without a rebuild; overridden bodies keep their own digest so
-    downstream caching still keys off the real content.
-    """
+    TEMPLATE_DIGESTS."""
     if name not in TEMPLATE_PLACEHOLDERS:
         raise ValueError(f"unknown template {name!r}")
-    directory = os.environ.get(TEMPLATE_DIR_ENV)
-    if directory:
-        body = (Path(directory) / f"{name}.txt").read_text(encoding="utf-8")
-    else:
-        body = (
-            resources.files("retroanchor")
-            .joinpath("templates", f"{name}.txt")
-            .read_text(encoding="utf-8")
-        )
-    digest = _digest(body)
-    if not directory and digest != TEMPLATE_DIGESTS[name]:
+    body = (
+        resources.files("retroanchor")
+        .joinpath("templates", f"{name}.txt")
+        .read_text(encoding="utf-8")
+    )
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    if digest != TEMPLATE_DIGESTS[name]:
         raise ValueError(f"packaged template {name!r} does not match its pinned digest")
-    placeholders = TEMPLATE_PLACEHOLDERS[name]
-    missing = [token for token in placeholders if token not in body]
-    if missing:
-        raise ValueError(f"template {name!r} lacks placeholders: {', '.join(missing)}")
-    foreign = [token for token in _ALL_PLACEHOLDERS if token in body and token not in placeholders]
-    if foreign:
-        raise ValueError(f"template {name!r} holds undeclared placeholders: {', '.join(foreign)}")
-    pieces = re.split("(" + "|".join(map(re.escape, placeholders)) + ")", body)
-    return PromptTemplate(name, placeholders, digest, tuple(pieces))
+    pieces = re.split("(" + "|".join(map(re.escape, TEMPLATE_PLACEHOLDERS[name])) + ")", body)
+    return PromptTemplate(name, digest, tuple(pieces))
 
 
 def _render(template: PromptTemplate, values: dict[str, str], example_count: int) -> RenderedPrompt:
@@ -118,16 +90,14 @@ def _render(template: PromptTemplate, values: dict[str, str], example_count: int
 def render_position_prompt(
     product: Molecule,
     ontology: Ontology,
-    template: PromptTemplate | None = None,
+    template: PromptTemplate,
 ) -> RenderedPrompt:
     """Fill the disconnection-stage prompt for one mapped product."""
     if not product.atom_maps():
         raise ValueError("product has no atom maps")
     if len(ontology) == 0:
         raise ValueError("ontology is empty")
-    if template is None:
-        template = load_template("position")
-    elif template.name != "position":
+    if template.name != "position":
         raise ValueError(f"expected position template, got {template.name!r}")
     values = {
         "<reaction_ontology>": ontology.prompt_block,
@@ -141,8 +111,8 @@ def render_transition_prompt(
     s: AtomMapSet,
     reaction_name: str | None,
     examples: tuple[str, ...],
-    variant: str = "full",
-    template: PromptTemplate | None = None,
+    variant: str,
+    template: PromptTemplate,
 ) -> RenderedPrompt:
     """Fill the reactant-prediction prompt for one disconnection site,
     with ``examples`` as ``sample_examples`` draws them."""
@@ -151,9 +121,7 @@ def render_transition_prompt(
     if not s.maps:
         raise ValueError("empty disconnection set")
     name = "transition" if variant == "full" else "transition_short"
-    if template is None:
-        template = load_template(name)
-    elif template.name != name:
+    if template.name != name:
         raise ValueError(f"expected {name} template, got {template.name!r}")
     tokens = position_tokens(product, s)
     values = {

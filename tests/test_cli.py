@@ -18,7 +18,6 @@ from retroanchor.datasets import ingest_dataset, parse_reaction_smiles, sample_e
 from retroanchor.gateway import ModelConfig, seed_cache
 from retroanchor.prompts import (
     TEMPLATE_DIGESTS,
-    TEMPLATE_PLACEHOLDERS,
     load_template,
     render_position_prompt,
     render_transition_prompt,
@@ -127,6 +126,9 @@ TRANSITION_TEXT_E2 = json.dumps(
     }
 )
 
+# A [C] bonded to every atom of a 101-carbon chain.
+HUB_SMILES = "[C](C1)" + "".join("(C21)" if i % 2 else "(C12)" for i in range(99)) + "(C2)"
+
 
 # Marks a field deleted from an outcome row.
 MISSING = "<missing>"
@@ -204,14 +206,14 @@ def seed_position(paths, texts=(("e1", POSITION_TEXT_E1), ("e2", POSITION_TEXT_E
     return digests
 
 
-def seed_transition(paths) -> None:
+def seed_transition(paths, texts=(("e1", TRANSITION_TEXT_E1), ("e2", TRANSITION_TEXT_E2))) -> None:
     records, _ = ingest_dataset(paths["eval"])
     train_records, _ = ingest_dataset(paths["labeled"])
     train_records = [r for r in train_records if r.split == "train"]
     by_id = {r.record_id: r for r in records}
     template = load_template("transition")
     cfg = model_config()
-    for rid, text in (("e1", TRANSITION_TEXT_E1), ("e2", TRANSITION_TEXT_E2)):
+    for rid, text in texts:
         record = by_id[rid]
         s = AtomMapSet.of(record.extra["label_maps"])
         examples = sample_examples(train_records, record.reaction_name, rid, 5, 0)
@@ -453,15 +455,20 @@ class TestRunPosition:
         assert "RETROANCHOR_API_KEY" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "entry",
+        "payload",
         [
-            pytest.param({"id": 5, "class": "1"}, id="id-int"),
-            pytest.param({"id": "Amide coupling", "class": None}, id="class-null"),
+            pytest.param({"source_split": "train", "entries": [{"id": 5, "class": "1"}]}, id="id-int"),
+            pytest.param(
+                {"source_split": "train", "entries": [{"id": "Amide coupling", "class": None}]},
+                id="class-null",
+            ),
+            pytest.param([{"id": "Amide coupling", "class": "Acylation"}], id="bare-list"),
         ],
     )
-    def test_malformed_ontology_entry_exits_1(self, pipeline, capsys, entry):
-        """An entry's id and class must be JSON strings."""
-        pipeline["ontology"].write_text(json.dumps({"source_split": "train", "entries": [entry]}))
+    def test_malformed_ontology_entry_exits_1(self, pipeline, capsys, payload):
+        """Entries sit under ``entries`` of the object ``ontology`` writes,
+        and an entry's id and class must be JSON strings."""
+        pipeline["ontology"].write_text(json.dumps(payload))
         code = main(
             [
                 "run-position",
@@ -490,17 +497,10 @@ class TestRunPosition:
 
 class TestTemplateFaults:
     @pytest.mark.parametrize("stage", ["run-position", "run-transition"])
-    @pytest.mark.parametrize("fault", ["digest", "placeholders", "foreign"])
+    @pytest.mark.parametrize("fault", ["digest"])
     def test_unusable_template_exits_1(self, pipeline, capsys, monkeypatch, stage, fault):
         name = stage.removeprefix("run-")
-        if fault == "digest":
-            monkeypatch.setitem(TEMPLATE_DIGESTS, name, "0" * 64)
-        else:
-            body = "no placeholders"
-            if fault == "foreign":  # every declared placeholder plus another template's
-                body = " ".join(TEMPLATE_PLACEHOLDERS[name]) + " <REACTION_NAME><reaction_ontology>"
-            (pipeline["root"] / f"{name}.txt").write_text(body)
-            monkeypatch.setenv("RETROANCHOR_TEMPLATE_DIR", str(pipeline["root"]))
+        monkeypatch.setitem(TEMPLATE_DIGESTS, name, "0" * 64)
         inputs = (
             ["--ontology", str(pipeline["ontology"])]
             if stage == "run-position"
@@ -535,6 +535,31 @@ class TestRunTransition:
         assert by_id["e2"]["predictions"][0]["is_valid"] is False
 
         assert by_id["e4"]["status"] == "gateway_failure"
+
+    @pytest.mark.parametrize("with_good", [True, False])
+    def test_unwritable_reactant_is_dropped(self, pipeline, with_good):
+        """A reactant that parses but has no canonical spelling (more than
+        99 ring closures open at once) drops its permutation, not the run."""
+        hub = parse_smiles(HUB_SMILES)
+        assert len(hub.atoms) == 102
+        with pytest.raises(ValueError, match="more than 99"):
+            canonical_smiles(hub, include_maps=True)
+        permutations = [{"reactants": [HUB_SMILES], "is_valid": True, "is_template": False}]
+        if with_good:
+            permutations.append({"reactants": ["CC(=O)O", "CN"], "is_valid": True, "is_template": False})
+        reply = json.dumps(
+            {"reaction_analysis": [{"forward_reaction_name": "n", "reactant_permutations": permutations}]}
+        )
+        seed_transition(pipeline, (("e1", reply),))
+        out = run_transition(pipeline)
+        row = next(r for r in read_jsonl(out / "outcomes.jsonl") if r["id"] == "e1")
+        assert row["status"] == "ok"
+        assert row["n_predictions"] == len(row["predictions"]) == int(with_good)
+        assert row["failure_class"] == (None if with_good else "all_items_invalid")
+        [dropped] = row["dropped"]
+        assert dropped["reason"].startswith("reactants cannot be written as canonical SMILES")
+        assert "more than 99" in dropped["reason"]
+        assert (out / "manifest.jsonl").exists() and (out / "config.json").exists()
 
     def test_config_records_variant_and_seed(self, pipeline):
         seed_transition(pipeline)

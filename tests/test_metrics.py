@@ -532,6 +532,19 @@ class TestWriteReport:
         assert "Acylation" in paths["confusion_class"].read_text()
         assert "partial_match_acc" in paths["summary"].read_text()
 
+    def test_carriage_return_in_model_text_round_trips(self, tmp_path):
+        # The predicted class and name are model text; a bare \r in either
+        # must not split a confusion CSV row.
+        label = ConfusionLabel("Acylation", "Amide coupling", "Acyl\ration", "Amide\rcoupling")
+        report = aggregate([_pscore(True, 1.0, True, True, True)], labels=[label], ids=["ex1"])
+        paths = write_report(report, tmp_path)
+        for key, gt, pred in (
+            ("confusion_class", "Acylation", "Acyl\ration"),
+            ("confusion_name", "Amide coupling", "Amide\rcoupling"),
+        ):
+            with open(paths[key], newline="", encoding="utf-8") as handle:
+                assert list(csv.reader(handle)) == [["gt\\pred", pred], [gt, "1"]]
+
     def test_deterministic_bytes(self, tmp_path):
         first = write_report(self._report(), tmp_path / "a")
         second = write_report(self._report(), tmp_path / "b")

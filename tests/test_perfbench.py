@@ -1,12 +1,13 @@
 """The program API that ``perfbench/run.py`` calls during set-up:
 ``ingest_dataset``, ``sample_examples``, ``render_*_prompt``,
-``load_template``, ``Ontology.from_json_obj`` and ``seed_cache``.  The
-benchmark is frozen, so a change to one of those shapes fails here
-instead of in the benchmark.  Only ``setup`` runs; no stage process and
-no stub is started."""
+``load_template``, ``Ontology.from_json_obj`` and ``seed_cache``, and
+the names ``perfbench/tracer.py`` wraps.  The benchmark is frozen, so a
+change to one of those shapes fails here instead of in the benchmark.
+Only ``setup`` runs; no stage process and no stub is started."""
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import json
 import sys
@@ -27,6 +28,23 @@ def bench():
     finally:
         sys.path[:] = path
     return module
+
+
+def test_tracer_targets_resolve():
+    """Every name the traced run wraps exists where ``Tracer.install``
+    looks for it, so a deleted or renamed one fails here too.  The
+    tracer is not installed: only its target table is read."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _metric, module_name, attribute, _count_only in tracer.TARGETS:
+        module = importlib.import_module(module_name)
+        owner_name, _, method = attribute.rpartition(".")
+        if owner_name:
+            target = vars(getattr(module, owner_name)).get(method)
+        else:
+            target = getattr(module, attribute, None)
+        assert callable(target), f"{module_name}.{attribute}"
 
 
 def test_live_setup_fills_the_stub_table(bench, tmp_path):
