@@ -474,7 +474,10 @@ def cmd_evaluate(args) -> int:
 
     def score_transition_row(row: dict, record: ReactionRecord):
         preds = _items_from_row(row, "predictions", _prediction)
-        return score_transition(preds, list(record.reactants), ignore_stereo=args.ignore_stereo), None
+        try:
+            return score_transition(preds, list(record.reactants), ignore_stereo=args.ignore_stereo), None
+        except ValueError as exc:  # a reactant with no canonical spelling
+            raise CliError(f"example {record.record_id}: {exc}") from exc
 
     score_row = score_position_row if stage == "position" else score_transition_row
     scores: list = []

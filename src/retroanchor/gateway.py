@@ -11,17 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from retroanchor.prompts import RenderedPrompt
 from retroanchor.utils import atomic_write_text, stable_json_dumps
-
-if TYPE_CHECKING:
-    import requests
 
 AUTH_FAILURE = "auth_failure"
 CACHE_CORRUPT = "cache_corrupt"
@@ -43,6 +40,10 @@ class GatewayError(Exception):
 
 class TransientBackendError(Exception):
     """Timeout, rate limit, or server fault worth retrying."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 @dataclass(frozen=True)
@@ -172,24 +173,58 @@ class CompletionCache:
         atomic_write_text(self._path(digest), stable_json_dumps(entry))
 
 
+RETRY_AFTER_CAP_S = 60.0  # the longest Retry-After delay honoured
+
+
+def _retry_after(response) -> float | None:
+    """The capped delay a 429 or 503 reply asks for (RFC 9110 §10.2.3), in
+    delta-seconds or as an HTTP-date; None if it names none we can read."""
+    from email.utils import parsedate_to_datetime
+    value = response.getheader("Retry-After", "") if response.status in (429, 503) else ""
+    try:
+        if value.strip().isdigit():
+            return min(float(value), RETRY_AFTER_CAP_S)
+        delay = parsedate_to_datetime(value).timestamp() - time.time()
+    except ValueError:
+        return None
+    return min(max(delay, 0.0), RETRY_AFTER_CAP_S)
+
+
 class HttpBackend:
-    """OpenAI-style chat-completions over HTTPS.
+    """OpenAI-style chat-completions over stdlib ``http.client``, with one
+    keep-alive connection per sending thread (RFC 9112 §9) until ``close``.
+    The HTTP modules are imported here, not at module level, so that stages
+    which never send a request (replay runs, evaluation) skip them."""
 
-    ``requests`` is imported here, not at module level, so that stages
-    which never send a request (replay runs, evaluation) skip its import.
-    """
-
-    def __init__(self, cfg: ModelConfig, session: requests.Session | None = None):
-        import requests
-
-        if not (cfg.endpoint.startswith("http://") or cfg.endpoint.startswith("https://")):
+    def __init__(self, cfg: ModelConfig):
+        import http.client
+        from urllib.parse import urlsplit, urlunsplit
+        from urllib.request import getproxies, proxy_bypass
+        url = urlsplit(cfg.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
             raise GatewayError(REQUEST_REJECTED, f"endpoint must be absolute: {cfg.endpoint!r}")
         self.cfg = cfg
-        self.session = session or requests.Session()
+        self._connections: dict[int, http.client.HTTPConnection] = {}
+        # A proxy from HTTP(S)_PROXY, ALL_PROXY and NO_PROXY relays plain HTTP
+        # by absolute URL and tunnels HTTPS through CONNECT.
+        proxies = {} if proxy_bypass(url.netloc) else getproxies()
+        proxy = proxies.get(url.scheme) or proxies.get("all")
+        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}") if proxy else None
+        https = url.scheme == "https"
+        path = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._target = cfg.endpoint if via and not https else path
+        self._tunnel = (url.hostname, url.port) if via and https else None
+        host, port = (via.hostname, via.port or 80) if via else (url.hostname, url.port)
+        kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._dial = lambda: kind(host, port, timeout=cfg.timeout_s)
+
+    def close(self) -> None:
+        """Close every thread's connection; a later send dials again."""
+        while self._connections:
+            self._connections.popitem()[1].close()
 
     def send(self, text: str) -> BackendResult:
-        import requests
-
+        import http.client
         api_key = os.environ.get(self.cfg.api_key_env, "")
         if not api_key:
             raise GatewayError(
@@ -198,41 +233,49 @@ class HttpBackend:
         params = self.cfg.sampling_params()
         extensions = params.pop("extensions", {})
         # Extensions go last so that they win a key clash.
-        payload = {
+        payload = json.dumps({
             "model": self.cfg.model_id,
             "messages": [{"role": "user", "content": text}],
             "max_tokens": params.pop("max_output_tokens"),
             **params,
             **extensions,
-        }
+        }).encode()
+        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        connection = self._connections.get(threading.get_ident())
+        if connection is None:
+            connection = self._connections[threading.get_ident()] = self._dial()
+            if self._tunnel:
+                connection.set_tunnel(*self._tunnel)
         try:
-            response = self.session.post(
-                self.cfg.endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.cfg.timeout_s,
-            )
-        except requests.Timeout as exc:
-            raise TransientBackendError(f"timeout: {exc}") from exc
-        except requests.ConnectionError as exc:
-            raise TransientBackendError(f"connection error: {exc}") from exc
+            for redial in (connection.sock is not None, False):
+                try:
+                    connection.request("POST", self._target, payload, headers)
+                    response = connection.getresponse()
+                    break
+                except (BrokenPipeError, ConnectionResetError):
+                    connection.close()  # closed by the server while idle: dial again, once
+                    if not redial:
+                        raise
+            status, raw = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:  # TimeoutError included
+            connection.close()
+            raise TransientBackendError(f"connection error: {exc!r}") from exc
 
-        if response.status_code in (401, 403):
-            raise GatewayError(AUTH_FAILURE, f"authentication rejected ({response.status_code})")
-        if response.status_code == 413:
+        reply = raw.decode("utf-8", "replace")
+        if status in (401, 403):
+            raise GatewayError(AUTH_FAILURE, f"authentication rejected ({status})")
+        if status == 413:
             raise GatewayError(CONTEXT_LENGTH, "request body too large")
-        if response.status_code == 400 and "context" in response.text.lower():
-            raise GatewayError(CONTEXT_LENGTH, response.text[:500])
-        if response.status_code in (408, 429) or response.status_code >= 500:
-            raise TransientBackendError(f"status {response.status_code}")
-        if response.status_code != 200:
-            raise GatewayError(
-                REQUEST_REJECTED, f"status {response.status_code}: {response.text[:500]}"
-            )
+        if status == 400 and "context" in reply.lower():
+            raise GatewayError(CONTEXT_LENGTH, reply[:500])
+        if status in (408, 429) or status >= 500:
+            raise TransientBackendError(f"status {status}", _retry_after(response))
+        if status != 200:
+            raise GatewayError(REQUEST_REJECTED, f"status {status}: {reply[:500]}")
 
         # A reply without text is not worth a retry: the endpoint answered.
         try:
-            body = response.json()
+            body = json.loads(raw)
             choice = body["choices"][0]
             text = choice["message"]["content"]
         except (ValueError, LookupError, TypeError, RecursionError) as exc:
@@ -291,7 +334,8 @@ class Gateway:
                     )
                     error.attempts = attempts
                     raise error from exc
-                self._sleep(self.cfg.backoff_s * (2 ** (attempts - 1)))
+                step = self.cfg.backoff_s * (2 ** (attempts - 1))
+                self._sleep(step if exc.retry_after is None else exc.retry_after)
                 continue
             except GatewayError as exc:
                 exc.attempts = attempts
@@ -323,8 +367,12 @@ class Gateway:
                     request_digest=digest, kind=exc.kind, message=str(exc), attempts=exc.attempts
                 )
 
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            return list(pool.map(one, prompts))
+        try:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                return list(pool.map(one, prompts))
+        finally:
+            if isinstance(self.backend, HttpBackend):
+                self.backend.close()
 
 
 def _cache_entry(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from loopback import ChatServer, chat_body, without_proxies
 
 from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
 from retroanchor.cli import main
@@ -252,6 +255,28 @@ def run_transition(paths, out_name="run_trans") -> "Path":
         ]
     )
     assert code == 0
+    return out
+
+
+def live_argv(paths, stage: str, endpoint: str, out) -> list[str]:
+    """A live run stage sending to ``endpoint`` with two workers; its cache
+    is ``<out>/cache``.  A later flag overrides one of these."""
+    source = ["--ontology", str(paths["ontology"])] if stage == "position" else ["--train", str(paths["labeled"])]
+    return [
+        f"run-{stage}",
+        "--input", str(paths["eval"]),
+        *source,
+        "--output", str(out),
+        "--model", "test-model",
+        "--backend", "live",
+        "--endpoint", endpoint,
+        "--parallelism", "2",
+    ]
+
+
+def run_live(paths, stage: str, endpoint: str, out_name: str) -> Path:
+    out = paths["root"] / out_name
+    assert main(live_argv(paths, stage, endpoint, out)) == 0
     return out
 
 
@@ -732,28 +757,10 @@ def _deep_cache_file(paths, monkeypatch) -> str:
 
 
 def _deep_live_body(paths, monkeypatch) -> str:
-    import requests
-
-    def post(self, url, **kwargs):
-        response = requests.Response()
-        response.status_code, response._content = 200, TOO_DEEP.encode()
-        return response
-
-    monkeypatch.setattr(requests.Session, "post", post)
+    without_proxies(monkeypatch)
     monkeypatch.setenv("RETROANCHOR_API_KEY", "k")
-    out = paths["root"] / "live"
-    code = main(
-        [
-            "run-position",
-            "--input", str(paths["eval"]),
-            "--ontology", str(paths["ontology"]),
-            "--output", str(out),
-            "--model", "test-model",
-            "--backend", "live",
-            "--endpoint", "http://127.0.0.1:9/v1/chat/completions",
-        ]
-    )
-    assert code == 0
+    with ChatServer(lambda request: (200, TOO_DEEP.encode(), {})) as server:
+        out = run_live(paths, "position", server.endpoint, "live")
     return _outcome(out, "e1")["failure_kind"]
 
 
@@ -1100,6 +1107,22 @@ class TestEvaluate:
         assert report["counts"]["failed_predictions"] == 1
         assert report["counts"]["total_predictions"] == 2
 
+    def test_truth_reactant_without_canonical_spelling_exits_1(self, pipeline, capsys):
+        """A ground-truth reactant that parses but has no canonical spelling
+        (more than 99 ring closures open at once) exits 1 naming its example."""
+        seed_transition(pipeline)
+        run_dir = run_transition(pipeline)
+        rows = read_jsonl(pipeline["eval"])
+        for row in rows:
+            if row["id"] == "e1":
+                reactants, product = row["reaction_smiles"].split(">>")
+                row["reaction_smiles"] = f"{reactants}.{HUB_SMILES}>>{product}"
+        truth = pipeline["root"] / "truth.jsonl"
+        write_jsonl(truth, rows)
+        assert main(["evaluate", "--run", str(run_dir), "--input", str(truth)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: example e1: more than 99 simultaneously open ring closures")
+
     def test_not_a_run_dir_errors(self, pipeline, capsys):
         code = main(
             ["evaluate", "--run", str(pipeline["root"]), "--input", str(pipeline["eval"])]
@@ -1307,16 +1330,22 @@ STAGE_LAYERS = {
     "subsample": ("datasets", "utils"),
     "label": ("datasets", "utils", *_CHEM, "labels"),
     "evaluate": ("datasets", "utils", *_CHEM, "metrics", "outputs"),
+    "run-position": ("datasets", "utils", *_CHEM, "gateway", "outputs", "prompts"),
 }
+
+# Modules that only a live run's HTTP backend needs.
+HTTP_MODULES = ("requests", "http.client", "urllib.request")
 
 
 @pytest.mark.parametrize("stage", sorted(STAGE_LAYERS))
 def test_import_leaves_requests_unloaded(pipeline, stage):
     """A stage process imports only the layers its subcommand calls: no
-    stage here loads requests, the gateway's thread pool or the prompts."""
+    stage here loads HTTP code, and only the run stage, in replay, loads
+    the gateway's thread pool and the prompts."""
     root = pipeline["root"]
-    if stage == "evaluate":
+    if stage in ("evaluate", "run-position"):
         seed_position(pipeline)
+    if stage == "evaluate":
         run_position(pipeline)
     argv = {
         "--help": ["--help"],
@@ -1325,6 +1354,9 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
                      "--output", str(root / "o.json")],
         "subsample": ["subsample", "--input", str(pipeline["labeled"]), "--output", str(root / "e.jsonl")],
         "evaluate": ["evaluate", "--run", str(root / "run_pos"), "--input", str(pipeline["eval"])],
+        "run-position": ["run-position", "--input", str(pipeline["eval"]), "--ontology", str(pipeline["ontology"]),
+                         "--output", str(root / "r"), "--model", "test-model", "--backend", "replay",
+                         "--cache-dir", str(pipeline["cache"])],
     }[stage]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -1333,7 +1365,7 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
         "import json, sys\n"
         "from retroanchor.cli import main\n"
         "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-        "names = [m for m in sys.modules if m.startswith('retroanchor') or m in ('concurrent.futures', 'requests')]\n"
+        f"names = [m for m in sys.modules if m.startswith('retroanchor') or m in {('concurrent.futures', *HTTP_MODULES)}]\n"
         "print(json.dumps({'code': code, 'modules': sorted(names)}))"
     )
     result = subprocess.run(
@@ -1341,7 +1373,109 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
     )
     loaded = json.loads(result.stdout.splitlines()[-1])
     assert loaded["code"] == 0
-    assert "requests" not in loaded["modules"]
-    assert "concurrent.futures" not in loaded["modules"]
-    expected = ["retroanchor", "retroanchor.cli", *(f"retroanchor.{m}" for m in STAGE_LAYERS[stage])]
+    assert not set(HTTP_MODULES) & set(loaded["modules"])
+    assert ("concurrent.futures" in loaded["modules"]) == (stage == "run-position")
+    expected = [
+        "retroanchor", "retroanchor.cli", *(f"retroanchor.{m}" for m in STAGE_LAYERS[stage]),
+        *(["concurrent.futures"] if stage == "run-position" else []),
+    ]
     assert loaded["modules"] == sorted(expected)
+
+
+def test_package_imports_only_stdlib():
+    """Every import under ``src/`` names the standard library or the
+    package itself, and the package declares no runtime dependency."""
+    root = Path(__file__).resolve().parent.parent
+    foreign = []
+    for path in sorted((root / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            top = {name.partition(".")[0] for name in names}
+            foreign += [f"{path.name}: {name}" for name in sorted(top - {"retroanchor"}) if name not in sys.stdlib_module_names]
+    assert foreign == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["dependencies"] == []
+
+
+# Replies the loopback server gives each run stage: one ok answer apiece.
+LIVE_REPLIES = {"position": POSITION_TEXT_E1, "transition": TRANSITION_TEXT_E1}
+
+
+class TestLiveLoopback:
+    """Live run stages against an in-process chat-completions server."""
+
+    @pytest.fixture(autouse=True)
+    def live_env(self, monkeypatch):
+        without_proxies(monkeypatch)
+        monkeypatch.setenv("RETROANCHOR_API_KEY", "k")
+
+    def _server(self, stage: str, **kwargs) -> ChatServer:
+        return ChatServer(lambda request: (200, chat_body(LIVE_REPLIES[stage]), {}), **kwargs)
+
+    @pytest.mark.parametrize("stage", ["position", "transition"])
+    @pytest.mark.parametrize("drop_after_reply", [False, True], ids=["keep-alive", "server-closes"])
+    def test_live_run_then_replay(self, pipeline, stage, drop_after_reply):
+        """Two workers hold at most two connections; a server that closes
+        each one after its reply costs no attempt; a replay of the cache
+        reproduces the outcomes byte for byte and sends nothing."""
+        with self._server(stage, drop_after_reply=drop_after_reply) as server:
+            out = run_live(pipeline, stage, server.endpoint, "live")
+            replay = pipeline["root"] / "replay"
+            argv = [*live_argv(pipeline, stage, server.endpoint, replay), "--backend", "replay",
+                    "--cache-dir", str(out / "cache")]
+            sent = len(server.requests)
+            assert main(argv) == 0
+        manifest = read_jsonl(out / "manifest.jsonl")
+        assert sent == len(manifest) == len(server.requests) >= 2
+        assert [(m["outcome"], m["attempts"]) for m in manifest] == [("ok", 1)] * sent
+        if drop_after_reply:
+            assert server.connections == sent
+        else:
+            assert server.connections <= 2
+        assert any(row.get("n_predictions") for row in read_jsonl(out / "outcomes.jsonl"))
+        assert (replay / "outcomes.jsonl").read_bytes() == (out / "outcomes.jsonl").read_bytes()
+        assert {m["outcome"] for m in read_jsonl(replay / "manifest.jsonl")} == {"cache_hit"}
+
+    def test_http_proxy_relays_the_run(self, pipeline, monkeypatch):
+        endpoint = "http://127.0.0.2:9/v1/chat/completions"  # reached only through the proxy
+        with self._server("position") as proxy:
+            monkeypatch.setenv("HTTP_PROXY", proxy.base)
+            out = run_live(pipeline, "position", endpoint, "live")
+        assert {request["path"] for request in proxy.requests} == {endpoint}
+        assert len(proxy.requests) == len(read_jsonl(out / "manifest.jsonl"))
+
+    def test_no_proxy_bypasses_the_proxy(self, pipeline, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # refuses every connection
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        with self._server("position") as server:
+            out = run_live(pipeline, "position", server.endpoint, "live")
+        manifest = read_jsonl(out / "manifest.jsonl")
+        assert {m["outcome"] for m in manifest} == {"ok"}
+        assert {request["path"] for request in server.requests} == {"/v1/chat/completions"}
+
+    def test_live_run_without_requests_installed(self, pipeline):
+        """A live run completes in a process where ``import requests`` fails."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, RETROANCHOR_API_KEY="k")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys\n"
+            "sys.modules['requests'] = None  # any import of it raises ImportError\n"
+            "from retroanchor.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        out = pipeline["root"] / "live"
+        with self._server("transition") as server:
+            argv = live_argv(pipeline, "transition", server.endpoint, out)
+            result = subprocess.run(
+                [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=120
+            )
+        assert result.returncode == 0, result.stderr
+        manifest = read_jsonl(out / "manifest.jsonl")
+        assert [m["outcome"] for m in manifest] == ["ok"] * len(server.requests)

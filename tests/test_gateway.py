@@ -5,14 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import socket
 import sys
 import threading
 import time
 
 import pytest
-import requests
 
 from helpers import golden_fixture_dir, run_golden_pipeline
+from loopback import ChatServer, chat_body, without_proxies
 
 import retroanchor.gateway as gateway_module
 from retroanchor.cli import _manifest_row
@@ -418,103 +419,112 @@ class TestDigestPins:
         assert produced == pinned
 
 
-class _FakeResponse:
-    def __init__(self, status_code: int, body: object = None, text: str = ""):
-        self.status_code = status_code
-        self._body = {} if body is None else body
-        self.text = text or json.dumps(self._body)
-
-    def json(self):
-        return self._body
+@pytest.fixture(autouse=True)
+def direct_to_loopback(monkeypatch):
+    without_proxies(monkeypatch)
 
 
-class _FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests: list[dict] = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        step = self.responses.pop(0)
-        if isinstance(step, Exception):
-            raise step
-        return step
+def _http_cfg(endpoint: str, **kwargs) -> ModelConfig:
+    return ModelConfig(model_id="m", endpoint=endpoint, api_key_env="TEST_GATEWAY_KEY", **kwargs)
 
 
-def _http_cfg(**kwargs) -> ModelConfig:
-    return ModelConfig(
-        model_id="m", endpoint="https://api.example.test/v1/chat/completions",
-        api_key_env="TEST_GATEWAY_KEY", **kwargs,
-    )
+def _send_once(respond, monkeypatch, **cfg) -> tuple[ChatServer, BackendResult]:
+    """One send to a loopback server answering with ``respond``; returns
+    the server, with the request it read, and the result."""
+    monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+    with ChatServer(respond) as server:
+        backend = HttpBackend(_http_cfg(server.endpoint, **cfg))
+        try:
+            return server, backend.send("q")
+        finally:
+            backend.close()
+
+
+def _send_error(respond, monkeypatch, **cfg) -> Exception:
+    with pytest.raises((GatewayError, TransientBackendError)) as err:
+        _send_once(respond, monkeypatch, **cfg)
+    return err.value
 
 
 class TestHttpBackend:
-    def _ok_body(self, content="hi"):
-        return {
-            "choices": [{"message": {"content": content}, "finish_reason": "stop"}],
-            "usage": {"prompt_tokens": 10, "completion_tokens": 5},
-        }
-
     def test_success_parses_content_and_usage(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "sk-test")
-        session = _FakeSession([_FakeResponse(200, self._ok_body("answer"))])
-        backend = HttpBackend(_http_cfg(), session=session)
-        result = backend.send("question")
+        with ChatServer([(200, chat_body("answer"), {})]) as server:
+            backend = HttpBackend(_http_cfg(server.endpoint))
+            result = backend.send("question")
+            backend.close()
         assert result.text == "answer"
         assert result.token_usage["completion_tokens"] == 5
-        sent = session.requests[0]
+        [sent] = server.requests
+        assert (sent["method"], sent["path"]) == ("POST", "/v1/chat/completions")
         assert sent["json"]["messages"] == [{"role": "user", "content": "question"}]
         assert sent["headers"]["Authorization"] == "Bearer sk-test"
+        assert sent["headers"]["Content-Type"] == "application/json"
+
+    def test_netrc_entry_leaves_bearer_key(self, monkeypatch, tmp_path):
+        """A ~/.netrc entry for the endpoint host is not read: the key
+        still arrives as a Bearer token, not as Basic auth."""
+        (tmp_path / ".netrc").write_text("machine 127.0.0.1 login user password pw\n")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        server, _ = _send_once(None, monkeypatch)
+        assert server.requests[0]["headers"]["Authorization"] == "Bearer k"
 
     def test_missing_key_is_auth_failure(self, monkeypatch):
         monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)
-        backend = HttpBackend(_http_cfg(), session=_FakeSession([]))
-        with pytest.raises(GatewayError) as err:
-            backend.send("q")
+        with ChatServer() as server:
+            backend = HttpBackend(_http_cfg(server.endpoint))
+            with pytest.raises(GatewayError) as err:
+                backend.send("q")
         assert err.value.kind == AUTH_FAILURE
+        assert server.connections == 0
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_statuses(self, monkeypatch, status):
-        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        backend = HttpBackend(_http_cfg(), session=_FakeSession([_FakeResponse(status)]))
-        with pytest.raises(GatewayError) as err:
-            backend.send("q")
-        assert err.value.kind == AUTH_FAILURE
+        assert _send_error([(status, {}, {})], monkeypatch).kind == AUTH_FAILURE
 
     def test_context_length_statuses(self, monkeypatch):
-        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        for response in (
-            _FakeResponse(413),
-            _FakeResponse(400, text="maximum context length exceeded"),
-        ):
-            backend = HttpBackend(_http_cfg(), session=_FakeSession([response]))
-            with pytest.raises(GatewayError) as err:
-                backend.send("q")
-            assert err.value.kind == CONTEXT_LENGTH
+        for reply in ((413, {}, {}), (400, b"maximum context length exceeded", {})):
+            assert _send_error([reply], monkeypatch).kind == CONTEXT_LENGTH
 
     @pytest.mark.parametrize("status", [408, 429, 500, 503])
     def test_transient_statuses(self, monkeypatch, status):
-        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        backend = HttpBackend(_http_cfg(), session=_FakeSession([_FakeResponse(status)]))
-        with pytest.raises(TransientBackendError):
-            backend.send("q")
+        error = _send_error([(status, {}, {})], monkeypatch)
+        assert isinstance(error, TransientBackendError)
+        assert error.retry_after is None
 
     def test_timeout_is_transient(self, monkeypatch):
+        def slow(request):
+            time.sleep(0.5)
+            return 200, chat_body(), {}
+
+        error = _send_error(slow, monkeypatch, timeout_s=0.1)
+        assert isinstance(error, TransientBackendError)
+        assert "timed out" in str(error)
+
+    def test_refused_connection_is_transient(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        backend = HttpBackend(
-            _http_cfg(), session=_FakeSession([requests.Timeout("slow")])
-        )
-        with pytest.raises(TransientBackendError):
+        with ChatServer() as server:
+            endpoint = server.endpoint
+        backend = HttpBackend(_http_cfg(endpoint))  # nothing listens there any more
+        with pytest.raises(TransientBackendError, match="connection error"):
             backend.send("q")
+        backend.close()
 
     def test_other_4xx_rejected_without_retry(self, monkeypatch):
-        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        backend = HttpBackend(
-            _http_cfg(), session=_FakeSession([_FakeResponse(404, text="missing")])
-        )
-        with pytest.raises(GatewayError) as err:
-            backend.send("q")
-        assert err.value.kind == REQUEST_REJECTED
+        error = _send_error([(404, b"missing", {})], monkeypatch)
+        assert (error.kind, str(error)) == (REQUEST_REJECTED, "status 404: missing")
+
+    @pytest.mark.parametrize("status", [301, 302, 307, 308])
+    def test_redirect_rejected_not_followed(self, monkeypatch, status):
+        server_reply = (status, b"moved", {"Location": "/elsewhere"})
+        with ChatServer([server_reply]) as server:
+            monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+            backend = HttpBackend(_http_cfg(server.endpoint))
+            with pytest.raises(GatewayError) as err:
+                backend.send("q")
+            backend.close()
+        assert (err.value.kind, str(err.value)) == (REQUEST_REJECTED, f"status {status}: moved")
+        assert len(server.requests) == 1
 
     @pytest.mark.parametrize(
         "body",
@@ -530,55 +540,46 @@ class TestHttpBackend:
         ],
     )
     def test_200_without_string_content_is_malformed(self, monkeypatch, body):
-        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        backend = HttpBackend(_http_cfg(), session=_FakeSession([_FakeResponse(200, body)]))
-        with pytest.raises(GatewayError) as err:
-            backend.send("q")
-        assert err.value.kind == MALFORMED_RESPONSE
+        assert _send_error([(200, body, {})], monkeypatch).kind == MALFORMED_RESPONSE
 
     def test_200_with_non_json_body_is_malformed(self, monkeypatch):
-        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        response = requests.Response()
-        response.status_code = 200
-        response._content = b"<html>upstream error</html>"
-        backend = HttpBackend(_http_cfg(), session=_FakeSession([response]))
-        with pytest.raises(GatewayError) as err:
-            backend.send("q")
-        assert err.value.kind == MALFORMED_RESPONSE
+        for body in (b"<html>upstream error</html>", b"\xff\xfe{", b""):
+            assert _send_error([(200, body, {})], monkeypatch).kind == MALFORMED_RESPONSE
 
     def test_malformed_reply_fails_one_item_of_a_batch(self, monkeypatch, tmp_path):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        session = _FakeSession(
-            [
-                _FakeResponse(200, self._ok_body("first")),
-                _FakeResponse(200, {"choices": [{"message": {}}]}),
-                _FakeResponse(200, self._ok_body("third")),
-            ]
-        )
-        cfg = _http_cfg()
-        gateway = Gateway(cfg, tmp_path, mode="live", backend=HttpBackend(cfg, session=session))
-        results = gateway.run_batch([_prompt("a"), _prompt("b"), _prompt("c")], parallelism=1)
+        replies = [
+            (200, chat_body("first"), {}),
+            (200, {"choices": [{"message": {}}]}, {}),
+            (200, chat_body("third"), {}),
+        ]
+        with ChatServer(replies) as server:
+            cfg = _http_cfg(server.endpoint)
+            gateway = Gateway(cfg, tmp_path, mode="live", backend=HttpBackend(cfg))
+            results = gateway.run_batch([_prompt("a"), _prompt("b"), _prompt("c")], parallelism=1)
         assert [r.text for r in (results[0], results[2])] == ["first", "third"]
         assert isinstance(results[1], GatewayFailure)
         assert (results[1].kind, results[1].attempts) == (MALFORMED_RESPONSE, 1)
-        assert len(session.requests) == 3  # never retried
+        assert len(server.requests) == 3  # never retried
+        assert server.connections == 1  # one keep-alive connection for the batch
         assert gateway.cache.get(request_digest(_prompt("b"), cfg)) is None
 
     def test_relative_endpoint_rejected(self):
-        with pytest.raises(GatewayError):
-            HttpBackend(ModelConfig(model_id="m", endpoint="/v1/chat"))
+        for endpoint in ("/v1/chat", "ftp://host/v1", "http:///v1/chat", "127.0.0.1:80/v1/chat"):
+            with pytest.raises(GatewayError) as err:
+                HttpBackend(ModelConfig(model_id="m", endpoint=endpoint))
+            assert err.value.kind == REQUEST_REJECTED
 
     def test_sampling_knobs_forwarded(self, monkeypatch):
-        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        session = _FakeSession([_FakeResponse(200, self._ok_body())])
-        cfg = _http_cfg(
+        server, _ = _send_once(
+            None,
+            monkeypatch,
             temperature=0.1,
             top_p=0.95,
             thinking_budget=2048,
             extensions={"seed": 11, "temperature": 0.9},
         )
-        HttpBackend(cfg, session=session).send("q")
-        sent = session.requests[0]["json"]
+        sent = server.requests[0]["json"]
         # The whole body is pinned: extensions are merged last, so their
         # temperature wins, and neither internal key name leaks out.
         assert sent == {
@@ -592,3 +593,129 @@ class TestHttpBackend:
         }
         assert "max_output_tokens" not in sent
         assert "extensions" not in sent
+
+    def test_query_string_is_kept(self, monkeypatch):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        with ChatServer() as server:
+            backend = HttpBackend(_http_cfg(server.endpoint + "?api-version=2"))
+            backend.send("q")
+            backend.close()
+        assert server.requests[0]["path"] == "/v1/chat/completions?api-version=2"
+
+
+class TestKeepAlive:
+    def test_one_connection_per_worker_thread(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        with ChatServer() as server:
+            cfg = _http_cfg(server.endpoint)
+            gateway = Gateway(cfg, tmp_path, mode="live")
+            results = gateway.run_batch([_prompt(f"p{i}") for i in range(12)], parallelism=3)
+            assert gateway.backend._connections == {}  # closed when the batch ended
+        assert all(isinstance(r, Completion) and r.attempts == 1 for r in results)
+        assert len(server.requests) == 12
+        assert 1 <= server.connections <= 3
+
+    def test_connection_closed_by_server_is_dialled_again(self, monkeypatch, tmp_path):
+        """A server that closes each connection after one reply, without
+        saying so, costs a fresh connection per request but no attempt."""
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        sleeps: list[float] = []
+        with ChatServer(drop_after_reply=True) as server:
+            cfg = _http_cfg(server.endpoint)
+            gateway = Gateway(cfg, tmp_path, mode="live", sleeper=sleeps.append)
+            results = gateway.run_batch([_prompt(f"p{i}") for i in range(6)], parallelism=1)
+        assert [r.attempts for r in results] == [1] * 6
+        assert sleeps == []
+        assert len(server.requests) == server.connections == 6
+
+    def test_fresh_connection_closed_without_reply_is_an_attempt(self, monkeypatch):
+        """Only a reused connection is dialled again for free: a fresh one
+        that the server closes without replying is a transient fault."""
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            hang_up = threading.Thread(target=lambda: listener.accept()[0].close())
+            hang_up.start()
+            port = listener.getsockname()[1]
+            backend = HttpBackend(_http_cfg(f"http://127.0.0.1:{port}/v1", timeout_s=5))
+            with pytest.raises(TransientBackendError, match="RemoteDisconnected|ConnectionReset"):
+                backend.send("q")
+            backend.close()
+            hang_up.join(timeout=10)
+        assert not hang_up.is_alive()
+
+
+class TestProxy:
+    @pytest.fixture(autouse=True)
+    def api_key(self, monkeypatch):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+
+    @pytest.mark.parametrize("variable", ["HTTP_PROXY", "ALL_PROXY"])
+    def test_http_goes_through_the_proxy_by_absolute_url(self, monkeypatch, variable):
+        endpoint = "http://127.0.0.2:9/v1/chat/completions?v=1"  # never dialled
+        with ChatServer() as proxy:
+            monkeypatch.setenv(variable, proxy.base.removeprefix("http://"))
+            backend = HttpBackend(_http_cfg(endpoint))
+            assert backend.send("q").text == "hi"
+            backend.close()
+        assert proxy.requests[0]["path"] == endpoint
+        assert proxy.requests[0]["headers"]["Host"] == "127.0.0.2:9"
+
+    def test_no_proxy_goes_direct(self, monkeypatch):
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # refuses every connection
+        monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+        server, result = _send_once(None, monkeypatch)
+        assert result.text == "hi"
+        assert server.requests[0]["path"] == "/v1/chat/completions"
+
+    def test_https_is_tunnelled(self, monkeypatch):
+        with ChatServer() as proxy:
+            monkeypatch.setenv("HTTPS_PROXY", proxy.base)
+            backend = HttpBackend(_http_cfg("https://127.0.0.2:8443/v1/chat/completions"))
+            with pytest.raises(TransientBackendError, match="Tunnel connection failed: 502"):
+                backend.send("q")
+            backend.close()
+        [connect] = proxy.requests
+        assert (connect["method"], connect["path"]) == ("CONNECT", "127.0.0.2:8443")
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize(
+        "status, value, expected",
+        [
+            (429, "7", 7.0),
+            (503, " 2 ", 2.0),
+            (429, "0", 0.0),
+            (503, "86400", gateway_module.RETRY_AFTER_CAP_S),
+            (429, "soon", None),
+            (429, "-5", None),
+            (429, "1.5", None),
+            (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # a date past waits not at all
+            (500, "7", None),  # only 429 and 503 carry a delay
+            (408, "7", None),
+        ],
+    )
+    def test_delay_from_header(self, monkeypatch, status, value, expected):
+        error = _send_error([(status, {}, {"Retry-After": value})], monkeypatch)
+        assert isinstance(error, TransientBackendError)
+        assert error.retry_after == expected
+
+    def test_http_date_in_the_future(self, monkeypatch):
+        from email.utils import formatdate
+
+        value = formatdate(time.time() + 30, usegmt=True)
+        error = _send_error([(503, {}, {"Retry-After": value})], monkeypatch)
+        assert 27 <= error.retry_after <= 30
+
+    def test_delay_replaces_the_backoff_step(self, tmp_path):
+        sleeps: list[float] = []
+        backend = ScriptedBackend(
+            [
+                TransientBackendError("429", retry_after=7.0),
+                TransientBackendError("503"),  # malformed or absent: the step
+                "recovered",
+            ]
+        )
+        gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=sleeps.append)
+        completion = gateway.run_batch([_prompt("limited")], 1)[0]
+        assert (completion.text, completion.attempts) == ("recovered", 3)
+        assert sleeps == [7.0, 1.0]
