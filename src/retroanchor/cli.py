@@ -176,14 +176,17 @@ def cmd_subsample(args) -> int:
 def _run_config(args, stage: str, **fields) -> tuple[ModelConfig, dict]:
     """The run's model and its ``config.json`` record; a stage's own keys
     go in ``fields`` or are added to the record before the run."""
-    from retroanchor.gateway import ModelConfig
+    from retroanchor.gateway import GatewayError, HttpBackend, ModelConfig
     if args.parallelism < 1:
         raise CliError("--parallelism must be at least 1")
-    if args.backend == "live" and not args.endpoint:
-        raise CliError("--endpoint is required with --backend live")
-    if args.backend == "live" and not os.environ.get(args.api_key_env):
-        raise CliError(f"environment variable {args.api_key_env} is not set")
     model = ModelConfig(model_id=args.model, endpoint=args.endpoint, api_key_env=args.api_key_env)
+    if args.backend == "live":
+        try:
+            HttpBackend(model)  # dials nothing: a bad endpoint exits before any file is made
+        except GatewayError as exc:
+            raise CliError(f"--endpoint: {exc}") from exc
+        if not os.environ.get(args.api_key_env):
+            raise CliError(f"environment variable {args.api_key_env} is not set")
     config = {
         "stage": stage,
         "input": str(args.input),

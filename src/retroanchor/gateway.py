@@ -14,7 +14,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from retroanchor.prompts import RenderedPrompt
@@ -46,39 +46,20 @@ class TransientBackendError(Exception):
         self.retry_after = retry_after
 
 
+# Fixed request settings: the provider's defaults apply to every other sampling setting.
+MAX_OUTPUT_TOKENS = 8192
+MAX_ATTEMPTS = 4  # backend sends per request, the first included
+BACKOFF_S = 1.0  # the sleep before the second send; it doubles before each later one
+TIMEOUT_S = 120.0  # per connect and per read
+
+
 @dataclass(frozen=True)
 class ModelConfig:
-    """One model endpoint plus the sampling knobs recorded per request."""
+    """One model endpoint, as the model flags of a run stage set it."""
 
     model_id: str
     endpoint: str = ""
-    max_output_tokens: int = 8192
-    thinking_budget: int | str | None = None
-    temperature: float | None = None
-    top_p: float | None = None
     api_key_env: str = "RETROANCHOR_API_KEY"
-    max_attempts: int = 4
-    backoff_s: float = 1.0
-    timeout_s: float = 120.0
-    extensions: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.max_output_tokens < 1:
-            raise ValueError("max_output_tokens must be at least 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-
-    def sampling_params(self) -> dict:
-        params: dict = {"max_output_tokens": self.max_output_tokens}
-        if self.temperature is not None:
-            params["temperature"] = self.temperature
-        if self.top_p is not None:
-            params["top_p"] = self.top_p
-        if self.thinking_budget is not None:
-            params["thinking_budget"] = self.thinking_budget
-        if self.extensions:
-            params["extensions"] = self.extensions
-        return params
 
 
 @dataclass(frozen=True)
@@ -118,7 +99,7 @@ def request_digest(prompt: RenderedPrompt, cfg: ModelConfig) -> str:
         "text": "",
         "template_digest": prompt.template_digest,
         "model_id": cfg.model_id,
-        "sampling": cfg.sampling_params(),
+        "sampling": {"max_output_tokens": MAX_OUTPUT_TOKENS},
     }
     head, tail = stable_json_dumps(payload).rsplit('""', 1)
     memo_parts, states = _DIGEST_MEMO.get(head) or ((), (hashlib.sha256(f'{head}"'.encode()),))
@@ -179,13 +160,16 @@ RETRY_AFTER_CAP_S = 60.0  # the longest Retry-After delay honoured
 def _retry_after(response) -> float | None:
     """The capped delay a 429 or 503 reply asks for (RFC 9110 §10.2.3), in
     delta-seconds or as an HTTP-date; None if it names none we can read."""
+    from datetime import timezone
     from email.utils import parsedate_to_datetime
     value = response.getheader("Retry-After", "") if response.status in (429, 503) else ""
     try:
         if value.strip().isdigit():
             return min(float(value), RETRY_AFTER_CAP_S)
-        delay = parsedate_to_datetime(value).timestamp() - time.time()
-    except ValueError:
+        date = parsedate_to_datetime(value)
+        # A date without a zone, as in the asctime form, is GMT (RFC 9110 §5.6.7).
+        delay = date.replace(tzinfo=date.tzinfo or timezone.utc).timestamp() - time.time()
+    except (ValueError, OverflowError):  # OverflowError: a year no C integer holds
         return None
     return min(max(delay, 0.0), RETRY_AFTER_CAP_S)
 
@@ -201,8 +185,12 @@ class HttpBackend:
         from urllib.parse import urlsplit, urlunsplit
         from urllib.request import getproxies, proxy_bypass
         url = urlsplit(cfg.endpoint)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise GatewayError(REQUEST_REJECTED, f"endpoint must be absolute: {cfg.endpoint!r}")
+        try:
+            port = url.port  # ValueError unless absent or a number in 0-65535
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError
+        except ValueError:
+            raise GatewayError(REQUEST_REJECTED, f"not an absolute http(s) URL: {cfg.endpoint!r}") from None
         self.cfg = cfg
         self._connections: dict[int, http.client.HTTPConnection] = {}
         # A proxy from HTTP(S)_PROXY, ALL_PROXY and NO_PROXY relays plain HTTP
@@ -213,10 +201,10 @@ class HttpBackend:
         https = url.scheme == "https"
         path = urlunsplit(("", "", url.path or "/", url.query, ""))
         self._target = cfg.endpoint if via and not https else path
-        self._tunnel = (url.hostname, url.port) if via and https else None
-        host, port = (via.hostname, via.port or 80) if via else (url.hostname, url.port)
+        self._tunnel = (url.hostname, port) if via and https else None
+        host, port = (via.hostname, via.port or 80) if via else (url.hostname, port)
         kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        self._dial = lambda: kind(host, port, timeout=cfg.timeout_s)
+        self._dial = lambda: kind(host, port, timeout=TIMEOUT_S)
 
     def close(self) -> None:
         """Close every thread's connection; a later send dials again."""
@@ -230,15 +218,10 @@ class HttpBackend:
             raise GatewayError(
                 AUTH_FAILURE, f"environment variable {self.cfg.api_key_env} is not set"
             )
-        params = self.cfg.sampling_params()
-        extensions = params.pop("extensions", {})
-        # Extensions go last so that they win a key clash.
         payload = json.dumps({
             "model": self.cfg.model_id,
             "messages": [{"role": "user", "content": text}],
-            "max_tokens": params.pop("max_output_tokens"),
-            **params,
-            **extensions,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }).encode()
         headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         connection = self._connections.get(threading.get_ident())
@@ -328,14 +311,13 @@ class Gateway:
             try:
                 result = self.backend.send(prompt.text)
             except TransientBackendError as exc:
-                if attempts >= self.cfg.max_attempts:
+                if attempts >= MAX_ATTEMPTS:
                     error = GatewayError(
                         RETRIES_EXHAUSTED, f"gave up after {attempts} attempts: {exc}"
                     )
                     error.attempts = attempts
                     raise error from exc
-                step = self.cfg.backoff_s * (2 ** (attempts - 1))
-                self._sleep(step if exc.retry_after is None else exc.retry_after)
+                self._sleep(BACKOFF_S * 2 ** (attempts - 1) if exc.retry_after is None else exc.retry_after)
                 continue
             except GatewayError as exc:
                 exc.attempts = attempts
@@ -389,7 +371,7 @@ def _cache_entry(
         "model_id": cfg.model_id,
         "template_name": prompt.template_name,
         "template_digest": prompt.template_digest,
-        "sampling": cfg.sampling_params(),
+        "sampling": {"max_output_tokens": MAX_OUTPUT_TOKENS},
         "text": result.text,
         "finish_reason": result.finish_reason,
         "latency_ms": latency_ms,

@@ -644,19 +644,7 @@ class TestRunTransition:
         assert not out.exists() and not cache.exists()
 
 
-MODEL_RECORD = {
-    "api_key_env": "RETROANCHOR_API_KEY",
-    "backoff_s": 1.0,
-    "endpoint": "",
-    "extensions": {},
-    "max_attempts": 4,
-    "max_output_tokens": 8192,
-    "model_id": "test-model",
-    "temperature": None,
-    "thinking_budget": None,
-    "timeout_s": 120.0,
-    "top_p": None,
-}
+MODEL_RECORD = {"api_key_env": "RETROANCHOR_API_KEY", "endpoint": "", "model_id": "test-model"}
 
 
 class TestRunConfig:
@@ -738,6 +726,16 @@ class TestRunConfig:
         assert code == 1
         assert (flag if flag == "--parallelism" else flags[flag]) in capsys.readouterr().err
         assert not out.exists() and not cache.exists()
+
+    @pytest.mark.parametrize(
+        "endpoint", ["foo", "ftp://h/v1", "http://127.0.0.1:abc/v1", "http://127.0.0.1:99999/v1"]
+    )
+    def test_bad_endpoint_exits_1(self, pipeline, capsys, monkeypatch, endpoint):
+        monkeypatch.setenv("RETROANCHOR_API_KEY", "k")
+        out = pipeline["root"] / "r"  # the cache would be out/cache
+        assert main(live_argv(pipeline, "position", endpoint, out)) == 1
+        assert capsys.readouterr().err == f"error: --endpoint: not an absolute http(s) URL: {endpoint!r}\n"
+        assert not out.exists()
 
 
 # Valid JSON nested past the interpreter's recursion limit, where ``json``
@@ -1441,6 +1439,25 @@ class TestLiveLoopback:
         assert any(row.get("n_predictions") for row in read_jsonl(out / "outcomes.jsonl"))
         assert (replay / "outcomes.jsonl").read_bytes() == (out / "outcomes.jsonl").read_bytes()
         assert {m["outcome"] for m in read_jsonl(replay / "manifest.jsonl")} == {"cache_hit"}
+
+    def test_sends_and_records_only_what_the_model_flags_set(self, pipeline, monkeypatch):
+        """The body holds the model, the prompt and the fixed token budget;
+        ``config.json`` records the three model flags and nothing else."""
+        monkeypatch.setenv("LOOPBACK_KEY", "k")
+        out = pipeline["root"] / "live"
+        with self._server("position") as server:
+            argv = live_argv(pipeline, "position", server.endpoint, out)
+            assert main([*argv, "--api-key-env", "LOOPBACK_KEY"]) == 0
+        assert server.requests
+        for request in server.requests:
+            [message] = request["json"]["messages"]
+            assert request["json"] == {"model": "test-model", "messages": [message], "max_tokens": 8192}
+            assert message.keys() == {"role", "content"} and message["role"] == "user"
+        assert json.loads((out / "config.json").read_text())["model"] == {
+            "api_key_env": "LOOPBACK_KEY",
+            "endpoint": server.endpoint,
+            "model_id": "test-model",
+        }
 
     def test_http_proxy_relays_the_run(self, pipeline, monkeypatch):
         endpoint = "http://127.0.0.2:9/v1/chat/completions"  # reached only through the proxy

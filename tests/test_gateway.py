@@ -9,6 +9,7 @@ import socket
 import sys
 import threading
 import time
+from email.utils import formatdate
 
 import pytest
 
@@ -49,7 +50,8 @@ def _prompt(text: str, template: str = "position") -> RenderedPrompt:
     )
 
 
-CFG = ModelConfig(model_id="test-model", max_attempts=3, backoff_s=0.5)
+CFG = ModelConfig(model_id="test-model")
+MAX_ATTEMPTS, BACKOFF_S = gateway_module.MAX_ATTEMPTS, gateway_module.BACKOFF_S
 
 
 class EchoBackend:
@@ -99,8 +101,6 @@ class TestDigest:
         base = request_digest(_prompt("hi"), CFG)
         assert request_digest(_prompt("bye"), CFG) != base
         assert request_digest(_prompt("hi"), ModelConfig(model_id="other")) != base
-        warm = ModelConfig(model_id="test-model", temperature=0.7)
-        assert request_digest(_prompt("hi"), warm) != base
         other_template = RenderedPrompt(
             template_name="position",
             parts=("hi",),
@@ -116,7 +116,7 @@ def _reference_digest(prompt: RenderedPrompt, cfg: ModelConfig) -> str:
         "text": "".join(prompt.parts),
         "template_digest": prompt.template_digest,
         "model_id": cfg.model_id,
-        "sampling": cfg.sampling_params(),
+        "sampling": {"max_output_tokens": 8192},
     }
     return hashlib.sha256(stable_json_dumps(payload).encode("utf-8")).hexdigest()
 
@@ -129,7 +129,7 @@ DIGEST_ALPHABET = 'ab Z<>/"\\\n\t\r\b\f\x00\x1f\x7fé漢\u2028🙂'
 class TestDigestParts:
     def test_random_splits_match_reference(self):
         rng = random.Random(12)
-        cfgs = (CFG, ModelConfig(model_id="other", temperature=0.5, extensions={"k": "é"}))
+        cfgs = (CFG, ModelConfig(model_id='othér "m"'))
         template_digests = ("deadbeef" * 8, "feedface" * 8)
 
         def word(longest):
@@ -170,22 +170,6 @@ class TestDigestParts:
         finally:
             sys.setswitchinterval(interval)
         assert [r.request_digest for r in results] == [_reference_digest(p, CFG) for p in prompts]
-
-
-class TestModelConfig:
-    def test_rejects_nonpositive_token_budget(self):
-        with pytest.raises(ValueError, match="max_output_tokens"):
-            ModelConfig(model_id="m", max_output_tokens=0)
-
-    def test_rejects_nonpositive_attempts(self):
-        with pytest.raises(ValueError, match="max_attempts"):
-            ModelConfig(model_id="m", max_attempts=0)
-
-    def test_sampling_params_include_only_set_knobs(self):
-        assert ModelConfig(model_id="m").sampling_params() == {"max_output_tokens": 8192}
-        rich = ModelConfig(model_id="m", temperature=0.2, thinking_budget=1024)
-        assert rich.sampling_params()["temperature"] == 0.2
-        assert rich.sampling_params()["thinking_budget"] == 1024
 
 
 class TestCompleteAndCache:
@@ -234,19 +218,19 @@ class TestRetries:
         completion = gateway.run_batch([_prompt("flaky")], 1)[0]
         assert completion.text == "recovered"
         assert completion.attempts == 3
-        assert sleeps == [0.5, 1.0]
+        assert sleeps == [BACKOFF_S, 2 * BACKOFF_S]
         entry = gateway.cache.get(completion.request_digest)
         assert entry["attempts"] == 3
 
     def test_exhausted_retries_classified(self, tmp_path):
-        backend = ScriptedBackend([TransientBackendError("x")] * 3)
+        backend = ScriptedBackend([TransientBackendError("x")] * MAX_ATTEMPTS)
         gateway = Gateway(
             CFG, tmp_path, mode="live", backend=backend, sleeper=lambda _: None
         )
         failure = gateway.run_batch([_prompt("doomed")], 1)[0]
         assert isinstance(failure, GatewayFailure)
         assert failure.kind == RETRIES_EXHAUSTED
-        assert backend.calls == 3
+        assert backend.calls == MAX_ATTEMPTS
 
     def test_auth_failure_is_not_retried(self, tmp_path):
         backend = ScriptedBackend([GatewayError(AUTH_FAILURE, "bad key"), "unreached"])
@@ -257,7 +241,7 @@ class TestRetries:
         assert backend.calls == 1
 
     def test_nothing_cached_on_failure(self, tmp_path):
-        backend = ScriptedBackend([TransientBackendError("x")] * 3)
+        backend = ScriptedBackend([TransientBackendError("x")] * MAX_ATTEMPTS)
         gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=lambda _: None)
         failure = gateway.run_batch([_prompt("doomed")], 1)[0]
         assert isinstance(failure, GatewayFailure)
@@ -337,11 +321,11 @@ class TestRunBatch:
             assert result.kind == REPLAY_MISS
 
     def test_failure_attempts_count_backend_sends(self, tmp_path):
-        flaky = ScriptedBackend([TransientBackendError("503")] * CFG.max_attempts)
+        flaky = ScriptedBackend([TransientBackendError("503")] * MAX_ATTEMPTS)
         live = Gateway(CFG, tmp_path, mode="live", backend=flaky, sleeper=lambda _: None)
         [exhausted] = live.run_batch([_prompt("doomed")], parallelism=1)
         assert exhausted.kind == RETRIES_EXHAUSTED
-        assert exhausted.attempts == CFG.max_attempts == flaky.calls
+        assert exhausted.attempts == MAX_ATTEMPTS == flaky.calls
 
         refused = ScriptedBackend([GatewayError(CONTEXT_LENGTH, "too long")])
         live = Gateway(CFG, tmp_path, mode="live", backend=refused)
@@ -424,25 +408,25 @@ def direct_to_loopback(monkeypatch):
     without_proxies(monkeypatch)
 
 
-def _http_cfg(endpoint: str, **kwargs) -> ModelConfig:
-    return ModelConfig(model_id="m", endpoint=endpoint, api_key_env="TEST_GATEWAY_KEY", **kwargs)
+def _http_cfg(endpoint: str) -> ModelConfig:
+    return ModelConfig(model_id="m", endpoint=endpoint, api_key_env="TEST_GATEWAY_KEY")
 
 
-def _send_once(respond, monkeypatch, **cfg) -> tuple[ChatServer, BackendResult]:
+def _send_once(respond, monkeypatch) -> tuple[ChatServer, BackendResult]:
     """One send to a loopback server answering with ``respond``; returns
     the server, with the request it read, and the result."""
     monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
     with ChatServer(respond) as server:
-        backend = HttpBackend(_http_cfg(server.endpoint, **cfg))
+        backend = HttpBackend(_http_cfg(server.endpoint))
         try:
             return server, backend.send("q")
         finally:
             backend.close()
 
 
-def _send_error(respond, monkeypatch, **cfg) -> Exception:
+def _send_error(respond, monkeypatch) -> Exception:
     with pytest.raises((GatewayError, TransientBackendError)) as err:
-        _send_once(respond, monkeypatch, **cfg)
+        _send_once(respond, monkeypatch)
     return err.value
 
 
@@ -497,7 +481,8 @@ class TestHttpBackend:
             time.sleep(0.5)
             return 200, chat_body(), {}
 
-        error = _send_error(slow, monkeypatch, timeout_s=0.1)
+        monkeypatch.setattr(gateway_module, "TIMEOUT_S", 0.1)
+        error = _send_error(slow, monkeypatch)
         assert isinstance(error, TransientBackendError)
         assert "timed out" in str(error)
 
@@ -565,34 +550,13 @@ class TestHttpBackend:
         assert gateway.cache.get(request_digest(_prompt("b"), cfg)) is None
 
     def test_relative_endpoint_rejected(self):
-        for endpoint in ("/v1/chat", "ftp://host/v1", "http:///v1/chat", "127.0.0.1:80/v1/chat"):
+        for endpoint in (
+            "/v1/chat", "ftp://host/v1", "http:///v1/chat", "127.0.0.1:80/v1/chat",
+            "http://127.0.0.1:abc/v1", "http://127.0.0.1:99999/v1", "http://127.0.0.1:-1/v1",
+        ):
             with pytest.raises(GatewayError) as err:
                 HttpBackend(ModelConfig(model_id="m", endpoint=endpoint))
             assert err.value.kind == REQUEST_REJECTED
-
-    def test_sampling_knobs_forwarded(self, monkeypatch):
-        server, _ = _send_once(
-            None,
-            monkeypatch,
-            temperature=0.1,
-            top_p=0.95,
-            thinking_budget=2048,
-            extensions={"seed": 11, "temperature": 0.9},
-        )
-        sent = server.requests[0]["json"]
-        # The whole body is pinned: extensions are merged last, so their
-        # temperature wins, and neither internal key name leaks out.
-        assert sent == {
-            "model": "m",
-            "messages": [{"role": "user", "content": "q"}],
-            "max_tokens": 8192,
-            "temperature": 0.9,
-            "top_p": 0.95,
-            "thinking_budget": 2048,
-            "seed": 11,
-        }
-        assert "max_output_tokens" not in sent
-        assert "extensions" not in sent
 
     def test_query_string_is_kept(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
@@ -630,18 +594,28 @@ class TestKeepAlive:
 
     def test_fresh_connection_closed_without_reply_is_an_attempt(self, monkeypatch):
         """Only a reused connection is dialled again for free: a fresh one
-        that the server closes without replying is a transient fault."""
+        that the server closes without replying is a transient fault.
+
+        Which error the client sees depends on whether the server's close
+        reaches it before its write (broken pipe) or after (reset, or end
+        of stream), so the test pins that no second connection was made."""
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
         with socket.create_server(("127.0.0.1", 0)) as listener:
             hang_up = threading.Thread(target=lambda: listener.accept()[0].close())
             hang_up.start()
             port = listener.getsockname()[1]
-            backend = HttpBackend(_http_cfg(f"http://127.0.0.1:{port}/v1", timeout_s=5))
-            with pytest.raises(TransientBackendError, match="RemoteDisconnected|ConnectionReset"):
+            monkeypatch.setattr(gateway_module, "TIMEOUT_S", 5)
+            backend = HttpBackend(_http_cfg(f"http://127.0.0.1:{port}/v1"))
+            with pytest.raises(
+                TransientBackendError, match="RemoteDisconnected|ConnectionReset|BrokenPipe"
+            ):
                 backend.send("q")
             backend.close()
             hang_up.join(timeout=10)
-        assert not hang_up.is_alive()
+            assert not hang_up.is_alive()
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):  # a redial would wait in the backlog
+                listener.accept()[0].close()
 
 
 class TestProxy:
@@ -678,6 +652,15 @@ class TestProxy:
         assert (connect["method"], connect["path"]) == ("CONNECT", "127.0.0.2:8443")
 
 
+@pytest.fixture
+def local_time_behind_utc(monkeypatch):
+    monkeypatch.setenv("TZ", "EST5")  # 5 h behind UTC; a POSIX rule needs no zone database
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
 class TestRetryAfter:
     @pytest.mark.parametrize(
         "status, value, expected",
@@ -690,6 +673,8 @@ class TestRetryAfter:
             (429, "-5", None),
             (429, "1.5", None),
             (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0),  # a date past waits not at all
+            (429, "Sun Nov  6 08:49:37 1994", 0.0),  # the asctime form
+            (503, "Mon, 01 Jan 99999999999 00:00:00 GMT", None),  # a year no C integer holds
             (500, "7", None),  # only 429 and 503 carry a delay
             (408, "7", None),
         ],
@@ -699,12 +684,31 @@ class TestRetryAfter:
         assert isinstance(error, TransientBackendError)
         assert error.retry_after == expected
 
-    def test_http_date_in_the_future(self, monkeypatch):
-        from email.utils import formatdate
-
+    def test_http_date_in_the_future(self, monkeypatch, local_time_behind_utc):
+        """An HTTP-date is GMT (RFC 9110 §5.6.7), also where local time is not."""
         value = formatdate(time.time() + 30, usegmt=True)
         error = _send_error([(503, {}, {"Retry-After": value})], monkeypatch)
         assert 27 <= error.retry_after <= 30
+
+    def test_asctime_date_in_the_future(self, monkeypatch, local_time_behind_utc):
+        """The asctime form carries no zone and is GMT too."""
+        value = time.asctime(time.gmtime(time.time() + 30))
+        error = _send_error([(503, {}, {"Retry-After": value})], monkeypatch)
+        assert 27 <= error.retry_after <= 30
+
+    def test_unreadable_date_fails_one_item_not_the_batch(self, monkeypatch, tmp_path):
+        """A date too far out for the platform means the backoff step."""
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        far = (503, {}, {"Retry-After": "Mon, 01 Jan 99999999999 00:00:00 GMT"})
+        sleeps: list[float] = []
+        with ChatServer([far] * MAX_ATTEMPTS + [(200, chat_body("second"), {})]) as server:
+            cfg = _http_cfg(server.endpoint)
+            gateway = Gateway(cfg, tmp_path, mode="live", sleeper=sleeps.append)
+            first, second = gateway.run_batch([_prompt("a"), _prompt("b")], parallelism=1)
+        assert isinstance(first, GatewayFailure)
+        assert (first.kind, first.attempts) == (RETRIES_EXHAUSTED, MAX_ATTEMPTS)
+        assert second.text == "second"
+        assert sleeps == [BACKOFF_S * 2**i for i in range(MAX_ATTEMPTS - 1)]
 
     def test_delay_replaces_the_backoff_step(self, tmp_path):
         sleeps: list[float] = []
@@ -718,4 +722,4 @@ class TestRetryAfter:
         gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=sleeps.append)
         completion = gateway.run_batch([_prompt("limited")], 1)[0]
         assert (completion.text, completion.attempts) == ("recovered", 3)
-        assert sleeps == [7.0, 1.0]
+        assert sleeps == [7.0, 2 * BACKOFF_S]
