@@ -3,13 +3,15 @@
 The ranking starts from per-atom invariants (element, aromatic flag,
 charge, isotope, implicit hydrogen count, degree), refines each atom by
 the sorted multiset of its neighbors' ranks until the partition is
-stable, and resolves residual ties by promoting one member of the
-lowest tied class and refining again.  The promoted member is chosen by
-atom map when one is present, else by input position; for the symmetric
-ties this resolves, the choices are interchangeable.  ``write_smiles``
-then emits the text in one depth-first traversal ordered by rank
-(Weininger, Weininger & Weininger, J. Chem. Inf. Comput. Sci. 29:97,
-1989).  The text does not depend on input atom order, except for
+stable or discrete, and resolves residual ties by promoting one member of
+the lowest tied class and refining again.  A discrete partition, where
+every atom has its own rank, cannot split, so no refinement round runs on
+one, whether the invariants, a round or a promotion made it.  The
+promoted member is chosen by atom map when one is present, else by input
+position; for the symmetric ties this resolves, the choices are
+interchangeable.  ``write_smiles`` then emits the text in one depth-first
+traversal ordered by rank (Weininger, Weininger & Weininger, J. Chem.
+Inf. Comput. Sci. 29:97, 1989).  The text does not depend on input atom order, except for
 chirality tags and directional bond marks: they are copied as written,
 not re-derived for the emission order, so equivalent stereo spellings
 can give different texts.
@@ -56,7 +58,7 @@ def _normalize_alternating_rings(molecule: Molecule) -> Molecule:
         _bond(b.a, b.b, AROMATIC, b.stereo) if b.key() in ring_bonds else b
         for b in molecule.bonds
     )
-    return Molecule(atoms=atoms, bonds=bonds, source_text=molecule.source_text)
+    return Molecule(atoms=atoms, bonds=bonds)  # not the parse of any source text
 
 
 def _qualifying_six_rings(molecule: Molecule) -> list[tuple[int, ...]]:
@@ -108,22 +110,15 @@ def _dense_ranks(keys: list) -> list[int]:
     return [rank_of[key] for key in keys]
 
 
-def _refine(neighbors: list[list[int]], ranks: list[int]) -> list[int]:
-    while True:
-        keys = [
-            (ranks[i], tuple(sorted([ranks[j] for j in nbrs])))
-            for i, nbrs in enumerate(neighbors)
-        ]
-        refined = _dense_ranks(keys)
-        if refined == ranks:
-            return ranks
-        ranks = refined
+def _refine_round(neighbors: list[list[int]], ranks: list[int]) -> list[int]:
+    """Split each rank class by its members' sorted neighbor ranks."""
+    return _dense_ranks(
+        [(ranks[i], tuple(sorted([ranks[j] for j in nbrs]))) for i, nbrs in enumerate(neighbors)]
+    )
 
 
 def _canonical_ranks(molecule: Molecule) -> list[int]:
     n = len(molecule.atoms)
-    if n == 0:
-        return []
     neighbors = [[j for j, _ in molecule.neighbors(i)] for i in range(n)]
     initial = [
         (
@@ -138,10 +133,12 @@ def _canonical_ranks(molecule: Molecule) -> list[int]:
         for i, atom in enumerate(molecule.atoms)
     ]
     ranks = _dense_ranks(initial)
-    while True:
-        ranks = _refine(neighbors, ranks)
-        if max(ranks) + 1 == n:
-            return ranks
+    while len(set(ranks)) < n:  # until discrete: every atom its own rank
+        refined = _refine_round(neighbors, ranks)
+        if refined != ranks:
+            ranks = refined
+            continue
+        # Stable with ties: promote one member of the lowest tied class.
         class_sizes: dict[int, int] = {}
         for rank in ranks:
             class_sizes[rank] = class_sizes.get(rank, 0) + 1
@@ -151,6 +148,7 @@ def _canonical_ranks(molecule: Molecule) -> list[int]:
         ranks = _dense_ranks(
             [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
         )
+    return ranks
 
 
 def _promotion_key(molecule: Molecule, idx: int) -> tuple[int, int]:

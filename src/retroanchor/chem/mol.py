@@ -143,8 +143,8 @@ class Bond:
 # whole pipeline builds only a few thousand distinct atoms and bonds.
 # The caches are unbounded because chemistry bounds the key space;
 # typed=True keeps True and 1 apart.  Callers pass every field
-# positionally, so one value has one cache key.  The SMILES reader keeps
-# one more such cache, from bracket-atom token text to Atom.
+# positionally, so one value has one cache key.  The SMILES reader and
+# writer keep one more each, from token text to Atom and back.
 _atom = lru_cache(maxsize=None, typed=True)(Atom)
 _bond = lru_cache(maxsize=None, typed=True)(Bond)
 

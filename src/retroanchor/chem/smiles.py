@@ -19,11 +19,14 @@ chemistry bounds the key space.  It holds lexical atom fields only.
 Anything that depends on an atom's neighbours stays out of it: the
 implicit hydrogens of bare organic-subset atoms, set in _finalize, and
 stereo parity once chirality is interpreted rather than carried as text.
+The writer builds each atom token once per (atom, include_maps, bond-order
+sum), all that the token depends on, and caches it the same way.
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Sequence
 
 from retroanchor.chem.mol import (
@@ -300,6 +303,55 @@ def _finalize(atoms: list[Atom], bare: list[int], bonds: list[tuple], source: st
     return Molecule(atoms=tuple(atoms), bonds=tuple(final_bonds), source_text=source)
 
 
+@lru_cache(maxsize=None)
+def _atom_token(atom: Atom, include_maps: bool, order_sum: float) -> str:
+    map_value = atom.atom_map if include_maps else None
+    bare_ok = (
+        not atom.is_element_list
+        and atom.charge == 0
+        and atom.isotope is None
+        and atom.chirality is None
+        and map_value is None
+    )
+    if bare_ok and atom.is_wildcard:
+        return WILDCARD
+    if bare_ok and atom.element in ORGANIC_SUBSET:
+        symbol = atom.element.lower() if atom.aromatic else atom.element
+        if (not atom.aromatic or symbol in AROMATIC_ORGANIC) and (
+            atom.implicit_h == implicit_hydrogens(atom.element, atom.aromatic, order_sum)
+        ):
+            return symbol
+
+    if atom.is_element_list:
+        symbol = ",".join(atom.element_options)
+    elif atom.is_wildcard:
+        symbol = WILDCARD
+    else:
+        symbol = atom.element.lower() if atom.aromatic else atom.element
+    parts = ["["]
+    if atom.isotope is not None:
+        parts.append(str(atom.isotope))
+    parts.append(symbol)
+    if atom.chirality:
+        parts.append(atom.chirality)
+    if atom.implicit_h == 1:
+        parts.append("H")
+    elif atom.implicit_h > 1:
+        parts.append(f"H{atom.implicit_h}")
+    if atom.charge == 1:
+        parts.append("+")
+    elif atom.charge == -1:
+        parts.append("-")
+    elif atom.charge > 0:
+        parts.append(f"+{atom.charge}")
+    elif atom.charge < 0:
+        parts.append(f"-{abs(atom.charge)}")
+    if map_value is not None:
+        parts.append(f":{map_value}")
+    parts.append("]")
+    return "".join(parts)
+
+
 def write_smiles(
     molecule: Molecule, include_maps: bool = True, ranks: Sequence[int] | None = None
 ) -> str:
@@ -381,56 +433,6 @@ def write_smiles(
     def ring_digit_token(digit: int) -> str:
         return str(digit) if digit < 10 else f"%{digit:02d}"
 
-    def atom_token(idx: int) -> str:
-        atom = molecule.atoms[idx]
-        map_value = atom.atom_map if include_maps else None
-        order_sum = molecule.bond_order_sum(idx)
-
-        bare_ok = (
-            not atom.is_element_list
-            and atom.charge == 0
-            and atom.isotope is None
-            and atom.chirality is None
-            and map_value is None
-        )
-        if bare_ok and atom.is_wildcard:
-            return WILDCARD
-        if bare_ok and atom.element in ORGANIC_SUBSET:
-            symbol = atom.element.lower() if atom.aromatic else atom.element
-            if (not atom.aromatic or symbol in AROMATIC_ORGANIC) and (
-                atom.implicit_h == implicit_hydrogens(atom.element, atom.aromatic, order_sum)
-            ):
-                return symbol
-
-        if atom.is_element_list:
-            symbol = ",".join(atom.element_options)
-        elif atom.is_wildcard:
-            symbol = WILDCARD
-        else:
-            symbol = atom.element.lower() if atom.aromatic else atom.element
-        parts = ["["]
-        if atom.isotope is not None:
-            parts.append(str(atom.isotope))
-        parts.append(symbol)
-        if atom.chirality:
-            parts.append(atom.chirality)
-        if atom.implicit_h == 1:
-            parts.append("H")
-        elif atom.implicit_h > 1:
-            parts.append(f"H{atom.implicit_h}")
-        if atom.charge == 1:
-            parts.append("+")
-        elif atom.charge == -1:
-            parts.append("-")
-        elif atom.charge > 0:
-            parts.append(f"+{atom.charge}")
-        elif atom.charge < 0:
-            parts.append(f"-{abs(atom.charge)}")
-        if map_value is not None:
-            parts.append(f":{map_value}")
-        parts.append("]")
-        return "".join(parts)
-
     def emit(root: int) -> str:
         # An explicit stack of atom indices and literal text, so a long
         # chain needs no call frame per atom.
@@ -441,7 +443,7 @@ def write_smiles(
             if isinstance(item, str):
                 pieces.append(item)
                 continue
-            pieces.append(atom_token(item))
+            pieces.append(_atom_token(molecule.atoms[item], include_maps, molecule.bond_order_sum(item)))
             for opener, bond, digit in closures_close.get(item, []):
                 pieces.append(ring_digit_token(digit))
             for closer, bond, digit in closures_open.get(item, []):

@@ -196,13 +196,17 @@ class HttpBackend:
         # A proxy from HTTP(S)_PROXY, ALL_PROXY and NO_PROXY relays plain HTTP
         # by absolute URL and tunnels HTTPS through CONNECT.
         proxies = {} if proxy_bypass(url.netloc) else getproxies()
-        proxy = proxies.get(url.scheme) or proxies.get("all")
+        scheme = url.scheme if url.scheme in proxies else "all"
+        proxy = proxies.get(scheme)
         via = urlsplit(proxy if "://" in proxy else f"http://{proxy}") if proxy else None
         https = url.scheme == "https"
         path = urlunsplit(("", "", url.path or "/", url.query, ""))
         self._target = cfg.endpoint if via and not https else path
         self._tunnel = (url.hostname, port) if via and https else None
-        host, port = (via.hostname, via.port or 80) if via else (url.hostname, port)
+        try:
+            host, port = (via.hostname, via.port or 80) if via else (url.hostname, port)
+        except ValueError:
+            raise GatewayError(REQUEST_REJECTED, f"its proxy {scheme.upper()}_PROXY has a bad port: {proxy!r}") from None
         kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
         self._dial = lambda: kind(host, port, timeout=TIMEOUT_S)
 

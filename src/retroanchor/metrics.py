@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,14 +158,22 @@ def representative_candidate(
     return min(eligible)[2]
 
 
+# (source text without atom maps, ignore_stereo) -> canonical text; see README "Scoring".
+_CANONICAL_MEMO: dict[tuple[str, bool], str] = {}
+
+
 def reactant_multiset(molecules, ignore_stereo: bool = False) -> Counter:
     """Canonical map-free text multiset for order-insensitive equality."""
     texts = []
     for molecule in molecules:
-        stripped = strip_atom_maps(molecule)
-        if ignore_stereo:
-            stripped = strip_stereo(stripped)
-        texts.append(canonical_smiles(stripped))
+        key = (re.sub(r":\d+\]", "]", molecule.source_text or ""), ignore_stereo)
+        text = _CANONICAL_MEMO.get(key) if molecule.source_text else None
+        if text is None:
+            stripped = strip_atom_maps(molecule)
+            text = canonical_smiles(strip_stereo(stripped) if ignore_stereo else stripped)
+            if molecule.source_text:
+                _CANONICAL_MEMO[key] = text
+        texts.append(text)
     return Counter(texts)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from helpers import molecules_isomorphic, permute_molecule, random_aromatic_molecule, random_molecule
 from retroanchor.chem import (
+    canon,
     canonical_smiles,
     parse_smiles,
     write_smiles,
@@ -103,3 +104,23 @@ def test_written_and_canonical_text_match_pins():
         assert write_smiles(mol) == written, text
         assert canonical_smiles(mol) == canonical, text
         assert canonical_smiles(mol, include_maps=True) == canonical_maps, text
+
+
+def test_refinement_never_runs_a_round_on_a_discrete_partition(monkeypatch):
+    # A round on a partition where every atom has its own rank can only
+    # return it unchanged, so ranking stops before one.
+    discrete_inputs = []
+    real_round = canon._refine_round
+
+    def counting_round(neighbors, ranks):
+        discrete_inputs.append(len(set(ranks)) == len(ranks))
+        return real_round(neighbors, ranks)
+
+    monkeypatch.setattr(canon, "_refine_round", counting_round)
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    for text, (_, canonical, canonical_maps) in pins.items():
+        mol = parse_smiles(text)
+        assert canonical_smiles(mol) == canonical, text
+        assert canonical_smiles(mol, include_maps=True) == canonical_maps, text
+    assert discrete_inputs.count(False) > len(pins)
+    assert discrete_inputs.count(True) == 0

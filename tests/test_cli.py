@@ -737,6 +737,17 @@ class TestRunConfig:
         assert capsys.readouterr().err == f"error: --endpoint: not an absolute http(s) URL: {endpoint!r}\n"
         assert not out.exists()
 
+    def test_proxy_with_a_bad_port_exits_1(self, pipeline, capsys, monkeypatch):
+        without_proxies(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:abc")
+        monkeypatch.setenv("RETROANCHOR_API_KEY", "k")
+        out = pipeline["root"] / "r"  # the cache would be out/cache
+        assert main(live_argv(pipeline, "position", "http://example.invalid/v1", out)) == 1
+        assert capsys.readouterr().err == (
+            "error: --endpoint: its proxy HTTP_PROXY has a bad port: 'http://127.0.0.1:abc'\n"
+        )
+        assert not out.exists()
+
 
 # Valid JSON nested past the interpreter's recursion limit, where ``json``
 # raises RecursionError rather than ValueError.

@@ -5,11 +5,22 @@ from __future__ import annotations
 import csv
 import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from helpers import permute_molecule, random_aromatic_molecule, random_molecule
 from retroanchor import metrics
-from retroanchor.chem import AtomMapSet, parse_smiles, substructure_match
+from retroanchor.chem import (
+    AtomMapSet,
+    Molecule,
+    canonical_smiles,
+    parse_smiles,
+    strip_atom_maps,
+    strip_stereo,
+    substructure_match,
+)
 from retroanchor.metrics import (
     ConfusionLabel,
     EvaluationReport,
@@ -182,6 +193,75 @@ class TestReactantMultiset:
         assert reactant_multiset(chiral, ignore_stereo=True) == reactant_multiset(
             flat, ignore_stereo=True
         )
+
+
+CORPUS_PATH = Path(__file__).parent / "fixtures" / "smiles_corpus.txt"
+
+
+def _unmemoized_multiset(molecules, ignore_stereo):
+    texts = []
+    for molecule in molecules:
+        stripped = strip_atom_maps(molecule)
+        if ignore_stereo:
+            stripped = strip_stereo(stripped)
+        texts.append(canonical_smiles(stripped))
+    return Counter(texts)
+
+
+class TestCanonicalMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_CANONICAL_MEMO", {})
+
+    def test_memoized_multiset_equals_unmemoized_in_either_order(self):
+        rng = random.Random(21)
+        parsed = [parse_smiles(t) for t in CORPUS_PATH.read_text(encoding="utf-8").splitlines()]
+        generated = [random_molecule(rng, with_maps=True) for _ in range(30)]
+        generated += [random_aromatic_molecule(rng, with_maps=True) for _ in range(30)]
+        permuted = [permute_molecule(m, rng) for m in parsed[::4] + generated]  # no source text
+        # Colons outside brackets are aromatic bonds, not atom maps.
+        bonds = ["c1cc:c:cc1[CH3:5]", "[cH:1]1:c:c:c:c:c:1", "C1:C:C:C:C:C:1", "[13CH3:2]c1ccccc:1"]
+        molecules = parsed + generated + permuted + [parse_smiles(t) for t in bonds]
+        reactant_sets = [molecules[k : k + 3] for k in range(0, len(molecules), 3)]
+        # The second order reads what the first order wrote.
+        for order in (reactant_sets, reactant_sets[::-1]):
+            for reactants in order:
+                for ignore_stereo in (False, True):
+                    expected = _unmemoized_multiset(reactants, ignore_stereo)
+                    assert reactant_multiset(reactants, ignore_stereo) == expected
+        # Each key's text, without the maps, is a spelling of the molecules it serves.
+        assert len(metrics._CANONICAL_MEMO) > len(parsed)
+        for (text, ignore_stereo), canonical in metrics._CANONICAL_MEMO.items():
+            assert _unmemoized_multiset([parse_smiles(text)], ignore_stereo) == Counter([canonical])
+
+    def test_molecule_without_source_text_never_touches_the_memo(self, monkeypatch):
+        poisoned = {(None, False): "X", (None, True): "X", ("", False): "X", ("", True): "X"}
+        monkeypatch.setattr(metrics, "_CANONICAL_MEMO", dict(poisoned))
+        parsed = parse_smiles("[CH3:1][C@@H:2](N)C(=O)O")
+        for source_text in (None, ""):
+            molecule = Molecule(atoms=parsed.atoms, bonds=parsed.bonds, source_text=source_text)
+            for ignore_stereo in (False, True):
+                expected = _unmemoized_multiset([parsed], ignore_stereo)
+                assert reactant_multiset([molecule], ignore_stereo) == expected
+        assert metrics._CANONICAL_MEMO == poisoned
+
+    def test_repeated_reactant_text_is_canonicalized_once_per_stereo_setting(self, monkeypatch):
+        calls = []
+
+        def counting(molecule):
+            calls.append(molecule)
+            return canonical_smiles(molecule)
+
+        monkeypatch.setattr(metrics, "canonical_smiles", counting)
+        texts = ["[CH3:1][C:2](=[O:3])[OH:4]", "CN"]
+        gt = [parse_smiles(t) for t in texts]
+        # A text that differs only in its atom maps shares the entry; the
+        # first prediction misses, so the second is scored too.
+        preds = [_pred(["CN"]), _pred(["CN", "[CH3:7][C:8](=[O:9])[OH:10]"])]
+        for ignore_stereo in (False, True):
+            for _ in range(3):  # three examples sharing the reactants
+                assert score_transition(preds, gt, ignore_stereo=ignore_stereo).reactant_acc
+            assert len(calls) == len(texts) * (1 + ignore_stereo)
 
 
 GT_ACID = parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[OH:5]")
