@@ -23,8 +23,6 @@ two kekulized spellings of such a ring collapse to one canonical text.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, Molecule, _atom, _bond
 from retroanchor.chem.smiles import write_smiles
 
@@ -70,19 +68,21 @@ def _qualifying_six_rings(molecule: Molecule) -> list[tuple[int, ...]]:
 
     found: dict[frozenset[int], tuple[int, ...]] = {}
 
-    def extend(path: list[int]) -> None:
-        head = path[-1]
-        if len(path) == 6:
-            closing = molecule.bond_between(head, path[0])
-            if closing is not None and _alternates(molecule, path):
-                found.setdefault(frozenset(path), tuple(path))
-            return
-        for nbr, _ in molecule.neighbors(head):
+    def extend(path: list[int], last: str | None) -> None:
+        # Each bond is single or double and differs from the one before it;
+        # in an even ring the closing bond then alternates once it differs
+        # from the fifth.
+        for nbr, bond in molecule.neighbors(path[-1]):
+            if bond.kind not in (SINGLE, DOUBLE) or bond.kind == last:
+                continue
+            if len(path) == 6:
+                if nbr == path[0]:
+                    found.setdefault(frozenset(path), tuple(path))
             # Anchor enumeration at the smallest ring atom to visit each
             # ring a bounded number of times.
-            if nbr > path[0] and nbr not in path and eligible(nbr):
+            elif nbr > path[0] and nbr not in path and eligible(nbr):
                 path.append(nbr)
-                extend(path)
+                extend(path, bond.kind)
                 path.pop()
 
     # Every atom of an alternating ring has a double bond to a ring
@@ -91,18 +91,8 @@ def _qualifying_six_rings(molecule: Molecule) -> list[tuple[int, ...]]:
         if eligible(start) and any(
             bond.kind == DOUBLE and eligible(nbr) for nbr, bond in molecule.neighbors(start)
         ):
-            extend([start])
+            extend([start], None)
     return list(found.values())
-
-
-def _alternates(molecule: Molecule, path: Sequence[int]) -> bool:
-    kinds = []
-    for k in range(6):
-        bond = molecule.bond_between(path[k], path[(k + 1) % 6])
-        if bond is None or bond.kind not in (SINGLE, DOUBLE):
-            return False
-        kinds.append(bond.kind)
-    return all(kinds[k] != kinds[(k + 1) % 6] for k in range(6))
 
 
 def _dense_ranks(keys: list) -> list[int]:

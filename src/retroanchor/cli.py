@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from retroanchor.chem import AtomMapSet
     from retroanchor.datasets import Ontology, ReactionRecord
-    from retroanchor.gateway import Completion, GatewayFailure, ModelConfig
+    from retroanchor.gateway import Completion, GatewayFailure, HttpBackend, ModelConfig
     from retroanchor.outputs import DisconnectionCandidate, ParseOutcome, TransitionPrediction
     from retroanchor.prompts import PromptTemplate, RenderedPrompt
 
@@ -173,16 +173,18 @@ def cmd_subsample(args) -> int:
 # ------------------------------------------------------------ model runs
 
 
-def _run_config(args, stage: str, **fields) -> tuple[ModelConfig, dict]:
-    """The run's model and its ``config.json`` record; a stage's own keys
-    go in ``fields`` or are added to the record before the run."""
+def _run_config(args, stage: str, **fields) -> tuple[ModelConfig, HttpBackend | None, dict]:
+    """The run's model, its live backend (None in replay) and its
+    ``config.json`` record; a stage's own keys go in ``fields`` or are
+    added to the record before the run."""
     from retroanchor.gateway import GatewayError, HttpBackend, ModelConfig
     if args.parallelism < 1:
         raise CliError("--parallelism must be at least 1")
     model = ModelConfig(model_id=args.model, endpoint=args.endpoint, api_key_env=args.api_key_env)
+    backend = None
     if args.backend == "live":
         try:
-            HttpBackend(model)  # dials nothing: a bad endpoint exits before any file is made
+            backend = HttpBackend(model)  # dials nothing: a bad endpoint exits before any file is made
         except GatewayError as exc:
             raise CliError(f"--endpoint: {exc}") from exc
         if not os.environ.get(args.api_key_env):
@@ -199,7 +201,7 @@ def _run_config(args, stage: str, **fields) -> tuple[ModelConfig, dict]:
         **dict.fromkeys(("prompt_variant", "examples_k", "seed", "ontology", "train")),
         **fields,
     }
-    return model, config
+    return model, backend, config
 
 
 def _manifest_row(cfg: ModelConfig, result: Completion | GatewayFailure) -> dict:
@@ -220,6 +222,7 @@ def _manifest_row(cfg: ModelConfig, result: Completion | GatewayFailure) -> dict
 
 def _execute_run(
     model: ModelConfig,
+    backend: HttpBackend | None,
     config: dict,
     records: list[ReactionRecord],
     render: Callable[[ReactionRecord], RenderedPrompt],
@@ -241,7 +244,7 @@ def _execute_run(
         except ValueError as exc:
             pending.append((record, None, str(exc)))
     prompts = [prompt for _, prompt, _ in pending if prompt is not None]
-    gateway = Gateway(model, cache_dir=config["cache_dir"], mode=config["backend"])
+    gateway = Gateway(model, config["cache_dir"], backend)
     results = iter(gateway.run_batch(prompts, config["parallelism"]))
 
     outcomes: list[dict] = []
@@ -279,7 +282,7 @@ def _execute_run(
 def cmd_run_position(args) -> int:
     from retroanchor.outputs import parse_position_output
     from retroanchor.prompts import render_position_prompt
-    model, config = _run_config(args, "position", ontology=str(args.ontology))
+    model, backend, config = _run_config(args, "position", ontology=str(args.ontology))
     records, rejects = _ingest(args.input)
     ontology = _load_ontology(args.ontology)
     if len(ontology) == 0:
@@ -300,7 +303,7 @@ def cmd_run_position(args) -> int:
         ontology_size=len(ontology),
         ingest_rejects=len(rejects),
     )
-    return _execute_run(model, config, records, render, parse)
+    return _execute_run(model, backend, config, records, render, parse)
 
 
 def _prediction_rows(parsed: ParseOutcome) -> tuple[ParseOutcome, list[dict]]:
@@ -333,7 +336,7 @@ def cmd_run_transition(args) -> int:
     from retroanchor.prompts import render_transition_prompt
     if args.examples_k < 0:
         raise CliError("--examples-k must be at least 0")
-    model, config = _run_config(
+    model, backend, config = _run_config(
         args,
         "transition",
         prompt_variant=args.prompt_variant,
@@ -382,7 +385,7 @@ def cmd_run_transition(args) -> int:
         ingest_rejects=len(rejects),
         train_ingest_rejects=n_train_rejects,
     )
-    return _execute_run(model, config, records, render, parse)
+    return _execute_run(model, backend, config, records, render, parse)
 
 
 # ------------------------------------------------------------- evaluate
@@ -451,7 +454,10 @@ def cmd_evaluate(args) -> int:
 
     # A position run reads only ids, names and label columns of the truth.
     records, _rejects = _ingest(args.input, parse=stage == "transition")
-    by_id = {r.record_id: r for r in records}
+    by_id: dict[str, ReactionRecord] = {}
+    for record in records:
+        if by_id.setdefault(record.record_id, record) is not record:
+            raise CliError(f"ground truth file repeats example {record.record_id!r}")
 
     def score_position_row(row: dict, record: ReactionRecord):
         # A row without an answer scores as a failed prediction before
@@ -486,10 +492,14 @@ def cmd_evaluate(args) -> int:
     scores: list = []
     labels: list[ConfusionLabel | None] = []
     ids: list[str] = []
+    scored: set[str] = set()
     for row in outcome_rows:
         record = by_id.get(str(row.get("id")))
         if record is None:
             raise CliError(f"ground truth file lacks example {row.get('id')!r}")
+        if record.record_id in scored:
+            raise CliError(f"{outcomes_path} repeats example {record.record_id!r}")
+        scored.add(record.record_id)
         score, label = score_row(row, record)
         ids.append(record.record_id)
         scores.append(score)

@@ -1,9 +1,9 @@
 """Model gateway: live chat-completion calls, caching, replay, batching.
 
 Every completion is cached under a content-addressed digest before it is
-returned, so a live run is replayable byte-for-byte afterwards.  Replay
-mode never touches the network.  A cache entry missing in replay, or
-unreadable in either mode, is a classified failure, not a crash.
+returned, so a live run is replayable byte-for-byte afterwards.  Replay is
+a gateway without a backend, so it cannot send.  A cache entry missing in
+replay, or unreadable in either, is a classified failure, not a crash.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ REQUEST_REJECTED = "request_rejected"
 
 
 class GatewayError(Exception):
-    """A classified completion failure; ``attempts`` counts backend sends."""
+    """A classified completion failure."""
 
     def __init__(self, kind: str, message: str):
         super().__init__(message)
         self.kind = kind
-        self.attempts = 0
 
 
 class TransientBackendError(Exception):
@@ -281,55 +280,49 @@ class HttpBackend:
 
 
 class Gateway:
-    """Completion front door shared across worker threads."""
+    """Completion front door shared across worker threads.  Without a
+    backend it is a replay gateway: it answers from the cache only and
+    cannot send."""
 
     def __init__(
         self,
         cfg: ModelConfig,
         cache_dir: Path | str,
-        mode: str = "live",
         backend=None,
         sleeper=time.sleep,
     ):
-        if mode not in ("live", "replay"):
-            raise ValueError(f"mode must be 'live' or 'replay', got {mode!r}")
         self.cfg = cfg
-        self.mode = mode
         self.cache = CompletionCache(cache_dir)
         self.backend = backend
-        if self.backend is None and mode == "live":
-            self.backend = HttpBackend(cfg)
         self._sleep = sleeper
 
-    def _complete(self, prompt: RenderedPrompt, digest: str) -> Completion:
-        cached = self.cache.get(digest)
-        if cached is not None:
-            return _completion(digest, cached, from_cache=True)
-        if self.mode == "replay":
-            raise GatewayError(REPLAY_MISS, f"no cached completion for {digest}")
-
+    def _complete(self, prompt: RenderedPrompt) -> Completion | GatewayFailure:
+        digest = request_digest(prompt, self.cfg)
         attempts = 0
-        while True:
-            attempts += 1
-            started = time.monotonic()
-            try:
-                result = self.backend.send(prompt.text)
-            except TransientBackendError as exc:
-                if attempts >= MAX_ATTEMPTS:
-                    error = GatewayError(
-                        RETRIES_EXHAUSTED, f"gave up after {attempts} attempts: {exc}"
-                    )
-                    error.attempts = attempts
-                    raise error from exc
-                self._sleep(BACKOFF_S * 2 ** (attempts - 1) if exc.retry_after is None else exc.retry_after)
-                continue
-            except GatewayError as exc:
-                exc.attempts = attempts
-                raise
-            latency_ms = int((time.monotonic() - started) * 1000)
-            entry = _cache_entry(digest, prompt, self.cfg, result, latency_ms, attempts)
-            self.cache.put(digest, entry)
-            return _completion(digest, entry, from_cache=False)
+        try:
+            cached = self.cache.get(digest)
+            if cached is not None:
+                return _completion(digest, cached, from_cache=True)
+            if self.backend is None:
+                raise GatewayError(REPLAY_MISS, f"no cached completion for {digest}")
+            while True:
+                attempts += 1
+                started = time.monotonic()
+                try:
+                    result = self.backend.send(prompt.text)
+                except TransientBackendError as exc:
+                    if attempts >= MAX_ATTEMPTS:
+                        raise GatewayError(
+                            RETRIES_EXHAUSTED, f"gave up after {attempts} attempts: {exc}"
+                        ) from exc
+                    self._sleep(BACKOFF_S * 2 ** (attempts - 1) if exc.retry_after is None else exc.retry_after)
+                    continue
+                latency_ms = int((time.monotonic() - started) * 1000)
+                entry = _cache_entry(digest, prompt, self.cfg, result, latency_ms, attempts)
+                self.cache.put(digest, entry)
+                return _completion(digest, entry, from_cache=False)
+        except GatewayError as exc:
+            return GatewayFailure(request_digest=digest, kind=exc.kind, message=str(exc), attempts=attempts)
 
     def run_batch(
         self, prompts: list[RenderedPrompt], parallelism: int
@@ -343,19 +336,9 @@ class Gateway:
             raise ValueError("parallelism must be at least 1")
         if not prompts:
             return []
-
-        def one(prompt: RenderedPrompt) -> Completion | GatewayFailure:
-            digest = request_digest(prompt, self.cfg)
-            try:
-                return self._complete(prompt, digest)
-            except GatewayError as exc:
-                return GatewayFailure(
-                    request_digest=digest, kind=exc.kind, message=str(exc), attempts=exc.attempts
-                )
-
         try:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                return list(pool.map(one, prompts))
+                return list(pool.map(self._complete, prompts))
         finally:
             if isinstance(self.backend, HttpBackend):
                 self.backend.close()

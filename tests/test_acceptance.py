@@ -298,7 +298,7 @@ def test_criterion_7_gateway_contracts(tmp_path):
 
     # bounded concurrency, probe-asserted
     probe = _ProbeBackend()
-    live = Gateway(cfg, cache_dir=tmp_path / "cache", mode="live", backend=probe)
+    live = Gateway(cfg, cache_dir=tmp_path / "cache", backend=probe)
     results = live.run_batch(prompts, parallelism=4)
     assert probe.max_in_flight <= 4
     assert probe.max_in_flight >= 2, "parallel batch never overlapped"
@@ -312,8 +312,8 @@ def test_criterion_7_gateway_contracts(tmp_path):
             assert result.text == f"echo(item {index})"
 
     # cache determinism: live-then-replay equals replay-then-replay
-    replay_one = Gateway(cfg, cache_dir=tmp_path / "cache", mode="replay")
-    replay_two = Gateway(cfg, cache_dir=tmp_path / "cache", mode="replay")
+    replay_one = Gateway(cfg, cache_dir=tmp_path / "cache")
+    replay_two = Gateway(cfg, cache_dir=tmp_path / "cache")
     sends_before = probe.sends
 
     def texts(gateway):

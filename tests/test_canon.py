@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from retroanchor.chem import (
     parse_smiles,
     write_smiles,
 )
+from retroanchor.chem.mol import DOUBLE, SINGLE, Molecule
 
 
 def test_permutation_invariance_hand_case():
@@ -91,6 +93,95 @@ def test_canonical_smiles_strips_maps_by_default():
 
 
 PINS_PATH = Path(__file__).parent / "fixtures" / "canonical_pins.json"
+
+
+def _six_rings_enumerated_then_checked(molecule):
+    """Reference for ``canon._qualifying_six_rings``: every 6-path of
+    eligible atoms from an anchor, then a check that its six bonds
+    alternate single/double."""
+
+    def eligible(idx):
+        atom = molecule.atoms[idx]
+        return atom.element in ("C", "N") and not atom.aromatic and not atom.is_element_list
+
+    def alternates(path):
+        kinds = []
+        for k in range(6):
+            bond = molecule.bond_between(path[k], path[(k + 1) % 6])
+            if bond is None or bond.kind not in (SINGLE, DOUBLE):
+                return False
+            kinds.append(bond.kind)
+        return all(kinds[k] != kinds[(k + 1) % 6] for k in range(6))
+
+    found = {}
+
+    def extend(path):
+        if len(path) == 6:
+            if molecule.bond_between(path[-1], path[0]) is not None and alternates(path):
+                found.setdefault(frozenset(path), tuple(path))
+            return
+        for nbr, _ in molecule.neighbors(path[-1]):
+            if nbr > path[0] and nbr not in path and eligible(nbr):
+                path.append(nbr)
+                extend(path)
+                path.pop()
+
+    for start in range(len(molecule.atoms)):
+        if eligible(start) and any(
+            bond.kind == DOUBLE and eligible(nbr) for nbr, bond in molecule.neighbors(start)
+        ):
+            extend([start])
+    return list(found.values())
+
+
+def _kekulized(molecule, rng):
+    """A ``random_aromatic_molecule`` with its ring (atoms 0-5) spelled in
+    alternating single and double bonds; one time in three one ring bond
+    repeats its predecessor's kind, so the ring no longer alternates."""
+    kinds = [DOUBLE, SINGLE] * 3
+    if rng.random() < 1 / 3:
+        k = rng.randrange(6)
+        kinds[k] = kinds[k - 1]
+    atoms = tuple(replace(a, aromatic=False) if i < 6 else a for i, a in enumerate(molecule.atoms))
+    bonds = tuple(replace(b, kind=kinds[b.a]) if b.b < 6 else b for b in molecule.bonds)
+    return Molecule(atoms=atoms, bonds=bonds)
+
+
+# Six-rings that must not be rewritten, each one step from an alternating ring.
+SIX_RING_NEAR_MISSES = {
+    "triple bond in the ring": "C1=CC=CC#C1",
+    "two adjacent doubles": "C1=C=CC=CC=1",
+    "aromatic bond in the ring": "C1=CC=CC:C1",
+    "oxygen in the ring": "C1=CC=C[O+]=C1",
+    "closing bond the kind of the fifth": "C1=CC=CC=C=1",
+}
+
+
+def test_six_ring_search_equals_enumerate_then_check():
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    corpus = (PINS_PATH.parent / "smiles_corpus.txt").read_text(encoding="utf-8").splitlines()
+    assert len(corpus) == 560
+    texts = ["C1=CC=CC=C1", "N1=CC=CC=C1", "C1=CC=C2C=CC=CC2=C1", *corpus, *pins]
+    molecules = [parse_smiles(text) for text in texts]
+    rng = random.Random(22)
+    molecules += [permute_molecule(mol, rng) for mol in molecules[:200]]
+    molecules += [random_molecule(rng, with_maps=rng.random() < 0.5) for _ in range(200)]
+    aromatic = [random_aromatic_molecule(rng, with_maps=True) for _ in range(100)]
+    kekulized = [_kekulized(mol, rng) for mol in aromatic]
+    molecules += aromatic + kekulized + [permute_molecule(mol, rng) for mol in kekulized]
+    n_rings = 0
+    for mol in molecules:
+        rings = canon._qualifying_six_rings(mol)
+        assert rings == _six_rings_enumerated_then_checked(mol), write_smiles(mol)
+        n_rings += len(rings)
+    assert n_rings > 100
+
+
+@pytest.mark.parametrize("case", sorted(SIX_RING_NEAR_MISSES))
+def test_six_ring_near_miss_is_not_rewritten(case):
+    mol = parse_smiles(SIX_RING_NEAR_MISSES[case])
+    assert canon._qualifying_six_rings(mol) == []
+    assert _six_rings_enumerated_then_checked(mol) == []
 
 
 def test_written_and_canonical_text_match_pins():

@@ -1132,6 +1132,28 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: example e1: more than 99 simultaneously open ring closures")
 
+    def test_truth_file_repeating_an_id_exits_1(self, pipeline, capsys):
+        """Two truth rows under one id would leave one of them unscored and
+        score the other's run row against the wrong truth."""
+        seed_position(pipeline)
+        run_dir = run_position(pipeline)
+        rows = read_jsonl(pipeline["eval"])
+        truth = pipeline["root"] / "truth.jsonl"
+        write_jsonl(truth, [*rows, {**rows[0], "id": rows[1]["id"]}])
+        assert main(["evaluate", "--run", str(run_dir), "--input", str(truth)]) == 1
+        assert capsys.readouterr().err == f"error: ground truth file repeats example {rows[1]['id']!r}\n"
+        assert not (run_dir / "report").exists()
+
+    def test_outcomes_repeating_an_id_exit_1(self, pipeline, capsys):
+        seed_position(pipeline)
+        run_dir = run_position(pipeline)
+        outcomes = run_dir / "outcomes.jsonl"
+        rows = read_jsonl(outcomes)
+        write_jsonl(outcomes, [rows[0], {**rows[1], "id": rows[0]["id"]}, *rows[2:]])
+        assert main(["evaluate", "--run", str(run_dir), "--input", str(pipeline["eval"])]) == 1
+        assert capsys.readouterr().err == f"error: {outcomes} repeats example {rows[0]['id']!r}\n"
+        assert not (run_dir / "report").exists()
+
     def test_not_a_run_dir_errors(self, pipeline, capsys):
         code = main(
             ["evaluate", "--run", str(pipeline["root"]), "--input", str(pipeline["eval"])]
@@ -1450,6 +1472,22 @@ class TestLiveLoopback:
         assert any(row.get("n_predictions") for row in read_jsonl(out / "outcomes.jsonl"))
         assert (replay / "outcomes.jsonl").read_bytes() == (out / "outcomes.jsonl").read_bytes()
         assert {m["outcome"] for m in read_jsonl(replay / "manifest.jsonl")} == {"cache_hit"}
+
+    def test_live_stage_builds_one_backend(self, pipeline, monkeypatch):
+        """The backend that checks ``--endpoint`` is the one that sends."""
+        from retroanchor.gateway import HttpBackend
+        built = []
+        init = HttpBackend.__init__
+
+        def counting_init(self, cfg):
+            built.append(self)
+            init(self, cfg)
+
+        monkeypatch.setattr(HttpBackend, "__init__", counting_init)
+        with self._server("position") as server:
+            run_live(pipeline, "position", server.endpoint, "live")
+        assert len(built) == 1
+        assert server.requests
 
     def test_sends_and_records_only_what_the_model_flags_set(self, pipeline, monkeypatch):
         """The body holds the model, the prompt and the fixed token budget;

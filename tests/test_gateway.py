@@ -162,7 +162,7 @@ class TestDigestParts:
             )
             for i in range(40)
         ]
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=EchoBackend())
+        gateway = Gateway(CFG, tmp_path, backend=EchoBackend())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads inside the digest as often as possible
         try:
@@ -174,7 +174,7 @@ class TestDigestParts:
 
 class TestCompleteAndCache:
     def test_live_call_writes_cache_then_serves_hits(self, tmp_path):
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=EchoBackend())
+        gateway = Gateway(CFG, tmp_path, backend=EchoBackend())
         first = gateway.run_batch([_prompt("hello")], 1)[0]
         assert first.text == "echo:hello"
         assert not first.from_cache
@@ -184,15 +184,15 @@ class TestCompleteAndCache:
         assert second.latency_ms == first.latency_ms
 
     def test_live_then_replay_equals_replay_then_replay(self, tmp_path):
-        live = Gateway(CFG, tmp_path, mode="live", backend=EchoBackend())
+        live = Gateway(CFG, tmp_path, backend=EchoBackend())
         live.run_batch([_prompt("alpha")], 1)
-        replay_a = Gateway(CFG, tmp_path, mode="replay").run_batch([_prompt("alpha")], 1)[0]
-        replay_b = Gateway(CFG, tmp_path, mode="replay").run_batch([_prompt("alpha")], 1)[0]
+        replay_a = Gateway(CFG, tmp_path).run_batch([_prompt("alpha")], 1)[0]
+        replay_b = Gateway(CFG, tmp_path).run_batch([_prompt("alpha")], 1)[0]
         assert replay_a.text == replay_b.text == "echo:alpha"
         assert replay_a.request_digest == replay_b.request_digest
 
     def test_replay_miss_is_classified(self, tmp_path):
-        gateway = Gateway(CFG, tmp_path, mode="replay")
+        gateway = Gateway(CFG, tmp_path)
         failure = gateway.run_batch([_prompt("never seen")], 1)[0]
         assert isinstance(failure, GatewayFailure)
         assert failure.kind == REPLAY_MISS
@@ -200,12 +200,8 @@ class TestCompleteAndCache:
     def test_seed_cache_plants_replayable_text(self, tmp_path):
         prompt = _prompt("planted")
         seed_cache(tmp_path, prompt, CFG, '{"disconnections": []}')
-        completion = Gateway(CFG, tmp_path, mode="replay").run_batch([prompt], 1)[0]
+        completion = Gateway(CFG, tmp_path).run_batch([prompt], 1)[0]
         assert completion.text == '{"disconnections": []}'
-
-    def test_invalid_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="mode"):
-            Gateway(CFG, tmp_path, mode="dryrun")
 
 
 class TestRetries:
@@ -214,7 +210,7 @@ class TestRetries:
         backend = ScriptedBackend(
             [TransientBackendError("503"), TransientBackendError("503"), "recovered"]
         )
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=sleeps.append)
+        gateway = Gateway(CFG, tmp_path, backend=backend, sleeper=sleeps.append)
         completion = gateway.run_batch([_prompt("flaky")], 1)[0]
         assert completion.text == "recovered"
         assert completion.attempts == 3
@@ -225,7 +221,7 @@ class TestRetries:
     def test_exhausted_retries_classified(self, tmp_path):
         backend = ScriptedBackend([TransientBackendError("x")] * MAX_ATTEMPTS)
         gateway = Gateway(
-            CFG, tmp_path, mode="live", backend=backend, sleeper=lambda _: None
+            CFG, tmp_path, backend=backend, sleeper=lambda _: None
         )
         failure = gateway.run_batch([_prompt("doomed")], 1)[0]
         assert isinstance(failure, GatewayFailure)
@@ -234,7 +230,7 @@ class TestRetries:
 
     def test_auth_failure_is_not_retried(self, tmp_path):
         backend = ScriptedBackend([GatewayError(AUTH_FAILURE, "bad key"), "unreached"])
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=backend)
+        gateway = Gateway(CFG, tmp_path, backend=backend)
         failure = gateway.run_batch([_prompt("locked")], 1)[0]
         assert isinstance(failure, GatewayFailure)
         assert failure.kind == AUTH_FAILURE
@@ -242,7 +238,7 @@ class TestRetries:
 
     def test_nothing_cached_on_failure(self, tmp_path):
         backend = ScriptedBackend([TransientBackendError("x")] * MAX_ATTEMPTS)
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=lambda _: None)
+        gateway = Gateway(CFG, tmp_path, backend=backend, sleeper=lambda _: None)
         failure = gateway.run_batch([_prompt("doomed")], 1)[0]
         assert isinstance(failure, GatewayFailure)
         assert gateway.cache.get(request_digest(_prompt("doomed"), CFG)) is None
@@ -250,21 +246,21 @@ class TestRetries:
 
 class TestRunBatch:
     def test_order_preserved(self, tmp_path):
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=ProbeBackend())
+        gateway = Gateway(CFG, tmp_path, backend=ProbeBackend())
         prompts = [_prompt(f"item-{i}") for i in range(10)]
         results = gateway.run_batch(prompts, parallelism=4)
         assert [r.text for r in results] == [f"echo:item-{i}" for i in range(10)]
 
     def test_bounded_concurrency(self, tmp_path):
         backend = ProbeBackend(delay=0.02)
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=backend)
+        gateway = Gateway(CFG, tmp_path, backend=backend)
         gateway.run_batch([_prompt(f"p{i}") for i in range(12)], parallelism=3)
         assert backend.max_in_flight <= 3
         assert backend.max_in_flight >= 2
 
     def test_serial_when_parallelism_one(self, tmp_path):
         backend = ProbeBackend(delay=0.005)
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=backend)
+        gateway = Gateway(CFG, tmp_path, backend=backend)
         gateway.run_batch([_prompt(f"p{i}") for i in range(6)], parallelism=1)
         assert backend.max_in_flight == 1
 
@@ -275,7 +271,7 @@ class TestRunBatch:
                     raise GatewayError(CONTEXT_LENGTH, "too long")
                 return BackendResult(text=f"echo:{text}")
 
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=PartialBackend())
+        gateway = Gateway(CFG, tmp_path, backend=PartialBackend())
         prompts = [_prompt("a"), _prompt("poison"), _prompt("c")]
         results = gateway.run_batch(prompts, parallelism=2)
         assert isinstance(results[0], Completion)
@@ -284,17 +280,17 @@ class TestRunBatch:
         assert isinstance(results[2], Completion)
 
     def test_empty_batch(self, tmp_path):
-        gateway = Gateway(CFG, tmp_path, mode="replay")
+        gateway = Gateway(CFG, tmp_path)
         assert gateway.run_batch([], parallelism=2) == []
 
     def test_parallelism_below_one_rejected(self, tmp_path):
-        gateway = Gateway(CFG, tmp_path, mode="replay")
+        gateway = Gateway(CFG, tmp_path)
         with pytest.raises(ValueError, match="parallelism"):
             gateway.run_batch([_prompt("x")], parallelism=0)
 
     def test_replay_batch_mixes_hits_and_misses(self, tmp_path):
         seed_cache(tmp_path, _prompt("known"), CFG, "cached text")
-        gateway = Gateway(CFG, tmp_path, mode="replay")
+        gateway = Gateway(CFG, tmp_path)
         results = gateway.run_batch([_prompt("known"), _prompt("unknown")], parallelism=2)
         assert isinstance(results[0], Completion)
         assert results[0].text == "cached text"
@@ -309,7 +305,7 @@ class TestRunBatch:
             return request_digest(prompt, cfg)
 
         seed_cache(tmp_path / "cache", _prompt("known"), CFG, "cached text")
-        gateway = Gateway(CFG, tmp_path / "cache", mode="replay")
+        gateway = Gateway(CFG, tmp_path / "cache")
         monkeypatch.setattr(gateway_module, "request_digest", counting_digest)
         prompts = [_prompt("known"), _prompt("unknown"), _prompt("other")]
         results = gateway.run_batch(prompts, parallelism=2)
@@ -322,18 +318,18 @@ class TestRunBatch:
 
     def test_failure_attempts_count_backend_sends(self, tmp_path):
         flaky = ScriptedBackend([TransientBackendError("503")] * MAX_ATTEMPTS)
-        live = Gateway(CFG, tmp_path, mode="live", backend=flaky, sleeper=lambda _: None)
+        live = Gateway(CFG, tmp_path, backend=flaky, sleeper=lambda _: None)
         [exhausted] = live.run_batch([_prompt("doomed")], parallelism=1)
         assert exhausted.kind == RETRIES_EXHAUSTED
         assert exhausted.attempts == MAX_ATTEMPTS == flaky.calls
 
         refused = ScriptedBackend([GatewayError(CONTEXT_LENGTH, "too long")])
-        live = Gateway(CFG, tmp_path, mode="live", backend=refused)
+        live = Gateway(CFG, tmp_path, backend=refused)
         [rejected] = live.run_batch([_prompt("huge")], parallelism=1)
         assert rejected.kind == CONTEXT_LENGTH
         assert rejected.attempts == 1
 
-        [missed] = Gateway(CFG, tmp_path, mode="replay").run_batch(
+        [missed] = Gateway(CFG, tmp_path).run_batch(
             [_prompt("never seen")], parallelism=1
         )
         assert missed.kind == REPLAY_MISS
@@ -367,9 +363,9 @@ CORRUPT_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("mode", ["replay", "live"])
+@pytest.mark.parametrize("form", ["replay", "live"])
 @pytest.mark.parametrize("case", sorted(CORRUPT_ENTRIES))
-def test_unreadable_cache_entry_fails_only_its_item(tmp_path, case, mode):
+def test_unreadable_cache_entry_fails_only_its_item(tmp_path, case, form):
     prompts = [_prompt("first"), _prompt("broken"), _prompt("last")]
     for prompt in prompts:
         seed_cache(tmp_path, prompt, CFG, f"cached {prompt.text}")
@@ -377,15 +373,16 @@ def test_unreadable_cache_entry_fails_only_its_item(tmp_path, case, mode):
     corrupted = CORRUPT_ENTRIES[case](path.read_bytes())
     path.write_bytes(corrupted)
 
-    backend = ScriptedBackend([])  # a send would pop from an empty script
-    gateway = Gateway(CFG, tmp_path, mode=mode, backend=backend)
+    # Replay has no backend; live has one whose send would pop from an empty script.
+    backend = ScriptedBackend([]) if form == "live" else None
+    gateway = Gateway(CFG, tmp_path, backend=backend)
     first, broken, last = gateway.run_batch(prompts, parallelism=2)
 
     assert (first.text, last.text) == ("cached first", "cached last")
     assert isinstance(broken, GatewayFailure)
     assert (broken.kind, broken.attempts) == (CACHE_CORRUPT, 0)
     assert _manifest_row(CFG, broken)["outcome"] == CACHE_CORRUPT
-    assert backend.calls == 0
+    assert backend is None or backend.calls == 0
     assert path.read_bytes() == corrupted  # left for inspection, never overwritten
 
 
@@ -540,7 +537,7 @@ class TestHttpBackend:
         ]
         with ChatServer(replies) as server:
             cfg = _http_cfg(server.endpoint)
-            gateway = Gateway(cfg, tmp_path, mode="live", backend=HttpBackend(cfg))
+            gateway = Gateway(cfg, tmp_path, backend=HttpBackend(cfg))
             results = gateway.run_batch([_prompt("a"), _prompt("b"), _prompt("c")], parallelism=1)
         assert [r.text for r in (results[0], results[2])] == ["first", "third"]
         assert isinstance(results[1], GatewayFailure)
@@ -572,7 +569,7 @@ class TestKeepAlive:
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
         with ChatServer() as server:
             cfg = _http_cfg(server.endpoint)
-            gateway = Gateway(cfg, tmp_path, mode="live")
+            gateway = Gateway(cfg, tmp_path, backend=HttpBackend(cfg))
             results = gateway.run_batch([_prompt(f"p{i}") for i in range(12)], parallelism=3)
             assert gateway.backend._connections == {}  # closed when the batch ended
         assert all(isinstance(r, Completion) and r.attempts == 1 for r in results)
@@ -586,7 +583,7 @@ class TestKeepAlive:
         sleeps: list[float] = []
         with ChatServer(drop_after_reply=True) as server:
             cfg = _http_cfg(server.endpoint)
-            gateway = Gateway(cfg, tmp_path, mode="live", sleeper=sleeps.append)
+            gateway = Gateway(cfg, tmp_path, backend=HttpBackend(cfg), sleeper=sleeps.append)
             results = gateway.run_batch([_prompt(f"p{i}") for i in range(6)], parallelism=1)
         assert [r.attempts for r in results] == [1] * 6
         assert sleeps == []
@@ -703,7 +700,7 @@ class TestRetryAfter:
         sleeps: list[float] = []
         with ChatServer([far] * MAX_ATTEMPTS + [(200, chat_body("second"), {})]) as server:
             cfg = _http_cfg(server.endpoint)
-            gateway = Gateway(cfg, tmp_path, mode="live", sleeper=sleeps.append)
+            gateway = Gateway(cfg, tmp_path, backend=HttpBackend(cfg), sleeper=sleeps.append)
             first, second = gateway.run_batch([_prompt("a"), _prompt("b")], parallelism=1)
         assert isinstance(first, GatewayFailure)
         assert (first.kind, first.attempts) == (RETRIES_EXHAUSTED, MAX_ATTEMPTS)
@@ -719,7 +716,7 @@ class TestRetryAfter:
                 "recovered",
             ]
         )
-        gateway = Gateway(CFG, tmp_path, mode="live", backend=backend, sleeper=sleeps.append)
+        gateway = Gateway(CFG, tmp_path, backend=backend, sleeper=sleeps.append)
         completion = gateway.run_batch([_prompt("limited")], 1)[0]
         assert (completion.text, completion.attempts) == ("recovered", 3)
         assert sleeps == [7.0, 2 * BACKOFF_S]
