@@ -1,12 +1,14 @@
 """Paired A/B runs of perfbench: a base revision against this checkout.
 
-Extracts the committed files of ``--base`` with ``git archive`` under
-``.perfbench_work/``, then runs ``perfbench/run.py`` alternately in that
-copy and in this checkout's working tree (the head), ``--pairs`` times:
+Makes two fresh copies under ``.perfbench_work/``: the committed files
+of ``--base`` (``git archive``), and the working tree's files as they are
+on disk (the head: tracked files plus untracked ones that are not
+ignored).  Neither copy holds bytecode that the other lacks.  Then runs
+``perfbench/run.py`` alternately in the two copies, ``--pairs`` times:
 the base runs first in odd pairs, the head first in even ones.  Each side
 runs its own perfbench.  A run that is not ``correct: true`` stops the
 comparison, and so does a pair whose ``outputs`` hash lines differ.  The
-copy is removed afterwards.
+copies are removed afterwards.
 
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  Results are merged
 into ``BENCH_<n>.json`` at the repo root, one entry per workload and seed:
@@ -29,6 +31,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -61,6 +64,26 @@ def head_identity() -> dict:
     dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
     commit_key = "parent_commit" if dirty else "commit"
     return {commit_key: _git("rev-parse", "HEAD"), "tree_digest": digest.hexdigest()}
+
+
+def _fresh(directory: Path) -> Path:
+    if directory.exists():
+        shutil.rmtree(directory)
+    directory.mkdir(parents=True)
+    return directory
+
+
+def snapshot_worktree(dest: Path, root: Path = ROOT) -> None:
+    """Copy the files of ``root``'s working tree as they are on disk into
+    ``dest``: tracked files and untracked ones that are not ignored."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, check=True, capture_output=True,
+    ).stdout
+    for name in filter(None, os.fsdecode(listed).split("\0")):
+        if (root / name).is_file():  # a tracked file deleted on disk is listed too
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
@@ -143,20 +166,21 @@ def main(argv=None) -> int:
         print(f"error: {out_path.name} measures another base or head", file=sys.stderr)
         return 2
 
-    base_dir = WORK / f"ab-base-{base_commit[:12]}"
-    base_dir.mkdir(parents=True, exist_ok=True)
+    base_dir = _fresh(WORK / f"ab-base-{base_commit[:12]}")
+    head_dir = _fresh(WORK / f"ab-head-{head['tree_digest'][:12]}")
     archive = subprocess.run(
         ["git", "archive", base_commit], cwd=ROOT, check=True, capture_output=True
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(base_dir, filter="data")
+    snapshot_worktree(head_dir)
     try:
         base_runs, head_runs, order = [], [], []
         for pair in range(1, args.pairs + 1):
             sides = ("base", "head") if pair % 2 else ("head", "base")
             outputs = {}
             for side in sides:
-                checkout = base_dir if side == "base" else ROOT
+                checkout = base_dir if side == "base" else head_dir
                 values, outputs[side] = run_once(checkout, args.workload, args.seed, seconds)
                 (base_runs if side == "base" else head_runs).append(values)
                 print(f"pair {pair} {side}: " + " ".join(
@@ -170,6 +194,7 @@ def main(argv=None) -> int:
         return 1
     finally:
         shutil.rmtree(base_dir)
+        shutil.rmtree(head_dir)
 
     bench["base"] = {"rev": args.base, "commit": base_commit}
     bench["head"] = head

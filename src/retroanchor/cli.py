@@ -306,30 +306,6 @@ def cmd_run_position(args) -> int:
     return _execute_run(model, backend, config, records, render, parse)
 
 
-def _prediction_rows(parsed: ParseOutcome) -> tuple[ParseOutcome, list[dict]]:
-    """The outcome rows of the parsed predictions, reactants canonical.
-
-    A prediction whose reactants the canonical writer cannot spell (more
-    than 99 ring closures open at once) moves to ``dropped``, like any
-    malformed permutation; the outcome is rebuilt without it.
-    """
-    from retroanchor.chem import canonical_smiles
-    from retroanchor.outputs import ALL_ITEMS_INVALID, ParseOutcome, _drop
-    ok, rows, dropped = [], [], list(parsed.dropped)
-    for pred in parsed.ok:
-        try:
-            reactants = [canonical_smiles(m, include_maps=True) for m in pred.reactants]
-        except ValueError as exc:
-            entry = {**vars(pred), "reactants": [m.source_text for m in pred.reactants]}
-            dropped.append(_drop(entry, f"reactants cannot be written as canonical SMILES: {exc}"))
-            continue
-        ok.append(pred)
-        rows.append({**vars(pred), "reactants": reactants})
-    if len(ok) < len(parsed.ok):
-        parsed = ParseOutcome(tuple(ok), tuple(dropped), None if ok else ALL_ITEMS_INVALID)
-    return parsed, rows
-
-
 def cmd_run_transition(args) -> int:
     from retroanchor.datasets import sample_examples
     from retroanchor.outputs import parse_transition_output
@@ -376,8 +352,8 @@ def cmd_run_transition(args) -> int:
         )
 
     def parse(text: str, record: ReactionRecord, prompt: RenderedPrompt):
-        parsed, rows = _prediction_rows(parse_transition_output(text))
-        return parsed, {"example_count": prompt.example_count, "predictions": rows}
+        parsed = parse_transition_output(text)
+        return parsed, {"example_count": prompt.example_count, "predictions": [vars(p) for p in parsed.ok]}
 
     config.update(
         template_name=template.name,
@@ -407,10 +383,9 @@ def _candidate(c: dict) -> DisconnectionCandidate:
 
 
 def _prediction(p: dict) -> TransitionPrediction:
-    from retroanchor.chem import parse_smiles
     from retroanchor.outputs import TransitionPrediction
     return TransitionPrediction(
-        reactants=tuple(parse_smiles(_exact(t, str)) for t in _exact(p["reactants"], list)),
+        reactants=tuple(_exact(t, str) for t in _exact(p["reactants"], list)),
         is_valid=_exact(p["is_valid"], bool),
         is_template=_exact(p["is_template"], bool),
         reasoning=_exact(p.get("reasoning", ""), str),
@@ -421,19 +396,16 @@ def _prediction(p: dict) -> TransitionPrediction:
 def _items_from_row(row: dict, key: str, build: Callable[[dict], object]) -> list:
     """The ``key`` list of an ``ok`` outcome row, each item built by ``build``;
     any other row has no items and scores as a failed prediction."""
-    from retroanchor.chem import SmilesError
     if row.get("status") != "ok":
         return []
     try:
         return [build(item) for item in _exact(row[key], list)]
-    except SmilesError as exc:
-        raise CliError(f"run outcome for {row.get('id')} holds unparsable SMILES: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"run outcome for {row.get('id')} holds a malformed {key[:-1]}: {exc!r}") from exc
 
 
 def cmd_evaluate(args) -> int:
-    from retroanchor.chem import AtomMapSet
+    from retroanchor.chem import AtomMapSet, SmilesError
     from retroanchor.metrics import ConfusionLabel, aggregate, representative_candidate
     from retroanchor.metrics import score_position, score_transition, write_report
     from retroanchor.utils import read_jsonl
@@ -485,6 +457,8 @@ def cmd_evaluate(args) -> int:
         preds = _items_from_row(row, "predictions", _prediction)
         try:
             return score_transition(preds, list(record.reactants), ignore_stereo=args.ignore_stereo), None
+        except SmilesError as exc:  # a stored prediction text
+            raise CliError(f"run outcome for {row.get('id')} holds unparsable SMILES: {exc}") from exc
         except ValueError as exc:  # a reactant with no canonical spelling
             raise CliError(f"example {record.record_id}: {exc}") from exc
 
@@ -493,7 +467,7 @@ def cmd_evaluate(args) -> int:
     labels: list[ConfusionLabel | None] = []
     ids: list[str] = []
     scored: set[str] = set()
-    for row in outcome_rows:
+    for row in sorted(outcome_rows, key=lambda row: str(row.get("id"))):  # report rows in id order
         record = by_id.get(str(row.get("id")))
         if record is None:
             raise CliError(f"ground truth file lacks example {row.get('id')!r}")

@@ -181,31 +181,31 @@ def ingest_dataset(path: Path | str, parse: bool = True) -> tuple[list[ReactionR
 
 
 def build_ontology(records: list[ReactionRecord], split: str) -> Ontology:
-    """Unique reaction names in a split, each with its majority class.
+    """Unique reaction names in a split, each in its most frequent
+    spelling with its majority class.
 
-    Class ties break to the lexicographically smallest class; entries
-    are ordered lexicographically by name, so the result is a pure
-    function of the record set.
+    Ties of either count break to the lexicographically smallest value;
+    entries are ordered lexicographically by normalized name, so the
+    result is a pure function of the record set, whatever its order.
     """
-    split_records = [r for r in records if r.split == split and r.reaction_name]
     if not any(r.split == split for r in records):
         raise ValueError(f"no records in split {split!r}")
+    tallies: dict[str, tuple[Counter, Counter]] = {}
+    for record in records:
+        if record.split == split and record.reaction_name:
+            key = normalize_name(record.reaction_name)
+            spellings, classes = tallies.setdefault(key, (Counter(), Counter()))
+            spellings[record.reaction_name] += 1
+            classes[record.reaction_class] += 1
 
-    class_counts: dict[str, dict[str, int]] = {}
-    display_name: dict[str, str] = {}
-    for record in split_records:
-        key = normalize_name(record.reaction_name)
-        display_name.setdefault(key, record.reaction_name)
-        counts = class_counts.setdefault(key, {})
-        counts[record.reaction_class] = counts.get(record.reaction_class, 0) + 1
+    def majority(counts: Counter) -> str:
+        return min(counts, key=lambda value: (-counts[value], value))
 
-    entries = []
-    for key in sorted(class_counts):
-        counts = class_counts[key]
-        top = max(counts.values())
-        majority = min(cls for cls, count in counts.items() if count == top)
-        entries.append(OntologyEntry(id=display_name[key], reaction_class=majority))
-    return Ontology(entries=tuple(entries), source_split=split)
+    entries = tuple(
+        OntologyEntry(id=majority(spellings), reaction_class=majority(classes))
+        for _, (spellings, classes) in sorted(tallies.items())
+    )
+    return Ontology(entries=entries, source_split=split)
 
 
 def subsample_eval_set(

@@ -19,6 +19,7 @@ from retroanchor.chem import (
     AtomMapSet,
     Molecule,
     canonical_smiles,
+    parse_smiles,
     strip_atom_maps,
     strip_stereo,
     substructure_match,
@@ -248,8 +249,10 @@ def score_transition(
     """Score one example's reactant predictions against the true reactants.
 
     Only predictions the model itself marked valid are eligible, for the
-    template route and the exact route alike.
+    template route and the exact route alike.  Every prediction's texts
+    are parsed, so an unparsable one raises SmilesError.
     """
+    parsed = [tuple(parse_smiles(t) for t in p.reactants) for p in preds]
     if not r_gt:
         raise ValueError("ground-truth reactant list is empty")
     if not preds:
@@ -265,11 +268,11 @@ def score_transition(
     reactant_acc = any(
         p.is_valid
         and not p.is_template
-        and reactant_multiset(p.reactants, ignore_stereo=ignore_stereo) == gt_multiset
-        for p in preds
+        and reactant_multiset(molecules, ignore_stereo=ignore_stereo) == gt_multiset
+        for p, molecules in zip(preds, parsed)
     )
     # Both denominators share each template prediction's embedding checks.
-    templates = [(p.reactants, {}) for p in preds if p.is_valid and p.is_template]
+    templates = [(m, {}) for p, m in zip(preds, parsed) if p.is_valid and p.is_template]
     template_acc, template_acc_alt = (
         any(
             find_template_assignment(reactants, r_gt, embeddings, denominator) is not None

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from retroanchor.chem import AtomMapSet, Molecule, SmilesError, parse_smiles
+from retroanchor.chem import AtomMapSet, Molecule, SmilesError, canonical_smiles, parse_smiles
 from retroanchor.datasets import Ontology
 from retroanchor.utils import normalize_name
 
@@ -21,6 +21,8 @@ SCHEMA_VIOLATION = "schema_violation"
 ALL_ITEMS_INVALID = "all_items_invalid"
 
 _FENCE_RE = re.compile(r"```(?:[A-Za-z0-9_-]+)?\s*\n(.*?)```", re.DOTALL)
+# Only a brace before a key or a closing brace can open a JSON object.
+_OBJECT_START_RE = re.compile(r'\{[ \t\n\r]*["}]')
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,9 @@ class DisconnectionCandidate:
 
 @dataclass(frozen=True)
 class TransitionPrediction:
-    """One reactant-set permutation from the transition output."""
+    """One reactant-set permutation, each reactant canonical mapped SMILES."""
 
-    reactants: tuple[Molecule, ...]
+    reactants: tuple[str, ...]
     is_valid: bool
     is_template: bool
     reasoning: str
@@ -67,19 +69,11 @@ def extract_json_object(raw: str) -> dict | None:
     candidates.append(raw)
     decoder = json.JSONDecoder()
     for text in candidates:
-        start = 0
-        while True:
-            brace = text.find("{", start)
-            if brace < 0:
-                break
+        for match in _OBJECT_START_RE.finditer(text):
             try:
-                value, _ = decoder.raw_decode(text[brace:])
+                return decoder.raw_decode(text[match.start():])[0]
             except (json.JSONDecodeError, RecursionError):
-                start = brace + 1
                 continue
-            if isinstance(value, dict):
-                return value
-            start = brace + 1
     return None
 
 
@@ -253,9 +247,14 @@ def parse_transition_output(raw: str) -> ParseOutcome:
             if not is_template and any(_has_template_atoms(m) for m in molecules):
                 dropped.append(_drop(permutation, "wildcard atom in non-template prediction"))
                 continue
+            try:  # more than 99 ring closures open at once have no spelling
+                reactants = tuple(canonical_smiles(m, include_maps=True) for m in molecules)
+            except ValueError as exc:
+                dropped.append(_drop(permutation, f"reactants cannot be written as canonical SMILES: {exc}"))
+                continue
             ok.append(
                 TransitionPrediction(
-                    reactants=molecules,
+                    reactants=reactants,
                     is_valid=is_valid,
                     is_template=is_template,
                     reasoning=str(permutation.get("reasoning", "")),

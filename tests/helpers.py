@@ -590,9 +590,11 @@ def seed_golden_caches(work, eval_path, ontology_path, train_path) -> None:
         seed_cache(cache, prompt, cfg, transition_texts[rid])
 
 
-def run_golden_pipeline(work):
+def run_golden_pipeline(work, eval_raw=None, train=None):
     """label -> ontology -> subsample -> replay runs -> evaluate, twice-runnable.
 
+    ``eval_raw`` and ``train`` default to the golden fixture files; the
+    cache is seeded with the golden completions of each eval row.
     Returns a dict of the produced paths.  Raises AssertionError if any
     command exits non-zero.
     """
@@ -602,8 +604,8 @@ def run_golden_pipeline(work):
 
     work = Path(work)
     fixture_dir = golden_fixture_dir()
-    train = fixture_dir / "train.jsonl"
-    eval_raw = fixture_dir / "eval_raw.jsonl"
+    train = Path(train or fixture_dir / "train.jsonl")
+    eval_raw = Path(eval_raw or fixture_dir / "eval_raw.jsonl")
     labeled = work / "eval_labeled.jsonl"
     ontology = work / "ontology.json"
     eval_set = work / "eval.jsonl"
@@ -651,3 +653,61 @@ def run_golden_pipeline(work):
         "report_position": run_pos / "report",
         "report_transition": run_trans / "report",
     }
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic transforms of the golden inputs.  Each takes the eval and
+# train rows (lists of dicts, left unchanged) and an rng, and returns new
+# row lists that mean the same to the pipeline.
+
+
+def shuffle_rows(eval_rows, train_rows, rng):
+    """Both files in a random row order that differs from the given one."""
+    out = []
+    for rows in (eval_rows, train_rows):
+        shuffled = list(rows)
+        while len(rows) > 1 and shuffled == rows:
+            rng.shuffle(shuffled)
+        out.append(shuffled)
+    return tuple(out)
+
+
+def reverse_rows(eval_rows, train_rows, rng):
+    return eval_rows[::-1], train_rows[::-1]
+
+
+def respell_a_name(eval_rows, train_rows, rng):
+    """A copy of the first train row whose name no other row carries, under
+    a new id and another spelling of that name (case and spacing), put
+    before every other train row: the name now has two spellings, one row
+    each."""
+    from retroanchor.utils import normalize_name
+
+    names = [row["reaction_name"] for row in train_rows]
+    row = next(r for r in train_rows if names.count(r["reaction_name"]) == 1)
+    words = row["reaction_name"].split()
+    variant = "  ".join([words[0].lower()] + [w.capitalize() for w in words[1:]])
+    assert variant != row["reaction_name"] and normalize_name(variant) == normalize_name(row["reaction_name"])
+    return eval_rows, [{**row, "id": row["id"] + "-respelled", "reaction_name": variant}, *train_rows]
+
+
+def respell_atom_order(eval_rows, train_rows, rng):
+    """Every molecule of every eval row written from a random atom order,
+    atom maps kept (``permute_molecule``; stereo tags ride along as
+    attributes).  Train rows keep their spellings: few-shot examples
+    quote them verbatim."""
+    from retroanchor.chem import parse_smiles, write_smiles
+
+    def respell(text):
+        if not text:
+            return text
+        molecule = parse_smiles(text)
+        spellings = (write_smiles(permute_molecule(molecule, rng)) for _ in range(20))
+        return next((spelled for spelled in spellings if spelled != text), text)
+
+    rows = []
+    for row in eval_rows:
+        sides = row["reaction_smiles"].split(">")
+        spelled = ">".join(".".join(respell(m) for m in side.split(".")) for side in sides)
+        rows.append({**row, "reaction_smiles": spelled})
+    return rows, train_rows

@@ -1,10 +1,11 @@
-"""The paired A/B summary of ``scripts/ab.py``: pairs won, quartiles and
-when a gain counts as shown.  Only ``summarize`` runs; no git and no
-perfbench process is needed."""
+"""``scripts/ab.py``: the paired A/B summary (pairs won, quartiles and
+when a gain counts as shown) and the head's snapshot of a working tree.
+No perfbench process runs."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -72,3 +73,31 @@ def test_a_single_run_has_its_value_as_both_quartiles():
     assert out["head_quartiles"] == [1.5, 1.5]
     assert out["change"] == pytest.approx(-0.25)
     assert out["gain_shown"] is True
+
+
+def test_head_snapshot_is_the_working_tree_without_ignored_files(tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "snapshot"
+    files = {
+        ".gitignore": "__pycache__/\n*.log\n",
+        "src/pkg/mod.py": "X = 1\n",
+        "src/pkg/gone.py": "Y = 2\n",
+        "tests/test_mod.py": "",
+    }
+    for name, text in files.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.org", "-c", "commit.gpgsign=false"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run(git + argv, cwd=repo, check=True, capture_output=True)
+    (repo / "src/pkg/mod.py").write_text("X = 3  # uncommitted\n")
+    (repo / "src/pkg/gone.py").unlink()
+    (repo / "src/pkg/new.py").write_text("Z = 4\n")
+    (repo / "src/pkg/__pycache__").mkdir()
+    (repo / "src/pkg/__pycache__/mod.cpython-311.pyc").write_bytes(b"stale")
+    (repo / "run.log").write_text("ignored\n")
+
+    ab.snapshot_worktree(dest, root=repo)
+    copied = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/pkg/mod.py", "src/pkg/new.py", "tests/test_mod.py"]
+    assert (dest / "src/pkg/mod.py").read_text() == "X = 3  # uncommitted\n"
+    assert not (dest / "src/pkg/__pycache__").exists()

@@ -171,7 +171,7 @@ def test_criterion_5_metric_unit_table():
     # reactant multiset equality is order-insensitive
     preds = [
         TransitionPrediction(
-            reactants=(parse_smiles("CC(=O)O"), parse_smiles("CN")),
+            reactants=("CC(=O)O", "CN"),
             is_valid=True,
             is_template=False,
             reasoning="",
@@ -184,7 +184,7 @@ def test_criterion_5_metric_unit_table():
     # invalid predictions are ineligible for every accuracy
     invalid = [
         TransitionPrediction(
-            reactants=(parse_smiles("CC(=O)O"), parse_smiles("CN")),
+            reactants=("CC(=O)O", "CN"),
             is_valid=False,
             is_template=False,
             reasoning="",

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_golden_pipeline
 from loopback import ChatServer, chat_body, without_proxies
 
 from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
@@ -626,6 +627,30 @@ class TestRunTransition:
         assert by_id["e1"]["status"] == "ok"
         assert by_id["e1"]["example_count"] == 0
 
+    def test_each_kept_reactant_and_prompt_product_canonicalized_once(self, tmp_path, monkeypatch):
+        """On the golden transition run, the stage canonicalizes each reply
+        reactant it keeps and each prompt's product exactly once."""
+        paths = run_golden_pipeline(tmp_path)
+        records, _ = ingest_dataset(paths["eval"])
+        products = [canonical_smiles(r.product, include_maps=True) for r in records]
+        written = []
+
+        def counting(molecule, include_maps=False):
+            written.append(canonical_smiles(molecule, include_maps))
+            return written[-1]
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("retroanchor") and getattr(module, "canonical_smiles", None) is canonical_smiles:
+                monkeypatch.setattr(module, "canonical_smiles", counting)
+        config = json.loads((paths["run_transition"] / "config.json").read_text())
+        out = tmp_path / "again"
+        argv = ["run-transition", "--input", str(paths["eval"]), "--train", config["train"]]
+        assert main([*argv, "--output", str(out), "--model", "golden-model", "--cache-dir", config["cache_dir"]]) == 0
+        rows = read_jsonl(out / "outcomes.jsonl")
+        kept = [t for row in rows for p in row.get("predictions", []) for t in p["reactants"]]
+        assert len(products) == len(rows) == 10 and len(kept) == 16
+        assert sorted(written) == sorted(products + kept)
+
     def test_negative_examples_k_exits_1(self, pipeline, capsys):
         out, cache = pipeline["root"] / "r", pipeline["root"] / "c"
         code = main(
@@ -887,7 +912,8 @@ class TestSkippedRows:
         assert report["counts"]["examples"] == 4
         assert report["counts"]["failed_predictions"] == failed
         assert report["aggregates"][metric] == 25.0
-        u1 = report["rows"][1]
+        assert [row["id"] for row in report["rows"]] == ["e1", "e2", "e4", "u1"]  # id order
+        u1 = report["rows"][3]
         assert (u1["id"], u1["failed"], u1["n_predictions"]) == ("u1", True, 0)
 
     def test_position_ok_row_with_empty_label_exits_1(self, pipeline, capsys):
@@ -1131,6 +1157,20 @@ class TestEvaluate:
         assert main(["evaluate", "--run", str(run_dir), "--input", str(truth)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: example e1: more than 99 simultaneously open ring closures")
+
+    @pytest.mark.parametrize("is_valid", [True, False])
+    def test_unparsable_prediction_text_exits_1(self, pipeline, capsys, is_valid):
+        """Every stored prediction is parsed, one the model marked invalid too."""
+        seed_transition(pipeline)
+        run_dir = run_transition(pipeline)
+        outcomes = run_dir / "outcomes.jsonl"
+        rows = read_jsonl(outcomes)
+        [row] = [r for r in rows if r["id"] == "e1"]
+        row["predictions"][0].update(reactants=["CC("], is_valid=is_valid)
+        write_jsonl(outcomes, rows)
+        assert main(["evaluate", "--run", str(run_dir), "--input", str(pipeline["eval"])]) == 1
+        assert capsys.readouterr().err.startswith("error: run outcome for e1 holds unparsable SMILES")
+        assert not (run_dir / "report").exists()
 
     def test_truth_file_repeating_an_id_exits_1(self, pipeline, capsys):
         """Two truth rows under one id would leave one of them unscored and

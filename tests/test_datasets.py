@@ -171,6 +171,13 @@ class TestOntology:
         assert ontology.entries[0].id == "Amide  Coupling"
         assert ontology.contains("AMIDE COUPLING")
 
+    def test_display_spelling_is_the_most_frequent_whatever_the_order(self):
+        tie = [_record("1", name="Amide coupling"), _record("2", name="amide  Coupling")]
+        two_to_one = tie + [_record("3", name="amide  Coupling")]
+        for records, spelling in ((tie, "Amide coupling"), (two_to_one, "amide  Coupling")):
+            for order in (records, records[::-1]):
+                assert [e.id for e in build_ontology(order, "train").entries] == [spelling]
+
     def test_unnamed_and_foreign_split_records_excluded(self):
         records = [
             _record("1", name=""),

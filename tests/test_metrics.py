@@ -53,7 +53,7 @@ def _cand(maps, name="Amide coupling", priority=1, importance=4, in_ontology=Tru
 
 def _pred(reactants, is_valid=True, is_template=False, name="Amide coupling"):
     return TransitionPrediction(
-        reactants=tuple(parse_smiles(r) for r in reactants),
+        reactants=tuple(reactants),
         is_valid=is_valid,
         is_template=is_template,
         reasoning="",

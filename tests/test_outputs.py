@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from retroanchor.chem import parse_smiles
+from test_cli import HUB_SMILES
+
+from retroanchor import outputs
+from retroanchor.chem import canonical_smiles, parse_smiles
 from retroanchor.datasets import Ontology, OntologyEntry
 from retroanchor.outputs import (
     ALL_ITEMS_INVALID,
@@ -68,6 +72,53 @@ class TestExtractJsonObject:
     def test_no_object_returns_none(self):
         assert extract_json_object("no json here") is None
         assert extract_json_object("{broken") is None
+
+    def test_agrees_with_decoding_at_every_brace(self):
+        """Skipping a brace that cannot open an object changes no result:
+        the reference tries ``raw_decode`` at every ``{``."""
+
+        def reference(raw):
+            candidates = [m.group(1) for m in outputs._FENCE_RE.finditer(raw)] + [raw]
+            decoder = json.JSONDecoder()
+            for text in candidates:
+                for brace in (i for i, ch in enumerate(text) if ch == "{"):
+                    try:
+                        value, _ = decoder.raw_decode(text[brace:])
+                    except (json.JSONDecodeError, RecursionError):
+                        continue
+                    if isinstance(value, dict):
+                        return value
+            return None
+
+        pieces = [
+            "{", "}", "[", "]", '"', ":", ",", " ", "\n", "\t", "\r", "\\", "a", "1", "null",
+            '"k"', '{"a": 1}', "{}", '{"c": {"d": "}"}}', "```json\n", "```\n",
+        ]
+        # Objects after each kind of whitespace, JSON's four and one it lacks.
+        pieces += [f'{{{ws}"b": [2]}}' for ws in (" ", "\t", "\n", "\r", " \r\n\t", "\f")]
+        pieces += [f"{{{ws}}}" for ws in ("\r", "\t\n", "\f")]
+        rng = random.Random(5)
+        for _ in range(3000):
+            raw = "".join(rng.choice(pieces) for _ in range(rng.randrange(30)))
+            if rng.random() < 0.3:
+                raw = f"prose {raw}\n```json\n{raw}\n```\n{raw}"
+            assert extract_json_object(raw) == reference(raw), raw
+
+    def test_brace_flood_tries_only_object_starts(self, monkeypatch):
+        attempts = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def counting(self, text, *args):
+            attempts.append(len(text))
+            return raw_decode(self, text, *args)
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", counting)
+        for flood in ("{" * 20_000, "x{" * 20_000, "{ \n" * 10_000, "{[" * 10_000):
+            assert extract_json_object(flood) is None
+            assert extract_json_object(flood + '{"a": 1}') == {"a": 1}
+        assert attempts == [len('{"a": 1}')] * 4
+        assert extract_json_object('{"a" ' * 3 + "{ }") == {}
+        assert len(attempts) == 4 + 4
 
 
 class TestParseCenterTokens:
@@ -274,8 +325,35 @@ class TestParseTransitionOutput:
         outcome = parse_transition_output(raw)
         (prediction,) = outcome.ok
         assert prediction.is_template
-        assert any(a.is_wildcard for a in prediction.reactants[0].atoms)
-        assert any(a.is_element_list for a in prediction.reactants[1].atoms)
+        acid, halide = (parse_smiles(text) for text in prediction.reactants)
+        assert any(a.is_wildcard for a in acid.atoms)
+        assert any(a.is_element_list for a in halide.atoms)
+
+    def test_reactants_are_canonical_mapped_text(self):
+        texts = ["[CH3:1][C:2](=[O:3])[OH:4]", "N[CH3:5]"]
+        raw = _transition_payload(_group("X", _permutation(texts)))
+        (prediction,) = parse_transition_output(raw).ok
+        assert prediction.reactants == tuple(
+            canonical_smiles(parse_smiles(t), include_maps=True) for t in texts
+        )
+        assert prediction.reactants == ("[C:2]([CH3:1])(=[O:3])[OH:4]", "[CH3:5]N")
+
+    def test_unwritable_permutation_dropped_in_reply_order(self):
+        """A reactant with more than 99 ring closures open at once parses
+        but has no canonical spelling: its permutation is dropped where
+        the reply lists it, shown as the reply wrote it."""
+        unwritable = _permutation([HUB_SMILES])
+        raw = _transition_payload(
+            _group("X", _permutation(["CC("]), unwritable, _permutation(["CN"]), {"reactants": ["C"]})
+        )
+        outcome = parse_transition_output(raw)
+        assert [p.reactants for p in outcome.ok] == [("CN",)]
+        reasons = [d["reason"] for d in outcome.dropped]
+        assert reasons[0].startswith("syntactically invalid SMILES")
+        assert reasons[1].startswith("reactants cannot be written as canonical SMILES")
+        assert "more than 99" in reasons[1]
+        assert "boolean" in reasons[2]
+        assert outcome.dropped[1]["fragment"] == json.dumps(unwritable)[:300] + "..."
 
     def test_wildcard_in_non_template_dropped(self):
         raw = _transition_payload(
