@@ -12,7 +12,8 @@ copies are removed afterwards.
 
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  Results are merged
 into ``BENCH_<n>.json`` at the repo root, one entry per workload and seed:
-the base and head ids, the seed, each run's end-to-end values, and per
+the base and head ids with the line count of each one's ``src/**/*.py``
+(as ``wc -l`` counts it), the seed, each run's end-to-end values, and per
 metric the medians, quartiles and the pairs the head won.  A gain is shown
 when the head wins at least nine tenths of the pairs (ties count for
 neither) and the medians differ by more than the base's interquartile
@@ -64,6 +65,11 @@ def head_identity() -> dict:
     dirty = bool(_git("status", "--porcelain", "--", "src", "perfbench"))
     commit_key = "parent_commit" if dirty else "commit"
     return {commit_key: _git("rev-parse", "HEAD"), "tree_digest": digest.hexdigest()}
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of ``src/**/*.py`` in a checkout, counted as ``wc -l`` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def _fresh(directory: Path) -> Path:
@@ -174,6 +180,7 @@ def main(argv=None) -> int:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(base_dir, filter="data")
     snapshot_worktree(head_dir)
+    lines = {"base": src_lines(base_dir), "head": src_lines(head_dir)}
     try:
         base_runs, head_runs, order = [], [], []
         for pair in range(1, args.pairs + 1):
@@ -196,8 +203,8 @@ def main(argv=None) -> int:
         shutil.rmtree(base_dir)
         shutil.rmtree(head_dir)
 
-    bench["base"] = {"rev": args.base, "commit": base_commit}
-    bench["head"] = head
+    bench["base"] = {"rev": args.base, "commit": base_commit, "src_lines": lines["base"]}
+    bench["head"] = {**head, "src_lines": lines["head"]}
     bench.setdefault("workloads", {})[f"{args.workload}:{args.seed}"] = {
         "seed": args.seed,
         "seconds": seconds,

@@ -158,19 +158,13 @@ class Molecule:
     source_text: str = ""
 
     def __post_init__(self) -> None:
-        n = len(self.atoms)
-        adjacency: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
+        # Bonds are not re-checked: parse_smiles checks every new bond list,
+        # and the rewrites keep the endpoints of an already checked one.
+        adjacency: list[list[tuple[int, Bond]]] = [[] for _ in self.atoms]
         lookup: dict[tuple[int, int], Bond] = {}
         for bond in self.bonds:
             a, b = bond.a, bond.b
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"bond {a}-{b} references a missing atom")
-            if a == b:
-                raise ValueError(f"bond {a}-{b} joins an atom to itself")
-            key = (a, b) if a < b else (b, a)
-            if key in lookup:
-                raise ValueError(f"duplicate bond between atoms {a} and {b}")
-            lookup[key] = bond
+            lookup[(a, b) if a < b else (b, a)] = bond
             adjacency[a].append((b, bond))
             adjacency[b].append((a, bond))
         object.__setattr__(self, "_adjacency", tuple(tuple(row) for row in adjacency))

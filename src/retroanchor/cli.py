@@ -406,8 +406,7 @@ def _items_from_row(row: dict, key: str, build: Callable[[dict], object]) -> lis
 
 def cmd_evaluate(args) -> int:
     from retroanchor.chem import AtomMapSet, SmilesError
-    from retroanchor.metrics import ConfusionLabel, aggregate, representative_candidate
-    from retroanchor.metrics import score_position, score_transition, write_report
+    from retroanchor.metrics import aggregate, score_position, score_transition, write_report
     from retroanchor.utils import read_jsonl
     config_path = args.run / "config.json"
     outcomes_path = args.run / "outcomes.jsonl"
@@ -443,15 +442,7 @@ def cmd_evaluate(args) -> int:
             if not s_gt.maps:
                 raise CliError(f"example {record.record_id} has an empty disconnection label")
         cands = _items_from_row(row, "candidates", _candidate)
-        score = score_position(cands, s_gt, record.reaction_name)
-        rep = representative_candidate(cands, s_gt)
-        named = rep is not None and rep.in_ontology
-        return score, ConfusionLabel(
-            class_gt=record.reaction_class,
-            name_gt=record.reaction_name,
-            class_pred=rep.reaction_class if named else None,
-            name_pred=rep.reaction_name if named else None,
-        )
+        return score_position(cands, s_gt, record.reaction_name, record.reaction_class)
 
     def score_transition_row(row: dict, record: ReactionRecord):
         preds = _items_from_row(row, "predictions", _prediction)
@@ -463,9 +454,7 @@ def cmd_evaluate(args) -> int:
             raise CliError(f"example {record.record_id}: {exc}") from exc
 
     score_row = score_position_row if stage == "position" else score_transition_row
-    scores: list = []
-    labels: list[ConfusionLabel | None] = []
-    ids: list[str] = []
+    rows: list[tuple] = []
     scored: set[str] = set()
     for row in sorted(outcome_rows, key=lambda row: str(row.get("id"))):  # report rows in id order
         record = by_id.get(str(row.get("id")))
@@ -474,12 +463,9 @@ def cmd_evaluate(args) -> int:
         if record.record_id in scored:
             raise CliError(f"{outcomes_path} repeats example {record.record_id!r}")
         scored.add(record.record_id)
-        score, label = score_row(row, record)
-        ids.append(record.record_id)
-        scores.append(score)
-        labels.append(label)
+        rows.append((record.record_id, *score_row(row, record)))
 
-    report = aggregate(scores, labels=labels, ids=ids)
+    report = aggregate(rows)
     out_dir = args.output if args.output else args.run / "report"
     paths = write_report(report, out_dir)
     print(paths["summary"].read_text(encoding="utf-8"), end="")

@@ -1,9 +1,10 @@
 """Scoring of disconnection and reactant predictions, plus aggregation.
 
 Per-example scores are pure functions of candidates versus ground truth.
-Aggregation turns aligned score rows into percentage tables, prediction
-counts, and confusion matrices, each under an explicitly declared
-denominator so every reported number can be re-derived from the rows.
+Aggregation turns ``(id, score, label)`` rows into percentage tables,
+prediction counts, and confusion matrices, each under an explicitly
+declared denominator so every reported number can be re-derived from
+the rows.
 """
 
 from __future__ import annotations
@@ -99,13 +100,17 @@ class EvaluationReport:
 
 
 def score_position(
-    cands: list[DisconnectionCandidate], s_gt: AtomMapSet, beta_gt: str
-) -> PositionScore:
-    """Score one example's disconnection candidates against the label.
+    cands: list[DisconnectionCandidate], s_gt: AtomMapSet, name_gt: str, class_gt: str
+) -> tuple[PositionScore, ConfusionLabel]:
+    """Score one example's disconnection candidates against the label, and
+    name the example for the confusion matrices.
 
     Reaction matching is conditional on a partial match and considers
     only candidates attaining the best Jaccard value, all ties included.
-    An example without candidates fails whatever its label.
+    The representative candidate has the best Jaccard, ties broken to the
+    lowest priority, then first listed; it names the example only when it
+    is in the ontology.  An example without candidates fails whatever its
+    label and names nothing.
     """
     if not cands:
         return PositionScore(
@@ -116,47 +121,34 @@ def score_position(
             reaction_match_in_ontology=None,
             n_predictions=0,
             failed=True,
-        )
+        ), ConfusionLabel(class_gt, name_gt, None, None)
     if not s_gt.maps:
         raise ValueError("ground-truth disconnection set is empty")
     similarities = [jaccard(c.s, s_gt) for c in cands]
     best = max(similarities)
+    best_cands = [c for c, sim in zip(cands, similarities) if sim == best]
     partial = any(set(c.s.maps) & set(s_gt.maps) for c in cands)
-    exact = best == 1.0
     reaction_match = None
     reaction_match_in_ontology = None
     if partial:
-        gt_key = normalize_name(beta_gt)
-        best_cands = [c for c, sim in zip(cands, similarities) if sim == best]
+        gt_key = normalize_name(name_gt)
         reaction_match = any(normalize_name(c.reaction_name) == gt_key for c in best_cands)
         reaction_match_in_ontology = any(
             c.in_ontology and normalize_name(c.reaction_name) == gt_key for c in best_cands
         )
-    return PositionScore(
+    rep = min(best_cands, key=lambda c: c.priority)  # min keeps the first of equals
+    score = PositionScore(
         partial_match=partial,
         best_jaccard=best,
-        exact_match=exact,
+        exact_match=best == 1.0,
         reaction_match=reaction_match,
         reaction_match_in_ontology=reaction_match_in_ontology,
         n_predictions=len(cands),
         failed=False,
     )
-
-
-def representative_candidate(
-    cands: list[DisconnectionCandidate], s_gt: AtomMapSet
-) -> DisconnectionCandidate | None:
-    """The candidate naming this example in confusion matrices.
-
-    Best Jaccard wins; ties break to the lowest priority, then first
-    listed.  None when there are no candidates.
-    """
-    if not cands:
-        return None
-    scored = [(jaccard(c.s, s_gt), c, i) for i, c in enumerate(cands)]
-    best = max(sim for sim, _, _ in scored)
-    eligible = [(c.priority, i, c) for sim, c, i in scored if sim == best]
-    return min(eligible)[2]
+    if not rep.in_ontology:
+        return score, ConfusionLabel(class_gt, name_gt, None, None)
+    return score, ConfusionLabel(class_gt, name_gt, rep.reaction_class, rep.reaction_name)
 
 
 # (source text without atom maps, ignore_stereo) -> canonical text; see README "Scoring".
@@ -320,27 +312,19 @@ _ARM_METRICS = {
 
 
 def aggregate(
-    scores: list,
-    labels: list[ConfusionLabel | None] | None = None,
-    ids: list[str] | None = None,
+    rows: list[tuple[str, PositionScore | TransitionScore, ConfusionLabel | None]],
 ) -> EvaluationReport:
-    """Fold per-example scores into one report.
+    """Fold per-example ``(id, score, label)`` rows into one report.
 
     Accuracy percentages average over every example (failures score
     zero); the reaction-name accuracies average over partial-match rows
     only.  Prediction counts and averages cover non-failed examples.
     Confusion matrices use only partial-match rows whose predicted name
-    is inside the ontology; ``labels`` apply to position scores only.
+    is inside the ontology; labels apply to position scores only.
     """
-    if not scores:
+    if not rows:
         raise ValueError("no score rows to aggregate")
-    if labels is not None and len(labels) != len(scores):
-        raise ValueError("labels must align with scores")
-    if ids is not None and len(ids) != len(scores):
-        raise ValueError("ids must align with scores")
-    ids = ids or [str(i) for i in range(len(scores))]
-    labels = labels or [None] * len(scores)
-
+    scores = [score for _, score, _ in rows]
     n = len(scores)
     failed = sum(1 for s in scores if s.failed)
     non_failed = n - failed
@@ -362,10 +346,10 @@ def aggregate(
         aggregates[metric] = _percent(sum(getattr(s, field) for s in pool), len(pool))
         denominators[metric] = len(pool)
 
-    rows: list[dict] = []
+    table: list[dict] = []
     confusion_class: dict[str, dict[str, int]] = {}
     confusion_name: dict[str, dict[str, int]] = {}
-    for example_id, score, label in zip(ids, scores, labels):
+    for example_id, score, label in rows:
         row = {"id": example_id, **vars(score)}
         if kind == "position":
             row["best_jaccard"] = round(score.best_jaccard, 4)
@@ -374,11 +358,11 @@ def aggregate(
                 if score.partial_match and label.name_pred is not None:
                     _tally(confusion_class, label.class_gt, label.class_pred)
                     _tally(confusion_name, label.name_gt, label.name_pred)
-        rows.append(row)
+        table.append(row)
 
     return EvaluationReport(
         kind=kind,
-        rows=tuple(rows),
+        rows=tuple(table),
         aggregates=aggregates,
         denominators=denominators,
         counts=counts,

@@ -711,3 +711,31 @@ def respell_atom_order(eval_rows, train_rows, rng):
         spelled = ">".join(".".join(respell(m) for m in side.split(".")) for side in sides)
         rows.append({**row, "reaction_smiles": spelled})
     return rows, train_rows
+
+
+_REAGENTS = ("O", "CCO", "[Na+]", "[Cl-]", "C1CCOC1")
+
+
+def _map_reagents(rows, rewrite):
+    out = []
+    for row in rows:
+        reactants, reagents, product = row["reaction_smiles"].split(">")
+        out.append({**row, "reaction_smiles": f"{reactants}>{rewrite(reagents)}>{product}"})
+    return out
+
+
+def add_reagents(eval_rows, train_rows, rng):
+    """Every row of both files with 2 to 5 distinct unmapped reagents in
+    its reagent segment, in a random order; no prompt or score reads them."""
+    def rewrite(_reagents):
+        return ".".join(rng.sample(_REAGENTS, rng.randint(2, 5)))
+
+    return _map_reagents(eval_rows, rewrite), _map_reagents(train_rows, rewrite)
+
+
+def reverse_reagents(eval_rows, train_rows, rng):
+    """Every row's reagents in reverse order."""
+    def rewrite(reagents):
+        return ".".join(reagents.split(".")[::-1])
+
+    return _map_reagents(eval_rows, rewrite), _map_reagents(train_rows, rewrite)

@@ -101,3 +101,16 @@ def test_head_snapshot_is_the_working_tree_without_ignored_files(tmp_path):
     assert copied == [".gitignore", "src/pkg/mod.py", "src/pkg/new.py", "tests/test_mod.py"]
     assert (dest / "src/pkg/mod.py").read_text() == "X = 3  # uncommitted\n"
     assert not (dest / "src/pkg/__pycache__").exists()
+
+
+def test_src_lines_counts_newlines_of_python_files_under_src(tmp_path):
+    files = {
+        "src/a.py": "x = 1\ny = 2\n",
+        "src/pkg/b.py": "z = 3\n\nw = 4",  # wc -l counts no unterminated last line
+        "src/pkg/notes.txt": "not\ncode\n",
+        "tests/test_a.py": "assert True\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert ab.src_lines(tmp_path) == 4

@@ -152,19 +152,20 @@ def _cand(maps, name, priority=1):
 
 def test_criterion_5_metric_unit_table():
     # identity candidate with the right name
-    score = score_position([_cand({2, 4}, "Amide coupling")], AtomMapSet.of({2, 4}), "Amide coupling")
+    score, _ = score_position([_cand({2, 4}, "Amide coupling")], AtomMapSet.of({2, 4}), "Amide coupling", "")
     assert score.partial_match and score.exact_match and score.best_jaccard == 1.0
     assert score.reaction_match is True
 
     # half-overlap candidate
-    score = score_position([_cand({1}, "Amide coupling")], AtomMapSet.of({1, 2}), "Amide coupling")
+    score, _ = score_position([_cand({1}, "Amide coupling")], AtomMapSet.of({1, 2}), "Amide coupling", "")
     assert score.partial_match and not score.exact_match and score.best_jaccard == 0.5
 
     # tie-eligibility: only best-Jaccard candidates may claim the name
-    score = score_position(
+    score, _ = score_position(
         [_cand({1, 2}, "Wrong reaction"), _cand({1}, "Right reaction")],
         AtomMapSet.of({1, 2}),
         "Right reaction",
+        "",
     )
     assert score.best_jaccard == 1.0 and score.reaction_match is False
 

@@ -16,9 +16,11 @@ import random
 import pytest
 
 from helpers import (
+    add_reagents,
     golden_fixture_dir,
     respell_a_name,
     respell_atom_order,
+    reverse_reagents,
     reverse_rows,
     run_golden_pipeline,
     shuffle_rows,
@@ -49,6 +51,7 @@ RELATIONS = {
     ),
     # Manifests carry the request digests.
     "mapped atom order": (unchanged, respell_atom_order, (*REPORTS, *RUN_LINES), ()),
+    "reagent order": (add_reagents, reverse_reagents, (*REPORTS, *RUN_LINES, "ontology.json"), ()),
 }
 
 

@@ -31,7 +31,6 @@ from retroanchor.metrics import (
     find_template_assignment,
     jaccard,
     reactant_multiset,
-    representative_candidate,
     score_position,
     score_transition,
     write_report,
@@ -98,14 +97,14 @@ class TestJaccard:
 
 class TestScorePosition:
     def test_identity_candidate(self):
-        score = score_position([_cand({2, 4})], AtomMapSet.of({2, 4}), "Amide coupling")
+        score, _ = score_position([_cand({2, 4})], AtomMapSet.of({2, 4}), "Amide coupling", "")
         assert score.partial_match
         assert score.best_jaccard == 1.0
         assert score.exact_match
         assert score.reaction_match is True
 
     def test_half_jaccard(self):
-        score = score_position([_cand({1})], AtomMapSet.of({1, 2}), "Amide coupling")
+        score, _ = score_position([_cand({1})], AtomMapSet.of({1, 2}), "Amide coupling", "")
         assert score.partial_match
         assert score.best_jaccard == 0.5
         assert not score.exact_match
@@ -115,7 +114,7 @@ class TestScorePosition:
             _cand({1, 2}, name="Wrong reaction"),
             _cand({1}, name="Right reaction"),
         ]
-        score = score_position(cands, AtomMapSet.of({1, 2}), "Right reaction")
+        score, _ = score_position(cands, AtomMapSet.of({1, 2}), "Right reaction", "")
         assert score.best_jaccard == 1.0
         assert score.reaction_match is False
 
@@ -124,38 +123,40 @@ class TestScorePosition:
             _cand({1, 2}, name="Wrong reaction"),
             _cand({1, 2}, name="Right reaction"),
         ]
-        score = score_position(cands, AtomMapSet.of({1, 2}), "right  REACTION")
+        score, _ = score_position(cands, AtomMapSet.of({1, 2}), "right  REACTION", "")
         assert score.reaction_match is True
 
     def test_no_candidates_is_failed(self):
-        score = score_position([], AtomMapSet.of({1}), "X")
+        score, _ = score_position([], AtomMapSet.of({1}), "X", "")
         assert score.failed
         assert score.best_jaccard == 0.0
         assert score.reaction_match is None
         assert score.n_predictions == 0
 
     def test_disjoint_candidates_no_partial(self):
-        score = score_position([_cand({9})], AtomMapSet.of({1, 2}), "X")
+        score, _ = score_position([_cand({9})], AtomMapSet.of({1, 2}), "X", "")
         assert not score.partial_match
         assert score.reaction_match is None
         assert not score.failed
 
     def test_in_ontology_view_requires_membership(self):
         cands = [_cand({1, 2}, name="Right reaction", in_ontology=False)]
-        score = score_position(cands, AtomMapSet.of({1, 2}), "Right reaction")
+        score, _ = score_position(cands, AtomMapSet.of({1, 2}), "Right reaction", "")
         assert score.reaction_match is True
         assert score.reaction_match_in_ontology is False
 
     def test_empty_ground_truth_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            score_position([_cand({1})], AtomMapSet.of(()), "X")
+            score_position([_cand({1})], AtomMapSet.of(()), "X", "")
 
 
 class TestRepresentativeCandidate:
+    """The candidate whose name the confusion matrices count for an example."""
+
     def test_best_jaccard_wins(self):
         cands = [_cand({9}, name="far"), _cand({1, 2}, name="near")]
-        chosen = representative_candidate(cands, AtomMapSet.of({1, 2}))
-        assert chosen.reaction_name == "near"
+        _, label = score_position(cands, AtomMapSet.of({1, 2}), "gt", "Gt class")
+        assert label == ConfusionLabel("Gt class", "gt", "Acylation", "near")
 
     def test_tie_breaks_by_priority_then_order(self):
         cands = [
@@ -163,11 +164,23 @@ class TestRepresentativeCandidate:
             _cand({2, 1}, name="first", priority=1),
             _cand({1, 2}, name="also-first", priority=1),
         ]
-        chosen = representative_candidate(cands, AtomMapSet.of({1, 2}))
-        assert chosen.reaction_name == "first"
+        _, label = score_position(cands, AtomMapSet.of({1, 2}), "gt", "Gt class")
+        assert label.name_pred == "first"
 
     def test_empty_returns_none(self):
-        assert representative_candidate([], AtomMapSet.of({1})) is None
+        _, label = score_position([], AtomMapSet.of({1}), "gt", "Gt class")
+        assert label == ConfusionLabel("Gt class", "gt", None, None)
+
+    def test_representative_outside_ontology_names_nothing(self):
+        # A tied candidate with a worse priority is in the ontology, but
+        # only the representative may name the example.
+        cands = [
+            _cand({1, 2}, name="outside", priority=1, in_ontology=False),
+            _cand({1, 2}, name="inside", priority=2),
+        ]
+        score, label = score_position(cands, AtomMapSet.of({1, 2}), "inside", "Gt class")
+        assert label == ConfusionLabel("Gt class", "inside", None, None)
+        assert score.reaction_match_in_ontology is True
 
 
 class TestReactantMultiset:
@@ -486,14 +499,19 @@ def _pscore(partial, best, exact, reaction=None, in_ont=None, n=1, failed=False)
     )
 
 
+def _rows(*scores):
+    """Unlabelled report rows with ids "0", "1", ..."""
+    return [(str(i), score, None) for i, score in enumerate(scores)]
+
+
 class TestAggregate:
     def test_partial_percentage(self):
-        rows = [
+        rows = _rows(
             _pscore(True, 1.0, True, True, True),
             _pscore(True, 0.5, False, False, False),
             _pscore(False, 0.0, False),
             _pscore(True, 1.0, True, True, False),
-        ]
+        )
         report = aggregate(rows)
         assert report.aggregates["partial_match_acc"] == 75.00
         assert report.aggregates["exact_match_acc"] == 50.00
@@ -501,33 +519,33 @@ class TestAggregate:
         assert report.denominators["reaction_acc"] == 3
 
     def test_reaction_acc_over_partial_rows_only(self):
-        rows = [
+        rows = _rows(
             _pscore(True, 1.0, True, True, True),
             _pscore(True, 0.5, False, False, False),
             _pscore(False, 0.0, False),
-        ]
+        )
         report = aggregate(rows)
         assert report.aggregates["reaction_acc"] == 50.00
         assert report.aggregates["reaction_acc_in_ontology"] == 50.00
 
     def test_scale_invariance(self):
-        rows = [
+        rows = _rows(
             _pscore(True, 1.0, True, True, True),
             _pscore(False, 0.0, False),
             _pscore(True, 0.25, False, False, False, n=4),
-        ]
+        )
         once = aggregate(rows)
         twice = aggregate(rows + rows)
         assert once.aggregates == twice.aggregates
 
     def test_prediction_counts(self):
-        rows = [
+        rows = _rows(
             _pscore(True, 1.0, True, True, True, n=3),
             _pscore(False, 0.0, False, n=2),
             _pscore(False, 0.0, False, n=0, failed=True),
             _pscore(True, 0.5, False, False, False, n=4),
             _pscore(False, 0.0, False, n=2),
-        ]
+        )
         report = aggregate(rows)
         assert report.counts["examples"] == 5
         assert report.counts["failed_predictions"] == 1
@@ -535,7 +553,7 @@ class TestAggregate:
         assert report.counts["avg_number_of_predictions"] == 2.75
 
     def test_all_failed_avg_zero(self):
-        rows = [_pscore(False, 0.0, False, n=0, failed=True)] * 2
+        rows = _rows(*[_pscore(False, 0.0, False, n=0, failed=True)] * 2)
         report = aggregate(rows)
         assert report.counts["avg_number_of_predictions"] == 0.0
         assert report.counts["total_predictions"] == 0
@@ -546,18 +564,20 @@ class TestAggregate:
 
     def test_confusion_conditioning_and_buckets(self):
         rows = [
-            _pscore(True, 1.0, True, True, True),    # in matrix
-            _pscore(True, 0.5, False, False, False), # excluded: pred out of ontology
-            _pscore(False, 0.0, False),              # excluded: no partial
-            _pscore(True, 1.0, True, False, False),  # in matrix, unclassified gt
+            # in matrix
+            ("a", _pscore(True, 1.0, True, True, True),
+             ConfusionLabel("Acylation", "Amide coupling", "Acylation", "Amide coupling")),
+            # excluded: pred out of ontology
+            ("b", _pscore(True, 0.5, False, False, False),
+             ConfusionLabel("Acylation", "Amide coupling", None, None)),
+            # excluded: no partial
+            ("c", _pscore(False, 0.0, False),
+             ConfusionLabel("Oxidation", "Swern oxidation", "Oxidation", "Swern oxidation")),
+            # in matrix, unclassified gt
+            ("d", _pscore(True, 1.0, True, False, False),
+             ConfusionLabel("", "", "Reduction", "Hydrogenation")),
         ]
-        labels = [
-            ConfusionLabel("Acylation", "Amide coupling", "Acylation", "Amide coupling"),
-            ConfusionLabel("Acylation", "Amide coupling", None, None),
-            ConfusionLabel("Oxidation", "Swern oxidation", "Oxidation", "Swern oxidation"),
-            ConfusionLabel("", "", "Reduction", "Hydrogenation"),
-        ]
-        report = aggregate(rows, labels=labels)
+        report = aggregate(rows)
         assert report.confusion_class == {
             "Acylation": {"Acylation": 1},
             "Miscellaneous": {"Reduction": 1},
@@ -569,11 +589,11 @@ class TestAggregate:
 
     def test_transition_aggregate(self):
         rows = [
-            TransitionScore(True, False, True, True, 2, False),
-            TransitionScore(False, True, True, False, 3, False),
-            TransitionScore(False, False, False, False, 0, True),
+            ("a", TransitionScore(True, False, True, True, 2, False), None),
+            ("b", TransitionScore(False, True, True, False, 3, False), None),
+            ("c", TransitionScore(False, False, False, False, 0, True), None),
         ]
-        report = aggregate(rows, ids=["a", "b", "c"])
+        report = aggregate(rows)
         assert report.kind == "transition"
         assert report.aggregates["template_acc"] == pytest.approx(33.33)
         assert report.aggregates["combined_acc"] == pytest.approx(66.67)
@@ -581,26 +601,18 @@ class TestAggregate:
         assert report.rows[0]["id"] == "a"
 
     def test_transition_aggregate_ignores_labels(self):
-        rows = [TransitionScore(True, False, True, True, 2, False)]
+        score = TransitionScore(True, False, True, True, 2, False)
         label = ConfusionLabel("Acylation", "Amide coupling", "Acylation", "Amide coupling")
-        assert aggregate(rows, labels=[label]) == aggregate(rows)
-
-    def test_misaligned_labels_rejected(self):
-        with pytest.raises(ValueError, match="align"):
-            aggregate([_pscore(False, 0.0, False)], labels=[None, None])
+        assert aggregate([("a", score, label)]) == aggregate([("a", score, None)])
 
 
 class TestWriteReport:
     def _report(self):
-        rows = [
-            _pscore(True, 1.0, True, True, True, n=2),
-            _pscore(False, 0.0, False, n=1),
-        ]
-        labels = [
-            ConfusionLabel("Acylation", "Amide coupling", "Acylation", "Amide coupling"),
-            None,
-        ]
-        return aggregate(rows, labels=labels, ids=["ex1", "ex2"])
+        return aggregate([
+            ("ex1", _pscore(True, 1.0, True, True, True, n=2),
+             ConfusionLabel("Acylation", "Amide coupling", "Acylation", "Amide coupling")),
+            ("ex2", _pscore(False, 0.0, False, n=1), None),
+        ])
 
     def test_files_written_and_parse(self, tmp_path):
         paths = write_report(self._report(), tmp_path)
@@ -616,7 +628,7 @@ class TestWriteReport:
         # The predicted class and name are model text; a bare \r in either
         # must not split a confusion CSV row.
         label = ConfusionLabel("Acylation", "Amide coupling", "Acyl\ration", "Amide\rcoupling")
-        report = aggregate([_pscore(True, 1.0, True, True, True)], labels=[label], ids=["ex1"])
+        report = aggregate([("ex1", _pscore(True, 1.0, True, True, True), label)])
         paths = write_report(report, tmp_path)
         for key, gt, pred in (
             ("confusion_class", "Acylation", "Acyl\ration"),
