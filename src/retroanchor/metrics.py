@@ -10,9 +10,11 @@ the rows.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import re
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,13 +35,11 @@ TEMPLATE_SHARE_THRESHOLD = 0.75
 
 
 def jaccard(a, b) -> float:
-    """|A∩B| / |A∪B| over atom-map sets; 1.0 when both are empty."""
-    set_a = set(a.maps) if isinstance(a, AtomMapSet) else set(a)
-    set_b = set(b.maps) if isinstance(b, AtomMapSet) else set(b)
-    union = set_a | set_b
+    """|A∩B| / |A∪B| over two sets of atom-map values; 1.0 when both are empty."""
+    union = a | b
     if not union:
         return 1.0
-    return len(set_a & set_b) / len(union)
+    return len(a & b) / len(union)
 
 
 @dataclass(frozen=True)
@@ -124,10 +124,10 @@ def score_position(
         ), ConfusionLabel(class_gt, name_gt, None, None)
     if not s_gt.maps:
         raise ValueError("ground-truth disconnection set is empty")
-    similarities = [jaccard(c.s, s_gt) for c in cands]
+    similarities = [jaccard(c.s.maps, s_gt.maps) for c in cands]
     best = max(similarities)
     best_cands = [c for c, sim in zip(cands, similarities) if sim == best]
-    partial = any(set(c.s.maps) & set(s_gt.maps) for c in cands)
+    partial = any(c.s.maps & s_gt.maps for c in cands)
     reaction_match = None
     reaction_match_in_ontology = None
     if partial:
@@ -170,67 +170,42 @@ def reactant_multiset(molecules, ignore_stereo: bool = False) -> Counter:
     return Counter(texts)
 
 
-def atom_share(template: Molecule, gt: Molecule, denominator: str = "template") -> float:
+def atom_shares(template: Molecule, gt: Molecule) -> tuple[float, float]:
     """Fraction of shared atoms between a template reactant and a
-    ground-truth reactant, measured by atom-map intersection.
-
-    ``denominator`` picks the reference side: ``template`` counts the
-    template's non-wildcard heavy atoms, ``gt`` counts the ground-truth
-    heavy atoms.
-    """
+    ground-truth reactant, measured by atom-map intersection: over the
+    template's non-wildcard heavy atoms, then over the ground truth's
+    heavy atoms.  A share with no atoms to count is 0.0."""
     shared = len(template.atom_maps() & gt.atom_maps())
-    if denominator == "template":
-        base = sum(1 for a in template.atoms if a.is_heavy and not a.is_wildcard)
-    elif denominator == "gt":
-        base = sum(1 for a in gt.atoms if a.is_heavy)
-    else:
-        raise ValueError(f"denominator must be 'template' or 'gt', got {denominator!r}")
-    if base == 0:
-        return 0.0
-    return shared / base
+    bases = (
+        sum(1 for a in template.atoms if a.is_heavy and not a.is_wildcard),
+        sum(1 for a in gt.atoms if a.is_heavy),
+    )
+    return tuple(shared / base if base else 0.0 for base in bases)
 
 
-def find_template_assignment(
-    template_reactants: tuple[Molecule, ...],
-    gt_reactants: list[Molecule],
-    embeddings: dict[tuple[int, int], bool],
-    denominator: str = "template",
-) -> list[tuple[int, int]] | None:
-    """Injective pairing of every ground-truth reactant with a distinct
-    template reactant passing both the share threshold and an embedding
-    check, or None when no such assignment exists.  ``embeddings`` keeps
-    the embedding check of each (template, ground-truth) index pair across
-    calls on the same reactants."""
-    edges: list[list[int]] = []
-    for gt_idx, gt in enumerate(gt_reactants):
-        row = []
-        for t_idx, template in enumerate(template_reactants):
-            if atom_share(template, gt, denominator) < TEMPLATE_SHARE_THRESHOLD:
-                continue
-            if (t_idx, gt_idx) not in embeddings:
-                embeddings[t_idx, gt_idx] = substructure_match(template, gt)
-            if embeddings[t_idx, gt_idx]:
-                row.append(t_idx)
-        if not row:
-            return None
-        edges.append(row)
+def template_cover(
+    template: tuple[Molecule, ...], r_gt: list[Molecule]
+) -> Callable[[int], bool]:
+    """``cover(side)``: whether every ground-truth reactant pairs with a
+    distinct template reactant that embeds into it and whose
+    ``atom_shares`` on ``side`` reach the threshold.  The search checks a
+    pair only when it reaches it, and embeds each pair at most once for
+    both sides."""
 
-    assignment: dict[int, int] = {}
+    @functools.cache
+    def embeds(t_idx: int, gt_idx: int) -> bool:
+        return substructure_match(template[t_idx], r_gt[gt_idx])
 
-    def assign(gt_idx: int) -> bool:
-        if gt_idx == len(edges):
-            return True
-        for t_idx in edges[gt_idx]:
-            if t_idx not in assignment.values():
-                assignment[gt_idx] = t_idx
-                if assign(gt_idx + 1):
-                    return True
-                del assignment[gt_idx]
-        return False
+    def assign(side: int, gt_idx: int, used: frozenset[int]) -> bool:
+        return gt_idx == len(r_gt) or any(
+            atom_shares(template[t_idx], r_gt[gt_idx])[side] >= TEMPLATE_SHARE_THRESHOLD
+            and embeds(t_idx, gt_idx)
+            and assign(side, gt_idx + 1, used | {t_idx})
+            for t_idx in range(len(template))
+            if t_idx not in used
+        )
 
-    if not assign(0):
-        return None
-    return sorted(assignment.items())
+    return lambda side: assign(side, 0, frozenset())
 
 
 def score_transition(
@@ -263,15 +238,14 @@ def score_transition(
         and reactant_multiset(molecules, ignore_stereo=ignore_stereo) == gt_multiset
         for p, molecules in zip(preds, parsed)
     )
-    # Both denominators share each template prediction's embedding checks.
-    templates = [(m, {}) for p, m in zip(preds, parsed) if p.is_valid and p.is_template]
-    template_acc, template_acc_alt = (
-        any(
-            find_template_assignment(reactants, r_gt, embeddings, denominator) is not None
-            for reactants, embeddings in templates
-        )
-        for denominator in ("template", "gt")
-    )
+    # Per side (template, then ground-truth share), the first covering
+    # template prediction settles it.
+    acc = [False, False]
+    for p, molecules in zip(preds, parsed):
+        if p.is_valid and p.is_template:
+            cover = template_cover(molecules, r_gt)
+            acc = [hit or cover(side) for side, hit in enumerate(acc)]
+    template_acc, template_acc_alt = acc
     return TransitionScore(
         template_acc=template_acc,
         reactant_acc=reactant_acc,

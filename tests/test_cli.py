@@ -508,6 +508,21 @@ class TestRunPosition:
         assert f"malformed ontology file {pipeline['ontology']}" in capsys.readouterr().err
         assert not (pipeline["root"] / "r").exists()
 
+    def test_empty_ontology_exits_1(self, pipeline, capsys):
+        pipeline["ontology"].write_text(json.dumps({"source_split": "train", "entries": []}))
+        code = main(
+            [
+                "run-position",
+                "--input", str(pipeline["eval"]),
+                "--ontology", str(pipeline["ontology"]),
+                "--output", str(pipeline["root"] / "r"),
+                "--model", "m",
+            ]
+        )
+        assert code == 1
+        assert f"ontology {pipeline['ontology']} has no entries" in capsys.readouterr().err
+        assert not (pipeline["root"] / "r").exists()
+
     def test_missing_ontology_errors(self, pipeline):
         code = main(
             [

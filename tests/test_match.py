@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import pytest
+
 from helpers import random_molecule
 from retroanchor.chem import parse_smiles, substructure_match
 from retroanchor.chem.match import atoms_compatible, find_embedding
@@ -57,6 +59,21 @@ def test_aromatic_flag_must_agree():
 def test_bond_kind_must_be_identical():
     assert substructure_match(parse_smiles("C=C"), parse_smiles("CC=CC"))
     assert not substructure_match(parse_smiles("C=C"), parse_smiles("CCCC"))
+
+
+@pytest.mark.parametrize(
+    ("pattern", "target", "expected"),
+    [
+        pytest.param("C1CCC1", "C1CCCCC1", False, id="four-ring into six-ring"),
+        pytest.param("C1CCC1", "CC1CCC1", True, id="four-ring into methylcyclobutane"),
+    ],
+)
+def test_ring_closure_needs_a_bond_between_matched_atoms(pattern, target, expected):
+    # The ring-closing bond joins two atoms that are both matched already,
+    # so only the check against matched neighbours can reject it.
+    pattern, target = parse_smiles(pattern), parse_smiles(target)
+    assert brute_force_match(pattern, target) == expected
+    assert substructure_match(pattern, target) == expected
 
 
 def test_wildcard_matches_any_atom():

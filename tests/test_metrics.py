@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import random
 from collections import Counter
@@ -27,12 +28,12 @@ from retroanchor.metrics import (
     PositionScore,
     TransitionScore,
     aggregate,
-    atom_share,
-    find_template_assignment,
+    atom_shares,
     jaccard,
     reactant_multiset,
     score_position,
     score_transition,
+    template_cover,
     write_report,
 )
 from retroanchor.outputs import DisconnectionCandidate, TransitionPrediction
@@ -71,7 +72,7 @@ class TestJaccard:
         assert jaccard({1}, {1, 2}) == 0.5
 
     def test_accepts_map_sets(self):
-        assert jaccard(AtomMapSet.of({1, 2}), AtomMapSet.of({2, 3})) == pytest.approx(1 / 3)
+        assert jaccard(AtomMapSet.of({1, 2}).maps, AtomMapSet.of({2, 3}).maps) == pytest.approx(1 / 3)
 
     def test_both_empty_is_one(self):
         assert jaccard(set(), set()) == 1.0
@@ -284,88 +285,113 @@ GT_AMINE = parse_smiles("[CH3:6][NH2:7]")
 class TestAtomShare:
     def test_four_of_five_template_atoms(self):
         template = parse_smiles("C[CH2:2][C:3](=[O:4])[OH:5]")
-        assert atom_share(template, GT_ACID) == pytest.approx(0.8)
-        assert atom_share(template, GT_ACID, denominator="gt") == pytest.approx(0.8)
+        assert atom_shares(template, GT_ACID)[0] == pytest.approx(0.8)
+        assert atom_shares(template, GT_ACID)[1] == pytest.approx(0.8)
 
     def test_wildcards_excluded_from_template_denominator(self):
         template = parse_smiles("[*][CH2:2][C:3](=[O:4])[OH:5]")
-        assert atom_share(template, GT_ACID) == pytest.approx(1.0)
+        assert atom_shares(template, GT_ACID)[0] == pytest.approx(1.0)
 
     def test_unmapped_template_shares_nothing(self):
         template = parse_smiles("CCC(=O)O")
-        assert atom_share(template, GT_ACID) == 0.0
+        assert atom_shares(template, GT_ACID)[0] == 0.0
 
     def test_all_wildcard_template_is_zero(self):
         template = parse_smiles("[*]")
-        assert atom_share(template, GT_ACID) == 0.0
+        assert atom_shares(template, GT_ACID)[0] == 0.0
 
-    def test_bad_denominator_rejected(self):
-        with pytest.raises(ValueError, match="denominator"):
-            atom_share(GT_ACID, GT_ACID, denominator="both")
+
+def _brute_force_cover(templates, gt, side):
+    """Try every injective template pick for the ground-truth reactants;
+    exponential, oracle only."""
+    return any(
+        all(
+            atom_shares(templates[t_idx], g)[side] >= metrics.TEMPLATE_SHARE_THRESHOLD
+            and substructure_match(templates[t_idx], g)
+            for t_idx, g in zip(pick, gt)
+        )
+        for pick in itertools.permutations(range(len(templates)), len(gt))
+    )
+
+
+T_ACID = "C[CH2:2][C:3](=[O:4])[OH:5]"
+T_AMINE = "[CH3:6][NH2:7]"
+# (template reactant texts, ground-truth reactants) for every case below
+COVER_CASES = {
+    "single pair": ([T_ACID], [GT_ACID]),
+    "exact threshold": (["C[C:3](=[O:4])[OH:5]"], [GT_ACID]),
+    "below threshold": (["CC[C:3](=[O:4])O"], [GT_ACID]),
+    "share without embedding": (["[CH3:1][CH2:2][C:3]([OH:4])[OH:5]"], [GT_ACID]),
+    "injective two by two": ([T_AMINE, T_ACID], [GT_ACID, GT_AMINE]),
+    "wildcard onto ester": (
+        ["[CH3:1][CH2:2][C:3](=[O:4])[O:5][*]"],
+        [parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[O:5]C")],
+    ),
+    "wildcard with nowhere to land": (["[CH3:1][CH2:2][C:3](=[O:4])[O:5][*]"], [GT_ACID]),
+    "one template for two": (["[CH3:1][CH2:2][C:3](=[O:4])[OH:5]"], [GT_ACID, GT_AMINE]),
+    "extra template reactants": (
+        ["[*]Br", T_AMINE, "[CH3:1][CH2:2][C:3](=[O:4])[OH:5]"],
+        [GT_ACID, GT_AMINE],
+    ),
+    "first pairing undone": (
+        ["[CH3:1][CH2:2][*]", "[CH3:1][CH2:2][OH:3]"],
+        [parse_smiles("[CH3:1][CH2:2][OH:3]"), parse_smiles("[CH3:1][CH2:2][NH2:4]")],
+    ),
+}
 
 
 class TestTemplateAssignment:
+    def _cover(self, name):
+        texts, gt = COVER_CASES[name]
+        return template_cover(tuple(parse_smiles(t) for t in texts), gt)(0)
+
     def test_single_pair_above_threshold(self):
-        template = parse_smiles("C[CH2:2][C:3](=[O:4])[OH:5]")
-        assignment = find_template_assignment((template,), [GT_ACID], {})
-        assert assignment == [(0, 0)]
+        assert self._cover("single pair")
 
     def test_exact_threshold_accepted(self):
         # 3 mapped of 4 non-wildcard heavy atoms: share exactly 0.75
         template = parse_smiles("C[C:3](=[O:4])[OH:5]")
-        assert atom_share(template, GT_ACID) == pytest.approx(0.75)
-        assert find_template_assignment((template,), [GT_ACID], {}) is not None
+        assert atom_shares(template, GT_ACID)[0] == pytest.approx(0.75)
+        assert self._cover("exact threshold")
 
     def test_below_threshold_rejected(self):
         template = parse_smiles("CC[C:3](=[O:4])O")
-        assert atom_share(template, GT_ACID) == pytest.approx(0.4)
-        assert find_template_assignment((template,), [GT_ACID], {}) is None
+        assert atom_shares(template, GT_ACID)[0] == pytest.approx(0.4)
+        assert not self._cover("below threshold")
 
     def test_share_without_embedding_rejected(self):
         # maps agree but the double bond is drawn single: no embedding
         template = parse_smiles("[CH3:1][CH2:2][C:3]([OH:4])[OH:5]")
-        assert atom_share(template, GT_ACID) == pytest.approx(1.0)
-        assert find_template_assignment((template,), [GT_ACID], {}) is None
+        assert atom_shares(template, GT_ACID)[0] == pytest.approx(1.0)
+        assert not self._cover("share without embedding")
 
     def test_injective_two_by_two(self):
-        t_acid = parse_smiles("C[CH2:2][C:3](=[O:4])[OH:5]")
-        t_amine = parse_smiles("[CH3:6][NH2:7]")
-        assignment = find_template_assignment((t_amine, t_acid), [GT_ACID, GT_AMINE], {})
-        assert assignment == [(0, 1), (1, 0)]
+        assert self._cover("injective two by two")
 
     def test_wildcard_anchors_onto_real_atom(self):
-        gt_ester = parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[O:5]C")
-        template = parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[O:5][*]")
-        assert find_template_assignment((template,), [gt_ester], {}) == [(0, 0)]
+        assert self._cover("wildcard onto ester")
         # the acid has no sixth heavy atom for the wildcard to land on
-        assert find_template_assignment((template,), [GT_ACID], {}) is None
+        assert not self._cover("wildcard with nowhere to land")
 
     def test_one_template_cannot_cover_two_gt(self):
-        t_acid = parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[OH:5]")
-        assert find_template_assignment((t_acid,), [GT_ACID, GT_AMINE], {}) is None
+        assert not self._cover("one template for two")
 
     def test_extra_template_reactants_allowed(self):
-        templates = (
-            parse_smiles("[*]Br"),
-            parse_smiles("[CH3:6][NH2:7]"),
-            parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[OH:5]"),
-        )
-        assignment = find_template_assignment(templates, [GT_ACID, GT_AMINE], {})
-        assert assignment == [(0, 2), (1, 1)]
+        assert self._cover("extra template reactants")
 
-    def test_certificate_reverifies(self):
-        from retroanchor.chem import substructure_match
+    def test_first_pairing_undone(self):
+        # The wildcard template passes on the first ground-truth reactant
+        # but is the only one that fits the second, so the search must
+        # give it up and pair the first with the alcohol template.
+        assert self._cover("first pairing undone")
 
-        templates = (
-            parse_smiles("[CH3:6][NH2:7]"),
-            parse_smiles("C[CH2:2][C:3](=[O:4])[OH:5]"),
-        )
-        gt = [GT_ACID, GT_AMINE]
-        assignment = find_template_assignment(templates, gt, {})
-        assert assignment is not None
-        for gt_idx, t_idx in assignment:
-            assert atom_share(templates[t_idx], gt[gt_idx]) >= 0.75
-            assert substructure_match(templates[t_idx], gt[gt_idx])
+    @pytest.mark.parametrize("name", sorted(COVER_CASES))
+    def test_agrees_with_brute_force(self, name):
+        texts, gt = COVER_CASES[name]
+        templates = tuple(parse_smiles(t) for t in texts)
+        cover = template_cover(templates, gt)
+        for side in (0, 1):
+            assert cover(side) == _brute_force_cover(templates, gt, side)
 
 
 class TestScoreTransition:
@@ -415,8 +441,7 @@ class TestScoreTransition:
         # only 3 of the gt's 5 heavies covered (share 0.6)
         template = parse_smiles("[C:3](=[O:4])[OH:5]")
         preds = [_pred(["[C:3](=[O:4])[OH:5]"], is_template=True)]
-        assert atom_share(template, GT_ACID) == pytest.approx(1.0)
-        assert atom_share(template, GT_ACID, denominator="gt") == pytest.approx(0.6)
+        assert atom_shares(template, GT_ACID) == pytest.approx((1.0, 0.6))
         score = score_transition(preds, [GT_ACID])
         assert score.template_acc
         assert not score.template_acc_alt
