@@ -153,9 +153,9 @@ def parse_smiles(text: str) -> Molecule:
     """Parse SMILES text into a molecular graph.
 
     Raises SmilesError, carrying the offending character position, for
-    malformed input: unbalanced brackets or parentheses, unpaired ring
-    closures, unknown elements, malformed charges or isotopes, bonds
-    with no atom to attach to, and duplicate bonds between one pair.
+    malformed input: unbalanced brackets or parentheses, unpaired ring closures,
+    unknown elements, malformed charges or isotopes, bonds with no atom to attach
+    to, a dot not between two atoms, and duplicate bonds between one pair.
     """
     s = text.strip()
     if not s:
@@ -203,6 +203,8 @@ def parse_smiles(text: str) -> Molecule:
         elif ch == ".":
             if pending:
                 raise SmilesError("bond symbol adjacent to '.'", i)
+            if prev is None or s[i + 1 : i + 2] in ("", ")"):  # OpenSMILES: a dot joins two atoms
+                raise SmilesError("'.' not between two atoms", i)
             prev = None
             i += 1
         elif ch in _BOND_CHARS:

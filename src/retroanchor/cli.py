@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from retroanchor.chem import AtomMapSet
     from retroanchor.datasets import Ontology, ReactionRecord
     from retroanchor.gateway import Completion, GatewayFailure, HttpBackend, ModelConfig
-    from retroanchor.outputs import DisconnectionCandidate, ParseOutcome, TransitionPrediction
+    from retroanchor.outputs import ParseOutcome
     from retroanchor.prompts import PromptTemplate, RenderedPrompt
 
 DEFAULT_UNCLASSIFIED = "otherReaction"
@@ -50,25 +50,18 @@ def _record_to_row(record: ReactionRecord) -> dict:
     return row
 
 
-def _exact(value, *kinds: type):
-    """``value`` when its type is exactly one of ``kinds`` (so JSON ``true``
-    is no int); a wrongly typed field is never coerced."""
-    if type(value) not in kinds:
-        raise TypeError(f"expected {kinds[0].__name__}, got {value!r}")
-    return value
-
-
 def _record_label(record: ReactionRecord) -> tuple[AtomMapSet, str]:
     """Label columns from a labeled file, else a fresh extraction; ValueError
     for a wrongly typed column or a reaction that does not parse."""
     from retroanchor.chem import AtomMapSet
+    from retroanchor.outputs import exact
     if "label_maps" not in record.extra and "label_kind" not in record.extra:
         from retroanchor.labels import extract_structural_label
         label = extract_structural_label(record)
         return label.maps, label.kind
     maps, kind = record.extra.get("label_maps"), record.extra.get("label_kind")
     try:
-        return AtomMapSet.of(_exact(m, int) for m in _exact(maps, list)), _exact(kind, str)
+        return AtomMapSet.of(exact(m, int) for m in exact(maps, list)), exact(kind, str)
     except TypeError as exc:
         raise ValueError(f"label_maps/label_kind: {exc}") from exc
 
@@ -83,6 +76,7 @@ def _ingest(path: Path, parse: bool = True) -> tuple[list[ReactionRecord], list[
 
 def _load_ontology(path: Path) -> Ontology:
     from retroanchor.datasets import Ontology
+    from retroanchor.outputs import exact
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
@@ -90,8 +84,8 @@ def _load_ontology(path: Path) -> Ontology:
     try:
         ontology = Ontology.from_json_obj(data["entries"], data.get("source_split", ""))
         for entry in ontology.entries:
-            _exact(entry.id, str)
-            _exact(entry.reaction_class, str)
+            exact(entry.id, str)
+            exact(entry.reaction_class, str)
     except (KeyError, TypeError) as exc:
         raise CliError(f"malformed ontology file {path}") from exc
     return ontology
@@ -280,7 +274,7 @@ def _execute_run(
 
 
 def cmd_run_position(args) -> int:
-    from retroanchor.outputs import parse_position_output
+    from retroanchor.outputs import parse_position_output, to_row
     from retroanchor.prompts import render_position_prompt
     model, backend, config = _run_config(args, "position", ontology=str(args.ontology))
     records, rejects = _ingest(args.input)
@@ -294,7 +288,7 @@ def cmd_run_position(args) -> int:
 
     def parse(text: str, record: ReactionRecord, prompt: RenderedPrompt):
         parsed = parse_position_output(text, record.product, ontology)
-        return parsed, {"candidates": [{**vars(c), "s": c.s.sorted()} for c in parsed.ok]}
+        return parsed, {"candidates": [to_row(c) for c in parsed.ok]}
 
     config.update(
         template_name=template.name,
@@ -308,7 +302,7 @@ def cmd_run_position(args) -> int:
 
 def cmd_run_transition(args) -> int:
     from retroanchor.datasets import sample_examples
-    from retroanchor.outputs import parse_transition_output
+    from retroanchor.outputs import parse_transition_output, to_row
     from retroanchor.prompts import render_transition_prompt
     if args.examples_k < 0:
         raise CliError("--examples-k must be at least 0")
@@ -353,7 +347,7 @@ def cmd_run_transition(args) -> int:
 
     def parse(text: str, record: ReactionRecord, prompt: RenderedPrompt):
         parsed = parse_transition_output(text)
-        return parsed, {"example_count": prompt.example_count, "predictions": [vars(p) for p in parsed.ok]}
+        return parsed, {"example_count": prompt.example_count, "predictions": [to_row(p) for p in parsed.ok]}
 
     config.update(
         template_name=template.name,
@@ -367,39 +361,14 @@ def cmd_run_transition(args) -> int:
 # ------------------------------------------------------------- evaluate
 
 
-def _candidate(c: dict) -> DisconnectionCandidate:
-    from retroanchor.chem import AtomMapSet
-    from retroanchor.outputs import DisconnectionCandidate
-    return DisconnectionCandidate(
-        s=AtomMapSet.of(_exact(m, int) for m in _exact(c["s"], list)),
-        reaction_name=_exact(c["reaction_name"], str),
-        reaction_class=_exact(c["reaction_class"], str),
-        in_ontology=_exact(c["in_ontology"], bool),
-        importance=_exact(c["importance"], int),
-        priority=_exact(c["priority"], int),
-        rationale=_exact(c.get("rationale", ""), str),
-        claimed_in_ontology=_exact(c.get("claimed_in_ontology"), bool, type(None)),
-    )
-
-
-def _prediction(p: dict) -> TransitionPrediction:
-    from retroanchor.outputs import TransitionPrediction
-    return TransitionPrediction(
-        reactants=tuple(_exact(t, str) for t in _exact(p["reactants"], list)),
-        is_valid=_exact(p["is_valid"], bool),
-        is_template=_exact(p["is_template"], bool),
-        reasoning=_exact(p.get("reasoning", ""), str),
-        reaction_name=_exact(p.get("reaction_name", ""), str),
-    )
-
-
-def _items_from_row(row: dict, key: str, build: Callable[[dict], object]) -> list:
-    """The ``key`` list of an ``ok`` outcome row, each item built by ``build``;
+def _items_from_row(row: dict, key: str, cls: type) -> list:
+    """The ``key`` list of an ``ok`` outcome row, each item read as a ``cls``;
     any other row has no items and scores as a failed prediction."""
+    from retroanchor.outputs import exact, from_row
     if row.get("status") != "ok":
         return []
     try:
-        return [build(item) for item in _exact(row[key], list)]
+        return [from_row(cls, item) for item in exact(row[key], list)]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"run outcome for {row.get('id')} holds a malformed {key[:-1]}: {exc!r}") from exc
 
@@ -407,6 +376,7 @@ def _items_from_row(row: dict, key: str, build: Callable[[dict], object]) -> lis
 def cmd_evaluate(args) -> int:
     from retroanchor.chem import AtomMapSet, SmilesError
     from retroanchor.metrics import aggregate, score_position, score_transition, write_report
+    from retroanchor.outputs import DisconnectionCandidate, TransitionPrediction
     from retroanchor.utils import read_jsonl
     config_path = args.run / "config.json"
     outcomes_path = args.run / "outcomes.jsonl"
@@ -441,11 +411,11 @@ def cmd_evaluate(args) -> int:
                 raise CliError(f"example {record.record_id} has a malformed label: {exc}") from exc
             if not s_gt.maps:
                 raise CliError(f"example {record.record_id} has an empty disconnection label")
-        cands = _items_from_row(row, "candidates", _candidate)
+        cands = _items_from_row(row, "candidates", DisconnectionCandidate)
         return score_position(cands, s_gt, record.reaction_name, record.reaction_class)
 
     def score_transition_row(row: dict, record: ReactionRecord):
-        preds = _items_from_row(row, "predictions", _prediction)
+        preds = _items_from_row(row, "predictions", TransitionPrediction)
         try:
             return score_transition(preds, list(record.reactants), ignore_stereo=args.ignore_stereo), None
         except SmilesError as exc:  # a stored prediction text

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import get_args, get_type_hints
 
 from retroanchor.chem import AtomMapSet, Molecule, SmilesError, canonical_smiles, parse_smiles
 from retroanchor.datasets import Ontology
@@ -61,6 +62,39 @@ class ParseOutcome:
     def __post_init__(self):
         if bool(self.ok) == (self.failure_class is not None):
             raise ValueError("failure_class must be set exactly when nothing parsed")
+
+
+def exact(value, *kinds: type):
+    """``value`` when its type is exactly one of ``kinds`` (so JSON ``true``
+    is no int); a wrongly typed field is never coerced."""
+    if type(value) not in kinds:
+        raise TypeError(f"expected {kinds[0].__name__}, got {value!r}")
+    return value
+
+
+def _field_reader(hint):
+    if hint is AtomMapSet:
+        return lambda v: AtomMapSet.of(exact(m, int) for m in exact(v, list))
+    if hint == tuple[str, ...]:
+        return lambda v: tuple(exact(t, str) for t in exact(v, list))
+    kinds = get_args(hint) or (hint,)  # ``bool | None`` is either JSON type
+    return lambda v: exact(v, *kinds)
+
+
+_FIELD_READERS = {
+    cls: {name: _field_reader(hint) for name, hint in get_type_hints(cls).items()}
+    for cls in (DisconnectionCandidate, TransitionPrediction)  # hints resolved once, not per row
+}
+
+
+def to_row(item: DisconnectionCandidate | TransitionPrediction) -> dict:
+    """An item's ``outcomes.jsonl`` row: its fields, a map set as its sorted list."""
+    return {k: v.sorted() if isinstance(v, AtomMapSet) else v for k, v in vars(item).items()}
+
+
+def from_row(cls, row: dict):
+    """``cls`` from its ``to_row`` row: KeyError for a missing field, TypeError for a wrong type."""
+    return cls(**{name: read(row[name]) for name, read in _FIELD_READERS[cls].items()})
 
 
 def extract_json_object(raw: str) -> dict | None:

@@ -1187,6 +1187,23 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith("error: run outcome for e1 holds unparsable SMILES")
         assert not (run_dir / "report").exists()
 
+    def test_reactant_of_dots_is_dropped_not_stored(self, pipeline):
+        """A reactant ``"."`` names no atom: run-transition drops its
+        permutation, so evaluate scores the example as failed instead of
+        refusing the run over a stored empty text."""
+        reply = json.loads(TRANSITION_TEXT_E1)
+        reply["reaction_analysis"][0]["reactant_permutations"][0]["reactants"] = ["CN", "."]
+        seed_transition(pipeline, (("e1", json.dumps(reply)), ("e2", TRANSITION_TEXT_E2)))
+        run_dir = run_transition(pipeline)
+        [row] = [r for r in read_jsonl(run_dir / "outcomes.jsonl") if r["id"] == "e1"]
+        assert (row["predictions"], row["failure_class"]) == ([], "all_items_invalid")
+        [dropped] = row["dropped"]
+        assert dropped["reason"] == "syntactically invalid SMILES: '.' not between two atoms (at position 0)"
+        assert main(["evaluate", "--run", str(run_dir), "--input", str(pipeline["eval"])]) == 0
+        report = json.loads((run_dir / "report" / "report.json").read_text())
+        [e1] = [r for r in report["rows"] if r["id"] == "e1"]
+        assert (e1["failed"], e1["n_predictions"]) == (True, 0)
+
     def test_truth_file_repeating_an_id_exits_1(self, pipeline, capsys):
         """Two truth rows under one id would leave one of them unscored and
         score the other's run row against the wrong truth."""
@@ -1295,6 +1312,9 @@ class TestEvaluate:
             ("position", "reaction_name", 5),
             ("position", "claimed_in_ontology", "yes"),
             ("position", "rationale", None),
+            # a field with a parser default is still a field of the row
+            ("position", "rationale", MISSING),
+            ("position", "claimed_in_ontology", MISSING),
             # an ok row without its item list is not an empty answer
             ("position", "candidates", MISSING),
             ("transition", "is_valid", MISSING),
@@ -1305,6 +1325,8 @@ class TestEvaluate:
             ("transition", "is_valid", "no"),
             ("transition", "is_template", 0),
             ("transition", "reasoning", 7),
+            ("transition", "reasoning", MISSING),
+            ("transition", "reaction_name", MISSING),
             ("transition", "predictions", MISSING),
         ],
     )

@@ -124,6 +124,14 @@ PARSE_ERRORS = [
     ("=CC", "bond with no preceding atom", "bond with no preceding atom", 0),
     ("C=.C", "adjacent to '.'", "bond symbol adjacent to '.'", 2),
     ("C.=C", "bond with no preceding atom", "bond with no preceding atom", 2),
+    # A dot stands only between two atoms: a leading, trailing or doubled
+    # one is an error, not an empty component.
+    (".", "not between two atoms", "'.' not between two atoms", 0),
+    ("..", "not between two atoms", "'.' not between two atoms", 0),
+    (".C", "not between two atoms", "'.' not between two atoms", 0),
+    ("C.", "not between two atoms", "'.' not between two atoms", 1),
+    ("C..C", "not between two atoms", "'.' not between two atoms", 2),
+    ("C(C.)", "not between two atoms", "'.' not between two atoms", 3),
     ("C==C", "two bond symbols", "two bond symbols in a row", 2),
     ("C11", "itself", "ring closure bonds an atom to itself", 2),
     ("C12C12", "duplicate bond", "duplicate bond between atoms 0 and 1", 4),
