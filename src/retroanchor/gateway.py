@@ -11,9 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +48,7 @@ class TransientBackendError(Exception):
 # Fixed request settings: the provider's defaults apply to every other sampling setting.
 MAX_OUTPUT_TOKENS = 8192
 MAX_ATTEMPTS = 4  # backend sends per request, the first included
-BACKOFF_S = 1.0  # the sleep before the second send; it doubles before each later one
+BACKOFF_S = 1.0  # the longest sleep before the second send; it doubles before each later one
 TIMEOUT_S = 120.0  # per connect and per read
 
 
@@ -132,11 +132,12 @@ class CompletionCache:
         left on disk as it is, never overwritten.
         """
         path = self._path(digest)
-        if not path.exists():
-            return None
         try:
             entry = json.loads(path.read_bytes().decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError and JSONDecodeError
+        except FileNotFoundError:
+            return None
+        # OSError: a directory or an unreadable file; ValueError: also Unicode and JSON errors.
+        except (OSError, ValueError, RecursionError) as exc:
             raise GatewayError(CACHE_CORRUPT, f"unreadable cache entry {path}: {exc}") from exc
         if not (
             isinstance(entry, dict)
@@ -281,8 +282,10 @@ class HttpBackend:
 
 class Gateway:
     """Completion front door shared across worker threads.  Without a
-    backend it is a replay gateway: it answers from the cache only and
-    cannot send."""
+    backend it is a replay gateway: it answers from the cache only, in the
+    calling thread, and cannot send.  A live retry sleeps a uniform draw
+    from ``rng`` up to the doubling backoff step ("full jitter"), or
+    exactly the delay a reply's Retry-After asks for."""
 
     def __init__(
         self,
@@ -290,11 +293,13 @@ class Gateway:
         cache_dir: Path | str,
         backend=None,
         sleeper=time.sleep,
+        rng: random.Random | None = None,
     ):
         self.cfg = cfg
         self.cache = CompletionCache(cache_dir)
         self.backend = backend
         self._sleep = sleeper
+        self._rng = rng or random.Random()
 
     def _complete(self, prompt: RenderedPrompt) -> Completion | GatewayFailure:
         digest = request_digest(prompt, self.cfg)
@@ -315,7 +320,8 @@ class Gateway:
                         raise GatewayError(
                             RETRIES_EXHAUSTED, f"gave up after {attempts} attempts: {exc}"
                         ) from exc
-                    self._sleep(BACKOFF_S * 2 ** (attempts - 1) if exc.retry_after is None else exc.retry_after)
+                    step = BACKOFF_S * 2 ** (attempts - 1)
+                    self._sleep(self._rng.uniform(0, step) if exc.retry_after is None else exc.retry_after)
                     continue
                 latency_ms = int((time.monotonic() - started) * 1000)
                 entry = _cache_entry(digest, prompt, self.cfg, result, latency_ms, attempts)
@@ -327,15 +333,18 @@ class Gateway:
     def run_batch(
         self, prompts: list[RenderedPrompt], parallelism: int
     ) -> list[Completion | GatewayFailure]:
-        """Complete every prompt with bounded concurrency.
+        """Complete every prompt, live sends at most ``parallelism`` at once.
 
         Output order matches input order; a failed item becomes a
         GatewayFailure in its slot and never aborts the batch.
         """
         if parallelism < 1:
             raise ValueError("parallelism must be at least 1")
+        if self.backend is None:  # a pool costs more than reading small cache files in turn
+            return list(map(self._complete, prompts))
         if not prompts:
             return []
+        from concurrent.futures import ThreadPoolExecutor
         try:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 return list(pool.map(self._complete, prompts))

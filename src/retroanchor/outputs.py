@@ -143,6 +143,12 @@ def _drop(entry, reason: str) -> dict:
     return {"fragment": fragment, "reason": reason}
 
 
+def _non_string(obj: dict, *keys: str) -> str | None:
+    """The first of ``keys`` that ``obj`` holds as something other than a
+    string; an absent key reads as ``""``."""
+    return next((key for key in keys if not isinstance(obj.get(key, ""), str)), None)
+
+
 def _importance_of(reaction: dict):
     for key in ("Retrosynthesis Importance", "importance", "Importance"):
         if key in reaction:
@@ -206,6 +212,10 @@ def parse_position_output(raw: str, product: Molecule, ontology: Ontology) -> Pa
             if type(priority) is not int or priority < 1:
                 dropped.append(_drop(reaction, "priority must be a positive integer"))
                 continue
+            wrong = _non_string(reaction, "forwardReactionClass", "rationale")
+            if wrong:
+                dropped.append(_drop(reaction, f"{wrong} is not a string"))
+                continue
             key = (s.maps, normalize_name(name))
             if key in seen:
                 dropped.append(_drop(reaction, "duplicate site/reaction pair"))
@@ -216,11 +226,11 @@ def parse_position_output(raw: str, product: Molecule, ontology: Ontology) -> Pa
                 DisconnectionCandidate(
                     s=s,
                     reaction_name=name,
-                    reaction_class=str(reaction.get("forwardReactionClass", "")),
+                    reaction_class=reaction.get("forwardReactionClass", ""),
                     in_ontology=ontology.contains(name),
                     importance=importance,
                     priority=priority,
-                    rationale=str(reaction.get("rationale", "")),
+                    rationale=reaction.get("rationale", ""),
                     claimed_in_ontology=claimed if isinstance(claimed, bool) else None,
                 )
             )
@@ -230,6 +240,11 @@ def parse_position_output(raw: str, product: Molecule, ontology: Ontology) -> Pa
 
 def _has_template_atoms(molecule: Molecule) -> bool:
     return any(a.is_wildcard or a.is_element_list for a in molecule.atoms)
+
+
+# Reply reactant text -> (has template atoms, canonical mapped text), for texts that parsed and
+# were written; strings only, so the process exits without collecting molecules.
+_REACTANT_MEMO: dict[str, tuple[bool, str]] = {}
 
 
 def parse_transition_output(raw: str) -> ParseOutcome:
@@ -251,7 +266,10 @@ def parse_transition_output(raw: str) -> ParseOutcome:
         if not isinstance(group, dict):
             dropped.append(_drop(group, "group is not an object"))
             continue
-        name = str(group.get("forward_reaction_name", ""))
+        if _non_string(group, "forward_reaction_name"):
+            dropped.append(_drop(group, "forward_reaction_name is not a string"))
+            continue
+        name = group.get("forward_reaction_name", "")
         permutations = group.get("reactant_permutations")
         if not isinstance(permutations, list):
             dropped.append(_drop(group, "missing reactant_permutations list"))
@@ -273,25 +291,32 @@ def parse_transition_output(raw: str) -> ParseOutcome:
             if not isinstance(is_valid, bool) or not isinstance(is_template, bool):
                 dropped.append(_drop(permutation, "is_valid/is_template must be booleans"))
                 continue
-            try:
-                molecules = tuple(parse_smiles(t) for t in texts)
+            if _non_string(permutation, "reasoning"):
+                dropped.append(_drop(permutation, "reasoning is not a string"))
+                continue
+            try:  # a text in the memo parsed before, so the first to fail here is the first listed
+                fresh = {t: parse_smiles(t) for t in texts if t not in _REACTANT_MEMO}
             except SmilesError as exc:
                 dropped.append(_drop(permutation, f"syntactically invalid SMILES: {exc}"))
                 continue
-            if not is_template and any(_has_template_atoms(m) for m in molecules):
+            if not is_template and any(
+                _has_template_atoms(fresh[t]) if t in fresh else _REACTANT_MEMO[t][0] for t in texts
+            ):
                 dropped.append(_drop(permutation, "wildcard atom in non-template prediction"))
                 continue
             try:  # more than 99 ring closures open at once have no spelling
-                reactants = tuple(canonical_smiles(m, include_maps=True) for m in molecules)
+                for text, molecule in fresh.items():
+                    _REACTANT_MEMO[text] = (_has_template_atoms(molecule), canonical_smiles(molecule, include_maps=True))
             except ValueError as exc:
                 dropped.append(_drop(permutation, f"reactants cannot be written as canonical SMILES: {exc}"))
                 continue
+            reactants = tuple(_REACTANT_MEMO[t][1] for t in texts)
             ok.append(
                 TransitionPrediction(
                     reactants=reactants,
                     is_valid=is_valid,
                     is_template=is_template,
-                    reasoning=str(permutation.get("reasoning", "")),
+                    reasoning=permutation.get("reasoning", ""),
                     reaction_name=name,
                 )
             )

@@ -16,6 +16,7 @@ import pytest
 from helpers import run_golden_pipeline
 from loopback import ChatServer, chat_body, without_proxies
 
+from retroanchor import outputs
 from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
 from retroanchor.cli import main
 from retroanchor.datasets import ingest_dataset, parse_reaction_smiles, sample_examples
@@ -643,15 +644,18 @@ class TestRunTransition:
         assert by_id["e1"]["example_count"] == 0
 
     def test_each_kept_reactant_and_prompt_product_canonicalized_once(self, tmp_path, monkeypatch):
-        """On the golden transition run, the stage canonicalizes each reply
-        reactant it keeps and each prompt's product exactly once."""
+        """On the golden transition run, from an empty reply-text memo, the
+        stage canonicalizes each distinct reply reactant text it keeps and
+        each prompt's product exactly once."""
         paths = run_golden_pipeline(tmp_path)
         records, _ = ingest_dataset(paths["eval"])
         products = [canonical_smiles(r.product, include_maps=True) for r in records]
-        written = []
+        monkeypatch.setattr(outputs, "_REACTANT_MEMO", {})
+        sources, written = [], []
 
         def counting(molecule, include_maps=False):
             written.append(canonical_smiles(molecule, include_maps))
+            sources.append(molecule.source_text)
             return written[-1]
 
         for name, module in list(sys.modules.items()):
@@ -663,8 +667,10 @@ class TestRunTransition:
         assert main([*argv, "--output", str(out), "--model", "golden-model", "--cache-dir", config["cache_dir"]]) == 0
         rows = read_jsonl(out / "outcomes.jsonl")
         kept = [t for row in rows for p in row.get("predictions", []) for t in p["reactants"]]
-        assert len(products) == len(rows) == 10 and len(kept) == 16
-        assert sorted(written) == sorted(products + kept)
+        # 16 kept reactants spell 13 texts: CN, CC(=O)O and CO appear twice.
+        assert len(products) == len(rows) == 10 and (len(kept), len(set(kept))) == (16, 13)
+        assert len(set(sources)) == len(sources)
+        assert sorted(written) == sorted(products + list(set(kept)))
 
     def test_negative_examples_k_exits_1(self, pipeline, capsys):
         out, cache = pipeline["root"] / "r", pipeline["root"] / "c"
@@ -805,6 +811,15 @@ def _deep_cache_file(paths, monkeypatch) -> str:
     return _outcome(run_position(paths), "e1")["failure_kind"]
 
 
+def _dir_cache_file(paths, monkeypatch) -> str:
+    """Not JSON at all: a directory where the entry's file would be."""
+    digests = seed_position(paths)
+    entry = paths["cache"] / f"{digests['e1']}.json"
+    entry.unlink()
+    entry.mkdir()
+    return _outcome(run_position(paths), "e1")["failure_kind"]
+
+
 def _deep_live_body(paths, monkeypatch) -> str:
     without_proxies(monkeypatch)
     monkeypatch.setenv("RETROANCHOR_API_KEY", "k")
@@ -858,6 +873,7 @@ def _exit_1(argv) -> str:
     [
         pytest.param(_deep_reply, "no_json", id="reply"),
         pytest.param(_deep_cache_file, "cache_corrupt", id="cache-file"),
+        pytest.param(_dir_cache_file, "cache_corrupt", id="cache-dir"),
         pytest.param(_deep_live_body, "malformed_response", id="live-body"),
         pytest.param(_deep_input_line, "eval.jsonl:4: not JSON", id="input-line"),
         pytest.param(_deep_outcome_line, "outcomes.jsonl:4: not JSON", id="outcome-line"),
@@ -866,8 +882,9 @@ def _exit_1(argv) -> str:
     ],
 )
 def test_too_deep_json_is_a_classified_fault(pipeline, monkeypatch, plant, expected):
-    """Each place that decodes JSON turns nesting past the recursion limit
-    into its own failure kind or into exit 1 with a message."""
+    """Each place that decodes JSON turns nesting past the recursion limit,
+    and the cache a path it cannot read, into its own failure kind or into
+    exit 1 with a message."""
     assert expected in plant(pipeline, monkeypatch)
 
 
@@ -1443,13 +1460,15 @@ STAGE_LAYERS = {
 
 # Modules that only a live run's HTTP backend needs.
 HTTP_MODULES = ("requests", "http.client", "urllib.request")
+# Modules that only a live run's thread pool needs.
+POOL_MODULES = ("concurrent.futures", "logging")
 
 
 @pytest.mark.parametrize("stage", sorted(STAGE_LAYERS))
 def test_import_leaves_requests_unloaded(pipeline, stage):
     """A stage process imports only the layers its subcommand calls: no
-    stage here loads HTTP code, and only the run stage, in replay, loads
-    the gateway's thread pool and the prompts."""
+    stage here loads HTTP code or a thread pool, and only the run stage,
+    in replay, loads the prompts."""
     root = pipeline["root"]
     if stage in ("evaluate", "run-position"):
         seed_position(pipeline)
@@ -1473,7 +1492,7 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
         "import json, sys\n"
         "from retroanchor.cli import main\n"
         "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-        f"names = [m for m in sys.modules if m.startswith('retroanchor') or m in {('concurrent.futures', *HTTP_MODULES)}]\n"
+        f"names = [m for m in sys.modules if m.startswith('retroanchor') or m in {(*POOL_MODULES, *HTTP_MODULES)}]\n"
         "print(json.dumps({'code': code, 'modules': sorted(names)}))"
     )
     result = subprocess.run(
@@ -1481,12 +1500,8 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
     )
     loaded = json.loads(result.stdout.splitlines()[-1])
     assert loaded["code"] == 0
-    assert not set(HTTP_MODULES) & set(loaded["modules"])
-    assert ("concurrent.futures" in loaded["modules"]) == (stage == "run-position")
-    expected = [
-        "retroanchor", "retroanchor.cli", *(f"retroanchor.{m}" for m in STAGE_LAYERS[stage]),
-        *(["concurrent.futures"] if stage == "run-position" else []),
-    ]
+    assert not {*HTTP_MODULES, *POOL_MODULES} & set(loaded["modules"])
+    expected = ["retroanchor", "retroanchor.cli", *(f"retroanchor.{m}" for m in STAGE_LAYERS[stage])]
     assert loaded["modules"] == sorted(expected)
 
 

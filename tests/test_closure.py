@@ -5,6 +5,8 @@ parsed as ``run-position``/``run-transition`` parse a reply, every kept
 item goes through ``to_row`` -> JSON -> ``from_row`` as it does between
 ``outcomes.jsonl`` and ``evaluate``, and must come back equal.  Every
 stored reactant text must parse, or ``evaluate`` refuses the whole run.
+The same mutants check that the transition parser's memo of reply texts
+changes no outcome.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from helpers import golden_fixture_dir
 
+from retroanchor import outputs
 from retroanchor.chem import parse_smiles
 from retroanchor.datasets import build_ontology, ingest_dataset
 from retroanchor.outputs import from_row, parse_position_output, parse_transition_output, to_row
@@ -107,3 +110,43 @@ def test_transition_items_survive_write_then_read(golden):
         raw = mutate(replies["transition"][rng.choice(ids)], rng)
         kept += _assert_closed(parse_transition_output(raw))
     assert kept > CASES // 10
+
+
+# One text kept under ``is_template: true``, then dropped as a wildcard where
+# it is not; one unparsable text, repeated.
+MEMO_CASES = (
+    json.dumps({"reaction_analysis": [{"forward_reaction_name": "X", "reactant_permutations": [
+        {"reactants": ["[*][CH2:1]O"], "is_valid": True, "is_template": True},
+        {"reactants": ["CC", "[*][CH2:1]O"], "is_valid": True, "is_template": False},
+    ]}]}),
+    json.dumps({"reaction_analysis": [{"forward_reaction_name": "X", "reactant_permutations": [
+        {"reactants": ["CC", "C1CC("], "is_valid": True, "is_template": False},
+        {"reactants": ["C1CC("], "is_valid": True, "is_template": False},
+    ]}]}),
+)
+
+
+def test_transition_memo_changes_no_outcome(golden, monkeypatch):
+    """Every mutant parses to an equal outcome from an empty memo and from
+    one warmed by all the replies before it, and again from the memo its
+    own parse filled: the same items, the same drops in the same order,
+    the same failure class.  The memo holds strings and booleans only."""
+    _by_id, _ontology, replies = golden
+    rng = random.Random(27)
+    ids = sorted(replies["transition"])
+    raws = [*MEMO_CASES, *(mutate(replies["transition"][rng.choice(ids)], rng) for _ in range(CASES))]
+    warm: dict = {}
+    for raw in [*raws, *MEMO_CASES]:
+        monkeypatch.setattr(outputs, "_REACTANT_MEMO", {})
+        cold = parse_transition_output(raw)
+        monkeypatch.setattr(outputs, "_REACTANT_MEMO", warm)
+        assert parse_transition_output(raw) == cold
+        assert parse_transition_output(raw) == cold
+    assert len(warm) > 20
+    assert all(type(k) is str and type(w) is bool and type(t) is str for k, (w, t) in warm.items())
+
+    template_then_wildcard, repeated_unparsable = (parse_transition_output(raw) for raw in MEMO_CASES)
+    assert [p.is_template for p in template_then_wildcard.ok] == [True]
+    assert [d["reason"] for d in template_then_wildcard.dropped] == ["wildcard atom in non-template prediction"]
+    reasons = [d["reason"] for d in repeated_unparsable.dropped]
+    assert len(reasons) == 2 and reasons[0] == reasons[1] and reasons[0].startswith("syntactically invalid SMILES")

@@ -54,6 +54,16 @@ CFG = ModelConfig(model_id="test-model")
 MAX_ATTEMPTS, BACKOFF_S = gateway_module.MAX_ATTEMPTS, gateway_module.BACKOFF_S
 
 
+def _jittered(seed: int, *retry_after: float | None) -> list[float]:
+    """The sleeps a gateway given ``random.Random(seed)`` takes before its
+    second, third, ... send, each step's reply asking for ``retry_after``."""
+    rng = random.Random(seed)
+    return [
+        rng.uniform(0, BACKOFF_S * 2**i) if delay is None else delay
+        for i, delay in enumerate(retry_after)
+    ]
+
+
 class EchoBackend:
     def send(self, text: str) -> BackendResult:
         return BackendResult(text=f"echo:{text}")
@@ -210,13 +220,29 @@ class TestRetries:
         backend = ScriptedBackend(
             [TransientBackendError("503"), TransientBackendError("503"), "recovered"]
         )
-        gateway = Gateway(CFG, tmp_path, backend=backend, sleeper=sleeps.append)
+        gateway = Gateway(CFG, tmp_path, backend=backend, sleeper=sleeps.append, rng=random.Random(3))
         completion = gateway.run_batch([_prompt("flaky")], 1)[0]
         assert completion.text == "recovered"
         assert completion.attempts == 3
-        assert sleeps == [BACKOFF_S, 2 * BACKOFF_S]
+        assert sleeps == _jittered(3, None, None)
         entry = gateway.cache.get(completion.request_digest)
         assert entry["attempts"] == 3
+
+    def test_backoff_sleeps_are_drawn_up_to_the_doubling_step(self, tmp_path):
+        """Full jitter: each sleep lies in [0, step], and over many requests
+        the draws spread across each step rather than sitting at its top."""
+        requests = 30
+        sleeps: list[float] = []
+        backend = ScriptedBackend([TransientBackendError("503")] * (MAX_ATTEMPTS * requests))
+        gateway = Gateway(CFG, tmp_path, backend=backend, sleeper=sleeps.append, rng=random.Random(6))
+        results = gateway.run_batch([_prompt(f"p{i}") for i in range(requests)], 1)
+        assert {r.kind for r in results} == {RETRIES_EXHAUSTED}
+        steps = [BACKOFF_S * 2**i for i in range(MAX_ATTEMPTS - 1)]
+        by_step = [sleeps[i :: len(steps)] for i in range(len(steps))]
+        for step, drawn in zip(steps, by_step):
+            assert len(drawn) == requests
+            assert all(0 <= sleep <= step for sleep in drawn)
+            assert min(drawn) < step / 4 and max(drawn) > 3 * step / 4
 
     def test_exhausted_retries_classified(self, tmp_path):
         backend = ScriptedBackend([TransientBackendError("x")] * MAX_ATTEMPTS)
@@ -287,6 +313,26 @@ class TestRunBatch:
         gateway = Gateway(CFG, tmp_path)
         with pytest.raises(ValueError, match="parallelism"):
             gateway.run_batch([_prompt("x")], parallelism=0)
+
+    def test_replay_batch_completes_in_the_calling_thread(self, tmp_path, monkeypatch):
+        """Without a backend every request is read in the calling thread,
+        in order, each failure in its own slot."""
+        seed_cache(tmp_path, _prompt("a"), CFG, "text a")
+        seed_cache(tmp_path, _prompt("c"), CFG, "text c")
+        gateway = Gateway(CFG, tmp_path)
+        complete, threads = gateway._complete, []
+
+        def recording(prompt):
+            threads.append(threading.get_ident())
+            return complete(prompt)
+
+        monkeypatch.setattr(gateway, "_complete", recording)
+        prompts = [_prompt(t) for t in ("a", "b", "c", "d")]
+        results = gateway.run_batch(prompts, parallelism=4)
+        assert threads == [threading.get_ident()] * 4
+        assert [r.request_digest for r in results] == [request_digest(p, CFG) for p in prompts]
+        assert [getattr(r, "text", None) for r in results] == ["text a", None, "text c", None]
+        assert [getattr(r, "kind", None) for r in results] == [None, REPLAY_MISS, None, REPLAY_MISS]
 
     def test_replay_batch_mixes_hits_and_misses(self, tmp_path):
         seed_cache(tmp_path, _prompt("known"), CFG, "cached text")
@@ -700,12 +746,12 @@ class TestRetryAfter:
         sleeps: list[float] = []
         with ChatServer([far] * MAX_ATTEMPTS + [(200, chat_body("second"), {})]) as server:
             cfg = _http_cfg(server.endpoint)
-            gateway = Gateway(cfg, tmp_path, backend=HttpBackend(cfg), sleeper=sleeps.append)
+            gateway = Gateway(cfg, tmp_path, backend=HttpBackend(cfg), sleeper=sleeps.append, rng=random.Random(4))
             first, second = gateway.run_batch([_prompt("a"), _prompt("b")], parallelism=1)
         assert isinstance(first, GatewayFailure)
         assert (first.kind, first.attempts) == (RETRIES_EXHAUSTED, MAX_ATTEMPTS)
         assert second.text == "second"
-        assert sleeps == [BACKOFF_S * 2**i for i in range(MAX_ATTEMPTS - 1)]
+        assert sleeps == _jittered(4, *[None] * (MAX_ATTEMPTS - 1))
 
     def test_delay_replaces_the_backoff_step(self, tmp_path):
         sleeps: list[float] = []
@@ -716,7 +762,7 @@ class TestRetryAfter:
                 "recovered",
             ]
         )
-        gateway = Gateway(CFG, tmp_path, backend=backend, sleeper=sleeps.append)
+        gateway = Gateway(CFG, tmp_path, backend=backend, sleeper=sleeps.append, rng=random.Random(5))
         completion = gateway.run_batch([_prompt("limited")], 1)[0]
         assert (completion.text, completion.attempts) == ("recovered", 3)
-        assert sleeps == [7.0, 2 * BACKOFF_S]
+        assert sleeps == _jittered(5, 7.0, None)

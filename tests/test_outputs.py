@@ -409,6 +409,52 @@ class TestParseTransitionOutput:
         assert [p.reaction_name for p in outcome.ok] == ["A", "B", "B"]
 
 
+# A text field holding another JSON type; ``str`` of it, once stored, read 'None' or "['a', 1]".
+NOT_TEXT = [pytest.param(None, id="null"), pytest.param(["a", 1], id="list")]
+
+
+class TestTextFieldsMustBeStrings:
+    """A text field present with another type drops its item, where ``str``
+    once stored a text the model never wrote; an absent one reads ``""``."""
+
+    @pytest.mark.parametrize("value", NOT_TEXT)
+    @pytest.mark.parametrize("field", ["forwardReactionClass", "rationale"])
+    def test_position_reaction_dropped(self, field, value):
+        raw = _payload(
+            {"disconnection": "C:12", "reactions": [_reaction(**{field: value}), _reaction("Suzuki coupling")]}
+        )
+        outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
+        (candidate,) = outcome.ok
+        assert candidate.reaction_name == "Suzuki coupling"
+        assert str(value) not in (candidate.reaction_class, candidate.rationale)
+        assert [d["reason"] for d in outcome.dropped] == [f"{field} is not a string"]
+
+    @pytest.mark.parametrize("value", NOT_TEXT)
+    def test_transition_group_dropped_for_its_name(self, value):
+        named = {"forward_reaction_name": value, "reactant_permutations": [_permutation(["CC"])]}
+        outcome = parse_transition_output(_transition_payload(named, _group("B", _permutation(["CO"]))))
+        assert [(p.reaction_name, p.reactants) for p in outcome.ok] == [("B", ("CO",))]
+        assert [d["reason"] for d in outcome.dropped] == ["forward_reaction_name is not a string"]
+
+    @pytest.mark.parametrize("value", NOT_TEXT)
+    def test_transition_permutation_dropped_for_its_reasoning(self, value):
+        raw = _transition_payload(_group("X", _permutation(["CC"], reasoning=value), _permutation(["CO"])))
+        outcome = parse_transition_output(raw)
+        assert [(p.reactants, p.reasoning) for p in outcome.ok] == [(("CO",), "ok")]
+        assert [d["reason"] for d in outcome.dropped] == ["reasoning is not a string"]
+
+    def test_absent_fields_read_empty(self):
+        bare = {k: v for k, v in _reaction().items() if k not in ("forwardReactionClass", "rationale")}
+        (candidate,) = parse_position_output(
+            _payload({"disconnection": "C:12", "reactions": [bare]}), PRODUCT, ONTOLOGY
+        ).ok
+        assert (candidate.reaction_class, candidate.rationale) == ("", "")
+        permutation = {k: v for k, v in _permutation(["CC"]).items() if k != "reasoning"}
+        raw = _transition_payload({"reactant_permutations": [permutation]})
+        (prediction,) = parse_transition_output(raw).ok
+        assert (prediction.reaction_name, prediction.reasoning) == ("", "")
+
+
 class TestParseOutcomeInvariant:
     def test_failure_class_required_when_empty(self):
         with pytest.raises(ValueError):
