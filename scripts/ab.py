@@ -14,10 +14,14 @@ Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  Results are merged
 into ``BENCH_<n>.json`` at the repo root, one entry per workload and seed:
 the base and head ids with the line count of each one's ``src/**/*.py``
 (as ``wc -l`` counts it), the seed, each run's end-to-end values, and per
-metric the medians, quartiles and the pairs the head won.  A gain is shown
-when the head wins at least nine tenths of the pairs (ties count for
-neither) and the medians differ by more than the base's interquartile
-range.  The head is identified by ``tree_digest``, a digest of its
+metric the medians, quartiles, the pairs the head won and a verdict.  A
+gain is shown when the head wins at least nine tenths of the pairs (ties
+count for neither) and the medians differ by more than the base's
+interquartile range.  The verdict reads the metric's ``bound`` as a share
+of the base median: ``gain`` when a gain is shown; ``regression`` when the
+head median is worse by more than the bound and the base interquartile
+range is within it; ``unresolved`` when that range exceeds the bound,
+unless every head run beats every base run; ``no change`` otherwise.  The head is identified by ``tree_digest``, a digest of its
 ``src/`` and ``perfbench/``: an uncommitted change has no commit id yet,
 so a dirty head records the commit it sits on as ``parent_commit``.  All
 workloads in one file must measure the same base commit and head tree.
@@ -119,8 +123,21 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def _verdict(base: list[float], head: list[float], sign: int, bound: float, gain_shown: bool) -> str:
+    allowed = bound * abs(statistics.median(base))
+    q1, q3 = _quartiles(base)
+    if gain_shown:
+        return "gain"
+    if sign * (statistics.median(head) - statistics.median(base)) > allowed and q3 - q1 <= allowed:
+        return "regression"
+    if q3 - q1 > allowed and not all(sign * (b - h) > 0 for b in base for h in head):
+        return "unresolved"
+    return "no change"
+
+
 def summarize(base_runs: list[dict], head_runs: list[dict], declared: list[dict]) -> dict:
-    """Medians, quartiles and pairs won for every declared end-to-end metric."""
+    """Medians, quartiles, pairs won and a verdict for every declared
+    end-to-end metric."""
     out = {}
     for spec in declared:
         name = spec["name"]
@@ -131,6 +148,7 @@ def summarize(base_runs: list[dict], head_runs: list[dict], declared: list[dict]
         lost = sum(sign * (b - h) < 0 for b, h in zip(base, head))
         base_q = _quartiles(base)
         base_median, head_median = statistics.median(base), statistics.median(head)
+        gain_shown = won >= 0.9 * len(base) and sign * (base_median - head_median) > base_q[1] - base_q[0]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -143,8 +161,8 @@ def summarize(base_runs: list[dict], head_runs: list[dict], declared: list[dict]
             "change": (head_median - base_median) / base_median if base_median else None,
             "head_won": won,
             "head_lost": lost,
-            "gain_shown": won >= 0.9 * len(base)
-            and sign * (base_median - head_median) > base_q[1] - base_q[0],
+            "gain_shown": gain_shown,
+            "verdict": _verdict(base, head, sign, spec["bound"], gain_shown),
         }
     return out
 

@@ -13,7 +13,7 @@ from retroanchor.chem.mol import (
     strip_stereo,
 )
 from retroanchor.chem.smiles import parse_smiles, write_smiles
-from retroanchor.chem.canon import canonical_smiles
+from retroanchor.chem.canon import canonical_smiles, canonical_text
 from retroanchor.chem.match import substructure_match
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "Molecule",
     "SmilesError",
     "canonical_smiles",
+    "canonical_text",
     "parse_smiles",
     "position_tokens",
     "strip_atom_maps",

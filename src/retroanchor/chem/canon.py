@@ -19,12 +19,23 @@ can give different texts.
 Before ranking, any six-ring of plain carbons and nitrogens whose bonds
 strictly alternate single/double is rewritten to aromatic form, so the
 two kekulized spellings of such a ring collapse to one canonical text.
+
+``canonical_text`` is the one text-to-canonical-text cache; see the
+README, "Scoring".  A hit implies the text parses: a bracket atom with a
+map parses exactly when it does without, and the key keeps every map
+the parser rejects (all zeros, or more than nine digits).
 """
 
 from __future__ import annotations
 
-from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, Molecule, _atom, _bond
-from retroanchor.chem.smiles import write_smiles
+import re
+
+from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, Molecule, _atom, _bond, strip_atom_maps, strip_stereo
+from retroanchor.chem.smiles import parse_smiles, write_smiles
+
+# A bracket atom's map as the parser reads one: one to nine digits, not all zeros.
+_ATOM_MAP_RE = re.compile(r"(\[[^\[\]:]*):(?!0+\])\d{1,9}\]")
+_CANONICAL_TEXTS: dict[tuple[str, bool, bool], str] = {}
 
 
 def canonical_smiles(molecule: Molecule, include_maps: bool = False) -> str:
@@ -33,6 +44,18 @@ def canonical_smiles(molecule: Molecule, include_maps: bool = False) -> str:
     return write_smiles(
         normalized, include_maps=include_maps, ranks=_canonical_ranks(normalized)
     )
+
+
+def canonical_text(text: str, include_maps: bool = False, ignore_stereo: bool = False) -> str:
+    """``canonical_smiles`` of the molecule ``text`` spells, stereo marks
+    removed when ``ignore_stereo``; SmilesError for text that does not
+    parse, ValueError for a molecule with no spelling."""
+    key = (text if include_maps else _ATOM_MAP_RE.sub(r"\1]", text), include_maps, ignore_stereo)
+    if key not in _CANONICAL_TEXTS:  # a miss parses the text as written; a failure is not stored
+        molecule = parse_smiles(text) if include_maps else strip_atom_maps(parse_smiles(text))
+        molecule = strip_stereo(molecule) if ignore_stereo else molecule
+        _CANONICAL_TEXTS[key] = canonical_smiles(molecule, include_maps)
+    return _CANONICAL_TEXTS[key]
 
 
 def _normalize_alternating_rings(molecule: Molecule) -> Molecule:

@@ -49,13 +49,14 @@ from retroanchor.chem.mol import (
     implicit_hydrogens,
 )
 
+# A number takes at most nine digits: int() refuses a text of thousands.
 _BRACKET_RE = re.compile(
-    r"\[(?P<isotope>\d+)?"
+    r"\[(?P<isotope>\d{1,9})?"
     r"(?P<symbols>\*|[A-Za-z][a-z]?(?:,[A-Za-z][a-z]?)+|[A-Za-z][a-z]?)"
     r"(?P<chiral>@{1,2})?"
-    r"(?P<hcount>H\d*)?"
+    r"(?P<hcount>H\d{0,9})?"
     r"(?P<charge>\+\d{1,2}|-\d{1,2}|\++|-+)?"
-    r"(?::(?P<map>\d+))?"
+    r"(?::(?P<map>\d{1,9}))?"
     r"\]"
 )
 

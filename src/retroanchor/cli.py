@@ -74,6 +74,15 @@ def _ingest(path: Path, parse: bool = True) -> tuple[list[ReactionRecord], list[
         raise CliError(str(exc)) from exc
 
 
+def _by_id(records: list[ReactionRecord], where: object) -> dict[str, ReactionRecord]:
+    """The records by id; CliError naming ``where`` and the first id listed twice."""
+    by_id: dict[str, ReactionRecord] = {}
+    for record in records:
+        if by_id.setdefault(record.record_id, record) is not record:
+            raise CliError(f"{where} repeats example {record.record_id!r}")
+    return by_id
+
+
 def _load_ontology(path: Path) -> Ontology:
     from retroanchor.datasets import Ontology
     from retroanchor.outputs import exact
@@ -148,6 +157,7 @@ def cmd_subsample(args) -> int:
     from retroanchor.datasets import subsample_eval_set
     from retroanchor.utils import write_jsonl
     records, rejects = _ingest(args.input, parse=False)
+    _by_id(records, args.input)
     if args.split is not None:
         records = [r for r in records if r.split == args.split]
     usable = [r for r in records if r.extra.get("label_kind") != "empty"]
@@ -278,6 +288,7 @@ def cmd_run_position(args) -> int:
     from retroanchor.prompts import render_position_prompt
     model, backend, config = _run_config(args, "position", ontology=str(args.ontology))
     records, rejects = _ingest(args.input)
+    _by_id(records, args.input)
     ontology = _load_ontology(args.ontology)
     if len(ontology) == 0:
         raise CliError(f"ontology {args.ontology} has no entries")
@@ -315,6 +326,7 @@ def cmd_run_transition(args) -> int:
         train=str(args.train),
     )
     records, rejects = _ingest(args.input)
+    _by_id(records, args.input)
     train_records, train_rejects = _ingest(args.train, parse=False)
     template_name = "transition" if args.prompt_variant == "full" else "transition_short"
     template = _load_template(template_name)
@@ -328,7 +340,7 @@ def cmd_run_transition(args) -> int:
     for train in train_records:
         if train.name_key in drawn:
             try:
-                train._molecules
+                train.reactants
             except ValueError:
                 n_train_rejects += 1
                 continue
@@ -395,10 +407,7 @@ def cmd_evaluate(args) -> int:
 
     # A position run reads only ids, names and label columns of the truth.
     records, _rejects = _ingest(args.input, parse=stage == "transition")
-    by_id: dict[str, ReactionRecord] = {}
-    for record in records:
-        if by_id.setdefault(record.record_id, record) is not record:
-            raise CliError(f"ground truth file repeats example {record.record_id!r}")
+    by_id = _by_id(records, "ground truth file")
 
     def score_position_row(row: dict, record: ReactionRecord):
         # A row without an answer scores as a failed prediction before
@@ -517,10 +526,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,21 +12,12 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import re
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from retroanchor.chem import (
-    AtomMapSet,
-    Molecule,
-    canonical_smiles,
-    parse_smiles,
-    strip_atom_maps,
-    strip_stereo,
-    substructure_match,
-)
+from retroanchor.chem import AtomMapSet, Molecule, canonical_text, parse_smiles, substructure_match
 from retroanchor.outputs import DisconnectionCandidate, TransitionPrediction
 from retroanchor.utils import atomic_write_text, normalize_name, stable_json_dumps
 
@@ -151,23 +142,9 @@ def score_position(
     return score, ConfusionLabel(class_gt, name_gt, rep.reaction_class, rep.reaction_name)
 
 
-# (source text without atom maps, ignore_stereo) -> canonical text; see README "Scoring".
-_CANONICAL_MEMO: dict[tuple[str, bool], str] = {}
-
-
-def reactant_multiset(molecules, ignore_stereo: bool = False) -> Counter:
+def reactant_multiset(texts, ignore_stereo: bool = False) -> Counter:
     """Canonical map-free text multiset for order-insensitive equality."""
-    texts = []
-    for molecule in molecules:
-        key = (re.sub(r":\d+\]", "]", molecule.source_text or ""), ignore_stereo)
-        text = _CANONICAL_MEMO.get(key) if molecule.source_text else None
-        if text is None:
-            stripped = strip_atom_maps(molecule)
-            text = canonical_smiles(strip_stereo(stripped) if ignore_stereo else stripped)
-            if molecule.source_text:
-                _CANONICAL_MEMO[key] = text
-        texts.append(text)
-    return Counter(texts)
+    return Counter(canonical_text(text, ignore_stereo=ignore_stereo) for text in texts)
 
 
 def atom_shares(template: Molecule, gt: Molecule) -> tuple[float, float]:
@@ -217,9 +194,16 @@ def score_transition(
 
     Only predictions the model itself marked valid are eligible, for the
     template route and the exact route alike.  Every prediction's texts
-    are parsed, so an unparsable one raises SmilesError.
+    are read before any is scored, in order, so an unparsable one raises
+    SmilesError: a valid non-template prediction's as canonical texts,
+    any other's as molecules.
     """
-    parsed = [tuple(parse_smiles(t) for t in p.reactants) for p in preds]
+    read = [
+        reactant_multiset(p.reactants, ignore_stereo)
+        if p.is_valid and not p.is_template
+        else tuple(parse_smiles(t) for t in p.reactants)
+        for p in preds
+    ]
     if not r_gt:
         raise ValueError("ground-truth reactant list is empty")
     if not preds:
@@ -231,17 +215,12 @@ def score_transition(
             n_predictions=0,
             failed=True,
         )
-    gt_multiset = reactant_multiset(r_gt, ignore_stereo=ignore_stereo)
-    reactant_acc = any(
-        p.is_valid
-        and not p.is_template
-        and reactant_multiset(molecules, ignore_stereo=ignore_stereo) == gt_multiset
-        for p, molecules in zip(preds, parsed)
-    )
+    gt_multiset = reactant_multiset([m.source_text for m in r_gt], ignore_stereo)
+    reactant_acc = gt_multiset in read  # only valid non-template predictions read as multisets
     # Per side (template, then ground-truth share), the first covering
     # template prediction settles it.
     acc = [False, False]
-    for p, molecules in zip(preds, parsed):
+    for p, molecules in zip(preds, read):
         if p.is_valid and p.is_template:
             cover = template_cover(molecules, r_gt)
             acc = [hit or cover(side) for side, hit in enumerate(acc)]

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
-from retroanchor.chem import AtomMapSet, Molecule, SmilesError, canonical_smiles, parse_smiles
+from retroanchor.chem import AtomMapSet, Molecule, SmilesError, canonical_text
 from retroanchor.datasets import Ontology
 from retroanchor.utils import normalize_name
 
@@ -149,176 +150,152 @@ def _non_string(obj: dict, *keys: str) -> str | None:
     return next((key for key in keys if not isinstance(obj.get(key, ""), str)), None)
 
 
-def _importance_of(reaction: dict):
-    for key in ("Retrosynthesis Importance", "importance", "Importance"):
-        if key in reaction:
-            return reaction[key]
-    return None
+def _first_present(obj: dict, *keys: str):
+    """The value of the first of ``keys`` that ``obj`` holds, else None."""
+    return next((obj[key] for key in keys if key in obj), None)
 
 
-def _priority_of(reaction: dict):
-    for key in ("Priority", "priority"):
-        if key in reaction:
-            return reaction[key]
-    return None
-
-
-def parse_position_output(raw: str, product: Molecule, ontology: Ontology) -> ParseOutcome:
-    """Validate the disconnection-stage payload against the product."""
+def _parse_items(raw: str, root: str, items: Callable[..., Iterator], *args) -> ParseOutcome:
+    """The payload's ``root`` list read by ``items(entries, *args)``, which
+    yields each kept item, and a ``_drop`` record for each discarded one,
+    in reply order."""
     obj = extract_json_object(raw)
     if obj is None:
         return ParseOutcome(ok=(), dropped=(), failure_class=NO_JSON)
-    entries = obj.get("disconnections")
+    entries = obj.get(root)
     if not isinstance(entries, list):
-        return ParseOutcome(
-            ok=(),
-            dropped=(_drop(obj, "root key 'disconnections' missing or not a list"),),
-            failure_class=SCHEMA_VIOLATION,
-        )
+        reason = f"root key '{root}' missing or not a list"
+        return ParseOutcome(ok=(), dropped=(_drop(obj, reason),), failure_class=SCHEMA_VIOLATION)
+    ok, dropped = [], []
+    for item in items(entries, *args):
+        (dropped if isinstance(item, dict) else ok).append(item)
+    return ParseOutcome(ok=tuple(ok), dropped=tuple(dropped), failure_class=None if ok else ALL_ITEMS_INVALID)
 
-    ok: list[DisconnectionCandidate] = []
-    dropped: list[dict] = []
+
+def _position_items(entries: list, product: Molecule, ontology: Ontology) -> Iterator:
     seen: set[tuple[frozenset, str]] = set()
     for entry in entries:
         if not isinstance(entry, dict):
-            dropped.append(_drop(entry, "entry is not an object"))
+            yield _drop(entry, "entry is not an object")
             continue
         text = entry.get("disconnection")
         if not isinstance(text, str):
-            dropped.append(_drop(entry, "missing disconnection string"))
+            yield _drop(entry, "missing disconnection string")
             continue
         try:
             s = parse_center_tokens(text, product)
         except ValueError as exc:
-            dropped.append(_drop(entry, str(exc)))
+            yield _drop(entry, str(exc))
             continue
         reactions = entry.get("reactions", entry.get("Reaction"))
         if not isinstance(reactions, list) or not reactions:
-            dropped.append(_drop(entry, "empty or missing reaction list"))
+            yield _drop(entry, "empty or missing reaction list")
             continue
         for reaction in reactions:
             if not isinstance(reaction, dict):
-                dropped.append(_drop(reaction, "reaction is not an object"))
+                yield _drop(reaction, "reaction is not an object")
                 continue
             name = reaction.get("forwardReaction")
             if not isinstance(name, str) or not name.strip():
-                dropped.append(_drop(reaction, "missing forwardReaction name"))
+                yield _drop(reaction, "missing forwardReaction name")
                 continue
-            importance = _importance_of(reaction)
+            importance = _first_present(reaction, "Retrosynthesis Importance", "importance", "Importance")
             if type(importance) is not int or importance not in (1, 2, 3, 4):
-                dropped.append(_drop(reaction, "importance out of range 1-4"))
+                yield _drop(reaction, "importance out of range 1-4")
                 continue
-            priority = _priority_of(reaction)
+            priority = _first_present(reaction, "Priority", "priority")
             if type(priority) is not int or priority < 1:
-                dropped.append(_drop(reaction, "priority must be a positive integer"))
+                yield _drop(reaction, "priority must be a positive integer")
                 continue
             wrong = _non_string(reaction, "forwardReactionClass", "rationale")
             if wrong:
-                dropped.append(_drop(reaction, f"{wrong} is not a string"))
+                yield _drop(reaction, f"{wrong} is not a string")
                 continue
             key = (s.maps, normalize_name(name))
             if key in seen:
-                dropped.append(_drop(reaction, "duplicate site/reaction pair"))
+                yield _drop(reaction, "duplicate site/reaction pair")
                 continue
             seen.add(key)
             claimed = reaction.get("isInOntology")
-            ok.append(
-                DisconnectionCandidate(
-                    s=s,
-                    reaction_name=name,
-                    reaction_class=reaction.get("forwardReactionClass", ""),
-                    in_ontology=ontology.contains(name),
-                    importance=importance,
-                    priority=priority,
-                    rationale=reaction.get("rationale", ""),
-                    claimed_in_ontology=claimed if isinstance(claimed, bool) else None,
-                )
+            yield DisconnectionCandidate(
+                s=s,
+                reaction_name=name,
+                reaction_class=reaction.get("forwardReactionClass", ""),
+                in_ontology=ontology.contains(name),
+                importance=importance,
+                priority=priority,
+                rationale=reaction.get("rationale", ""),
+                claimed_in_ontology=claimed if isinstance(claimed, bool) else None,
             )
-    failure = None if ok else ALL_ITEMS_INVALID
-    return ParseOutcome(ok=tuple(ok), dropped=tuple(dropped), failure_class=failure)
 
 
-def _has_template_atoms(molecule: Molecule) -> bool:
-    return any(a.is_wildcard or a.is_element_list for a in molecule.atoms)
+def parse_position_output(raw: str, product: Molecule, ontology: Ontology) -> ParseOutcome:
+    """Validate the disconnection-stage payload against the product."""
+    return _parse_items(raw, "disconnections", _position_items, product, ontology)
 
 
-# Reply reactant text -> (has template atoms, canonical mapped text), for texts that parsed and
-# were written; strings only, so the process exits without collecting molecules.
-_REACTANT_MEMO: dict[str, tuple[bool, str]] = {}
+def _canonical_reactants(texts: list[str], is_template: bool) -> tuple[str, ...] | str:
+    """The texts' canonical mapped spellings, or why the permutation is
+    dropped: the first text that does not parse, then a template atom
+    (``*`` or an element list's ``,``, read from the text) where the
+    permutation is no template, then the first text with no spelling."""
+    canonical, unwritable = [], None
+    for text in texts:
+        try:
+            canonical.append(canonical_text(text, include_maps=True))
+        except SmilesError as exc:
+            return f"syntactically invalid SMILES: {exc}"
+        except ValueError as exc:  # more than 99 ring closures open at once have no spelling
+            unwritable = unwritable or exc
+    if not is_template and any("*" in text or "," in text for text in texts):
+        return "wildcard atom in non-template prediction"
+    if unwritable:
+        return f"reactants cannot be written as canonical SMILES: {unwritable}"
+    return tuple(canonical)
 
 
-def parse_transition_output(raw: str) -> ParseOutcome:
-    """Validate the reactant-prediction payload."""
-    obj = extract_json_object(raw)
-    if obj is None:
-        return ParseOutcome(ok=(), dropped=(), failure_class=NO_JSON)
-    groups = obj.get("reaction_analysis")
-    if not isinstance(groups, list):
-        return ParseOutcome(
-            ok=(),
-            dropped=(_drop(obj, "root key 'reaction_analysis' missing or not a list"),),
-            failure_class=SCHEMA_VIOLATION,
-        )
-
-    ok: list[TransitionPrediction] = []
-    dropped: list[dict] = []
+def _transition_items(groups: list) -> Iterator:
     for group in groups:
         if not isinstance(group, dict):
-            dropped.append(_drop(group, "group is not an object"))
+            yield _drop(group, "group is not an object")
             continue
         if _non_string(group, "forward_reaction_name"):
-            dropped.append(_drop(group, "forward_reaction_name is not a string"))
+            yield _drop(group, "forward_reaction_name is not a string")
             continue
         name = group.get("forward_reaction_name", "")
         permutations = group.get("reactant_permutations")
         if not isinstance(permutations, list):
-            dropped.append(_drop(group, "missing reactant_permutations list"))
+            yield _drop(group, "missing reactant_permutations list")
             continue
         for permutation in permutations:
             if not isinstance(permutation, dict):
-                dropped.append(_drop(permutation, "permutation is not an object"))
+                yield _drop(permutation, "permutation is not an object")
                 continue
             texts = permutation.get("reactants")
-            if (
-                not isinstance(texts, list)
-                or not texts
-                or not all(isinstance(t, str) for t in texts)
-            ):
-                dropped.append(_drop(permutation, "reactants must be a non-empty list of strings"))
+            if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
+                yield _drop(permutation, "reactants must be a non-empty list of strings")
                 continue
             is_valid = permutation.get("is_valid")
             is_template = permutation.get("is_template")
             if not isinstance(is_valid, bool) or not isinstance(is_template, bool):
-                dropped.append(_drop(permutation, "is_valid/is_template must be booleans"))
+                yield _drop(permutation, "is_valid/is_template must be booleans")
                 continue
             if _non_string(permutation, "reasoning"):
-                dropped.append(_drop(permutation, "reasoning is not a string"))
+                yield _drop(permutation, "reasoning is not a string")
                 continue
-            try:  # a text in the memo parsed before, so the first to fail here is the first listed
-                fresh = {t: parse_smiles(t) for t in texts if t not in _REACTANT_MEMO}
-            except SmilesError as exc:
-                dropped.append(_drop(permutation, f"syntactically invalid SMILES: {exc}"))
+            reactants = _canonical_reactants(texts, is_template)
+            if isinstance(reactants, str):
+                yield _drop(permutation, reactants)
                 continue
-            if not is_template and any(
-                _has_template_atoms(fresh[t]) if t in fresh else _REACTANT_MEMO[t][0] for t in texts
-            ):
-                dropped.append(_drop(permutation, "wildcard atom in non-template prediction"))
-                continue
-            try:  # more than 99 ring closures open at once have no spelling
-                for text, molecule in fresh.items():
-                    _REACTANT_MEMO[text] = (_has_template_atoms(molecule), canonical_smiles(molecule, include_maps=True))
-            except ValueError as exc:
-                dropped.append(_drop(permutation, f"reactants cannot be written as canonical SMILES: {exc}"))
-                continue
-            reactants = tuple(_REACTANT_MEMO[t][1] for t in texts)
-            ok.append(
-                TransitionPrediction(
-                    reactants=reactants,
-                    is_valid=is_valid,
-                    is_template=is_template,
-                    reasoning=permutation.get("reasoning", ""),
-                    reaction_name=name,
-                )
+            yield TransitionPrediction(
+                reactants=reactants,
+                is_valid=is_valid,
+                is_template=is_template,
+                reasoning=permutation.get("reasoning", ""),
+                reaction_name=name,
             )
-    failure = None if ok else ALL_ITEMS_INVALID
-    return ParseOutcome(ok=tuple(ok), dropped=tuple(dropped), failure_class=failure)
+
+
+def parse_transition_output(raw: str) -> ParseOutcome:
+    """Validate the reactant-prediction payload."""
+    return _parse_items(raw, "reaction_analysis", _transition_items)

@@ -19,17 +19,9 @@ from retroanchor.datasets import Ontology
 
 TEMPLATE_PLACEHOLDERS: dict[str, tuple[str, ...]] = {
     "position": ("<reaction_ontology>", "<canonicalized_product>"),
-    "transition": (
-        "<REACTION_POSITION>",
-        "<REACTION_NAME>",
-        "<PRODUCT_SMILES>",
-        "<TRAIN_REACTION_EXAMPLES>",
-    ),
-    "transition_short": (
-        "<REACTION_POSITION>",
-        "<REACTION_NAME>",
-        "<PRODUCT_SMILES>",
-        "<TRAIN_REACTION_EXAMPLES>",
+    **dict.fromkeys(
+        ("transition", "transition_short"),
+        ("<REACTION_POSITION>", "<REACTION_NAME>", "<PRODUCT_SMILES>", "<TRAIN_REACTION_EXAMPLES>"),
     ),
 }
 

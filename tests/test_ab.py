@@ -1,6 +1,6 @@
-"""``scripts/ab.py``: the paired A/B summary (pairs won, quartiles and
-when a gain counts as shown) and the head's snapshot of a working tree.
-No perfbench process runs."""
+"""``scripts/ab.py``: the paired A/B summary (pairs won, quartiles, when a
+gain counts as shown and each metric's verdict) and the head's snapshot of
+a working tree.  No perfbench process runs."""
 
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ _SPEC = importlib.util.spec_from_file_location(
 ab = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab)
 
-LOWER = [{"name": "t_s", "unit": "s", "better": "lower"}]
-HIGHER = [{"name": "hit", "unit": "ratio", "better": "higher"}]
+LOWER = [{"name": "t_s", "unit": "s", "better": "lower", "bound": 0.25}]
+HIGHER = [{"name": "hit", "unit": "ratio", "better": "higher", "bound": 0.25}]
 
 # Ten base runs: median 1.0, quartiles 0.9825 and 1.0175 (IQR 0.035).
 BASE = [0.95, 0.96, 0.98, 0.99, 1.0, 1.0, 1.01, 1.02, 1.04, 1.05]
@@ -35,6 +35,7 @@ def test_nine_of_ten_wins_with_a_gap_above_the_iqr_is_shown():
     assert out["base_median"] == 1.0
     assert out["base_quartiles"] == pytest.approx([0.9825, 1.0175])
     assert out["gain_shown"] is True
+    assert out["verdict"] == "gain"
 
 
 def test_eight_of_ten_wins_is_not_shown():
@@ -42,6 +43,7 @@ def test_eight_of_ten_wins_is_not_shown():
     out = _summary(BASE, head)
     assert (out["head_won"], out["head_lost"]) == (8, 2)
     assert out["gain_shown"] is False
+    assert out["verdict"] == "no change"
 
 
 def test_every_pair_won_by_less_than_the_iqr_is_not_shown():
@@ -64,6 +66,8 @@ def test_higher_is_better_flips_the_sign():
     out = _summary(BASE, [v + 0.1 for v in BASE], HIGHER)
     assert (out["head_won"], out["head_lost"]) == (10, 0)
     assert out["gain_shown"] is True
+    assert out["verdict"] == "gain"
+    assert _summary(BASE, [v * 0.7 for v in BASE], HIGHER)["verdict"] == "regression"
     assert _summary(BASE, [v - 0.1 for v in BASE], HIGHER)["head_lost"] == 10
 
 
@@ -73,6 +77,33 @@ def test_a_single_run_has_its_value_as_both_quartiles():
     assert out["head_quartiles"] == [1.5, 1.5]
     assert out["change"] == pytest.approx(-0.25)
     assert out["gain_shown"] is True
+
+
+def test_identical_runs_are_no_change():
+    out = _summary(BASE, list(BASE))
+    assert (out["head_won"], out["head_lost"], out["gain_shown"]) == (0, 0, False)
+    assert out["verdict"] == "no change"
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    # Interquartile range 0.4 around a median of 1.0, against a 0.25 bound.
+    wide = [0.6, 0.7, 0.8, 0.8, 1.0, 1.0, 1.2, 1.2, 1.3, 1.4]
+    assert _summary(wide, list(wide))["verdict"] == "unresolved"
+    assert _summary(wide, [v * 1.3 for v in wide])["verdict"] == "unresolved"
+    # Unless every head run beats every base run: here by less than the
+    # base's interquartile range (0.4125), so no gain is shown either.
+    skewed = [0.9, 0.9, 0.95, 1.0, 1.0, 1.0, 1.3, 1.4, 1.5, 1.6]
+    out = _summary(skewed, [0.85] * 10)
+    assert out["gain_shown"] is False
+    assert out["verdict"] == "no change"
+
+
+def test_a_head_slower_by_more_than_the_bound_over_a_tight_base_is_a_regression():
+    out = _summary(BASE, [v * 1.3 for v in BASE])
+    assert out["change"] == pytest.approx(0.3)
+    assert out["verdict"] == "regression"
+    # Within the bound it is no change.
+    assert _summary(BASE, [v * 1.2 for v in BASE])["verdict"] == "no change"
 
 
 def test_head_snapshot_is_the_working_tree_without_ignored_files(tmp_path):

@@ -12,9 +12,13 @@ import pytest
 
 from helpers import molecules_isomorphic, permute_molecule, random_aromatic_molecule, random_molecule
 from retroanchor.chem import (
+    SmilesError,
     canon,
     canonical_smiles,
+    canonical_text,
     parse_smiles,
+    strip_atom_maps,
+    strip_stereo,
     write_smiles,
 )
 from retroanchor.chem.mol import DOUBLE, SINGLE, Molecule
@@ -215,3 +219,90 @@ def test_refinement_never_runs_a_round_on_a_discrete_partition(monkeypatch):
         assert canonical_smiles(mol, include_maps=True) == canonical_maps, text
     assert discrete_inputs.count(False) > len(pins)
     assert discrete_inputs.count(True) == 0
+
+
+CORPUS = (Path(__file__).parent / "fixtures" / "smiles_corpus.txt").read_text(encoding="utf-8").splitlines()
+
+
+def _uncached_text(text: str, include_maps: bool, ignore_stereo: bool) -> str:
+    molecule = parse_smiles(text) if include_maps else strip_atom_maps(parse_smiles(text))
+    return canonical_smiles(strip_stereo(molecule) if ignore_stereo else molecule, include_maps)
+
+
+def _random_texts(rng: random.Random, count: int) -> list[str]:
+    """Strings of SMILES tokens, template atoms among them; many do not parse."""
+    tokens = ["C", "c", "N", "O", "Cl", "*", "(", ")", "=", "#", "1", "2", ".", ":", "/",
+              "[CH3:4]", "[C@@H]", "[*]", "[*:2]", "[C,N]", "[Cl,Br,I:3]", "[nH]", ","]
+    return ["".join(rng.choice(tokens) for _ in range(rng.randint(1, 8))) for _ in range(count)]
+
+
+class TestCanonicalText:
+    """``canonical_text`` is ``canonical_smiles`` of the parsed text, read
+    through one cache of strings that stores no failure."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(canon, "_CANONICAL_TEXTS", {})
+
+    def test_equals_uncached_text_in_either_order(self):
+        rng = random.Random(21)
+        generated = [random_molecule(rng, with_maps=True) for _ in range(30)]
+        generated += [random_aromatic_molecule(rng, with_maps=True) for _ in range(30)]
+        permuted = [permute_molecule(parse_smiles(t), rng) for t in CORPUS[::4]]
+        permuted += [permute_molecule(m, rng) for m in generated]
+        # Colons outside brackets are aromatic bonds, not atom maps.
+        bonds = ["c1cc:c:cc1[CH3:5]", "[cH:1]1:c:c:c:c:c:1", "C1:C:C:C:C:C:1", "[13CH3:2]c1ccccc:1"]
+        texts = CORPUS + [write_smiles(m, include_maps=True) for m in generated + permuted] + bonds
+        flags = [(include_maps, ignore_stereo) for include_maps in (False, True) for ignore_stereo in (False, True)]
+        for order in (texts, texts[::-1]):  # the second order reads what the first wrote
+            for text in order:
+                for include_maps, ignore_stereo in flags:
+                    expected = _uncached_text(text, include_maps, ignore_stereo)
+                    assert canonical_text(text, include_maps, ignore_stereo) == expected, text
+        assert len(canon._CANONICAL_TEXTS) < 4 * len(set(texts))  # differently mapped spellings share
+
+    def test_cache_holds_strings_only(self):
+        for text in [*CORPUS[:50], "[CH3:1]C", "[CH3:2]C"]:
+            for include_maps in (False, True):
+                canonical_text(text, include_maps)
+        assert canon._CANONICAL_TEXTS
+        for (text, include_maps, ignore_stereo), canonical in canon._CANONICAL_TEXTS.items():
+            assert (type(text), type(include_maps), type(ignore_stereo), type(canonical)) == (str, bool, bool, str)
+
+    def test_a_cached_spelling_never_admits_a_text_the_parser_rejects(self):
+        for text in ("[CH3:1]C", "C", "[CH3]C", "[C]"):
+            canonical_text(text)
+        # A zero map, a ten-digit map, and colons and brackets outside a
+        # bracket atom: each key differs from every cached one.
+        rejected = {"[CH3:0]C": 0, "[CH3:00]C": 0, "[CH3:1234567890]C": 0, "C:1]": 3, "[C]:1]": 5}
+        for text, position in rejected.items():
+            for _ in range(2):  # a failure is not stored, so it raises again
+                with pytest.raises(SmilesError) as excinfo:
+                    canonical_text(text)
+                assert excinfo.value.position == position, text
+        assert len(canon._CANONICAL_TEXTS) == 3  # "[CH3:1]C" and "[CH3]C" share a key
+
+    def test_a_failing_text_raises_the_same_error_each_time(self):
+        for text in ("C1CC(", "[Zz]", "C" + "1" * 60):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(ValueError) as excinfo:
+                    canonical_text(text, include_maps=True)
+                errors.append((type(excinfo.value), str(excinfo.value)))
+            assert errors[0] == errors[1]
+        assert canon._CANONICAL_TEXTS == {}
+
+    def test_template_atoms_show_in_the_text(self):
+        """For a text that parses, a wildcard or an element list is read
+        from the text alone: it holds ``*`` or ``,``."""
+        rng = random.Random(28)
+        parsed = 0
+        for text in [*CORPUS, *_random_texts(rng, 20_000)]:
+            try:
+                molecule = parse_smiles(text)
+            except SmilesError:
+                continue
+            parsed += 1
+            has_template_atoms = any(a.is_wildcard or a.is_element_list for a in molecule.atoms)
+            assert ("*" in text or "," in text) == has_template_atoms, text
+        assert parsed > len(CORPUS) + 1_000

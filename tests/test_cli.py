@@ -16,8 +16,7 @@ import pytest
 from helpers import run_golden_pipeline
 from loopback import ChatServer, chat_body, without_proxies
 
-from retroanchor import outputs
-from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
+from retroanchor.chem import AtomMapSet, canon, canonical_smiles, parse_smiles
 from retroanchor.cli import main
 from retroanchor.datasets import ingest_dataset, parse_reaction_smiles, sample_examples
 from retroanchor.gateway import ModelConfig, seed_cache
@@ -405,6 +404,27 @@ class TestSubsample:
         assert code == 1
 
 
+@pytest.mark.parametrize("stage", ["subsample", "run-position", "run-transition"])
+def test_input_repeating_an_id_exits_1_before_writing(pipeline, capsys, stage):
+    """A row repeated under one id would be prompted twice and written as
+    two outcome rows, which ``evaluate`` refuses; each stage refuses the
+    input instead, before anything is written."""
+    root = pipeline["root"]
+    rows = read_jsonl(pipeline["eval"])
+    doubled = root / "doubled.jsonl"
+    write_jsonl(doubled, [*rows, rows[0]])
+    out, cache = root / "out", root / "new_cache"
+    model = ["--model", "test-model", "--cache-dir", str(cache)]
+    argv = {
+        "subsample": ["--output", str(out)],
+        "run-position": ["--ontology", str(pipeline["ontology"]), "--output", str(out), *model],
+        "run-transition": ["--train", str(pipeline["labeled"]), "--output", str(out), *model],
+    }[stage]
+    assert main([stage, "--input", str(doubled), *argv]) == 1
+    assert capsys.readouterr().err == f"error: {doubled} repeats example {rows[0]['id']!r}\n"
+    assert not out.exists() and not cache.exists()
+
+
 class TestRunPosition:
     def test_replay_outcomes(self, pipeline):
         seed_position(pipeline)
@@ -644,13 +664,13 @@ class TestRunTransition:
         assert by_id["e1"]["example_count"] == 0
 
     def test_each_kept_reactant_and_prompt_product_canonicalized_once(self, tmp_path, monkeypatch):
-        """On the golden transition run, from an empty reply-text memo, the
-        stage canonicalizes each distinct reply reactant text it keeps and
-        each prompt's product exactly once."""
+        """On the golden transition run, from an empty canonical-text cache,
+        the stage canonicalizes each distinct reply reactant text it keeps
+        and each prompt's product exactly once."""
         paths = run_golden_pipeline(tmp_path)
         records, _ = ingest_dataset(paths["eval"])
         products = [canonical_smiles(r.product, include_maps=True) for r in records]
-        monkeypatch.setattr(outputs, "_REACTANT_MEMO", {})
+        monkeypatch.setattr(canon, "_CANONICAL_TEXTS", {})
         sources, written = [], []
 
         def counting(molecule, include_maps=False):

@@ -5,8 +5,8 @@ parsed as ``run-position``/``run-transition`` parse a reply, every kept
 item goes through ``to_row`` -> JSON -> ``from_row`` as it does between
 ``outcomes.jsonl`` and ``evaluate``, and must come back equal.  Every
 stored reactant text must parse, or ``evaluate`` refuses the whole run.
-The same mutants check that the transition parser's memo of reply texts
-changes no outcome.
+The same mutants check that the canonical-text cache the transition parser
+reads reply texts through changes no outcome.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import pytest
 
 from helpers import golden_fixture_dir
 
-from retroanchor import outputs
-from retroanchor.chem import parse_smiles
+from retroanchor.chem import canon, parse_smiles
 from retroanchor.datasets import build_ontology, ingest_dataset
 from retroanchor.outputs import from_row, parse_position_output, parse_transition_output, to_row
 
@@ -127,23 +126,23 @@ MEMO_CASES = (
 
 
 def test_transition_memo_changes_no_outcome(golden, monkeypatch):
-    """Every mutant parses to an equal outcome from an empty memo and from
-    one warmed by all the replies before it, and again from the memo its
+    """Every mutant parses to an equal outcome from an empty cache and from
+    one warmed by all the replies before it, and again from the cache its
     own parse filled: the same items, the same drops in the same order,
-    the same failure class.  The memo holds strings and booleans only."""
+    the same failure class.  The cache holds strings only."""
     _by_id, _ontology, replies = golden
     rng = random.Random(27)
     ids = sorted(replies["transition"])
     raws = [*MEMO_CASES, *(mutate(replies["transition"][rng.choice(ids)], rng) for _ in range(CASES))]
     warm: dict = {}
     for raw in [*raws, *MEMO_CASES]:
-        monkeypatch.setattr(outputs, "_REACTANT_MEMO", {})
+        monkeypatch.setattr(canon, "_CANONICAL_TEXTS", {})
         cold = parse_transition_output(raw)
-        monkeypatch.setattr(outputs, "_REACTANT_MEMO", warm)
+        monkeypatch.setattr(canon, "_CANONICAL_TEXTS", warm)
         assert parse_transition_output(raw) == cold
         assert parse_transition_output(raw) == cold
     assert len(warm) > 20
-    assert all(type(k) is str and type(w) is bool and type(t) is str for k, (w, t) in warm.items())
+    assert all(type(t) is str and type(c) is str for (t, _maps, _stereo), c in warm.items())
 
     template_then_wildcard, repeated_unparsable = (parse_transition_output(raw) for raw in MEMO_CASES)
     assert [p.is_template for p in template_then_wildcard.ok] == [True]

@@ -15,12 +15,13 @@ from helpers import permute_molecule, random_aromatic_molecule, random_molecule
 from retroanchor import metrics
 from retroanchor.chem import (
     AtomMapSet,
-    Molecule,
+    canon,
     canonical_smiles,
     parse_smiles,
     strip_atom_maps,
     strip_stereo,
     substructure_match,
+    write_smiles,
 )
 from retroanchor.metrics import (
     ConfusionLabel,
@@ -186,23 +187,23 @@ class TestRepresentativeCandidate:
 
 class TestReactantMultiset:
     def test_order_insensitive_equality(self):
-        a = reactant_multiset([parse_smiles("CC(=O)O"), parse_smiles("CN")])
-        b = reactant_multiset([parse_smiles("CN"), parse_smiles("OC(C)=O")])
+        a = reactant_multiset(["CC(=O)O", "CN"])
+        b = reactant_multiset(["CN", "OC(C)=O"])
         assert a == b
 
     def test_maps_are_ignored(self):
-        a = reactant_multiset([parse_smiles("[CH3:1][C:2](=[O:3])[OH:4]")])
-        b = reactant_multiset([parse_smiles("CC(=O)O")])
+        a = reactant_multiset(["[CH3:1][C:2](=[O:3])[OH:4]"])
+        b = reactant_multiset(["CC(=O)O"])
         assert a == b
 
     def test_multiplicity_matters(self):
-        a = reactant_multiset([parse_smiles("CC"), parse_smiles("CC")])
-        b = reactant_multiset([parse_smiles("CC")])
+        a = reactant_multiset(["CC", "CC"])
+        b = reactant_multiset(["CC"])
         assert a != b
 
     def test_ignore_stereo_flag(self):
-        chiral = [parse_smiles("N[C@@H](C)C(=O)O")]
-        flat = [parse_smiles("NC(C)C(=O)O")]
+        chiral = ["N[C@@H](C)C(=O)O"]
+        flat = ["NC(C)C(=O)O"]
         assert reactant_multiset(chiral) != reactant_multiset(flat)
         assert reactant_multiset(chiral, ignore_stereo=True) == reactant_multiset(
             flat, ignore_stereo=True
@@ -212,7 +213,7 @@ class TestReactantMultiset:
 CORPUS_PATH = Path(__file__).parent / "fixtures" / "smiles_corpus.txt"
 
 
-def _unmemoized_multiset(molecules, ignore_stereo):
+def _uncached_multiset(molecules, ignore_stereo):
     texts = []
     for molecule in molecules:
         stripped = strip_atom_maps(molecule)
@@ -223,50 +224,45 @@ def _unmemoized_multiset(molecules, ignore_stereo):
 
 
 class TestCanonicalMemo:
+    """``reactant_multiset`` reads through ``chem.canonical_text``, the one
+    text-to-canonical-text cache."""
+
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_CANONICAL_MEMO", {})
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(canon, "_CANONICAL_TEXTS", {})
 
     def test_memoized_multiset_equals_unmemoized_in_either_order(self):
         rng = random.Random(21)
-        parsed = [parse_smiles(t) for t in CORPUS_PATH.read_text(encoding="utf-8").splitlines()]
+        corpus = CORPUS_PATH.read_text(encoding="utf-8").splitlines()
         generated = [random_molecule(rng, with_maps=True) for _ in range(30)]
         generated += [random_aromatic_molecule(rng, with_maps=True) for _ in range(30)]
-        permuted = [permute_molecule(m, rng) for m in parsed[::4] + generated]  # no source text
+        permuted = [permute_molecule(parse_smiles(t), rng) for t in corpus[::4]] + [
+            permute_molecule(m, rng) for m in generated
+        ]
         # Colons outside brackets are aromatic bonds, not atom maps.
         bonds = ["c1cc:c:cc1[CH3:5]", "[cH:1]1:c:c:c:c:c:1", "C1:C:C:C:C:C:1", "[13CH3:2]c1ccccc:1"]
-        molecules = parsed + generated + permuted + [parse_smiles(t) for t in bonds]
-        reactant_sets = [molecules[k : k + 3] for k in range(0, len(molecules), 3)]
+        texts = corpus + [write_smiles(m, include_maps=True) for m in generated + permuted] + bonds
+        reactant_sets = [texts[k : k + 3] for k in range(0, len(texts), 3)]
         # The second order reads what the first order wrote.
         for order in (reactant_sets, reactant_sets[::-1]):
             for reactants in order:
                 for ignore_stereo in (False, True):
-                    expected = _unmemoized_multiset(reactants, ignore_stereo)
+                    expected = _uncached_multiset([parse_smiles(t) for t in reactants], ignore_stereo)
                     assert reactant_multiset(reactants, ignore_stereo) == expected
-        # Each key's text, without the maps, is a spelling of the molecules it serves.
-        assert len(metrics._CANONICAL_MEMO) > len(parsed)
-        for (text, ignore_stereo), canonical in metrics._CANONICAL_MEMO.items():
-            assert _unmemoized_multiset([parse_smiles(text)], ignore_stereo) == Counter([canonical])
-
-    def test_molecule_without_source_text_never_touches_the_memo(self, monkeypatch):
-        poisoned = {(None, False): "X", (None, True): "X", ("", False): "X", ("", True): "X"}
-        monkeypatch.setattr(metrics, "_CANONICAL_MEMO", dict(poisoned))
-        parsed = parse_smiles("[CH3:1][C@@H:2](N)C(=O)O")
-        for source_text in (None, ""):
-            molecule = Molecule(atoms=parsed.atoms, bonds=parsed.bonds, source_text=source_text)
-            for ignore_stereo in (False, True):
-                expected = _unmemoized_multiset([parsed], ignore_stereo)
-                assert reactant_multiset([molecule], ignore_stereo) == expected
-        assert metrics._CANONICAL_MEMO == poisoned
+        # Each key's text, without the maps, is a spelling of the molecule it serves.
+        assert len(canon._CANONICAL_TEXTS) > len(corpus)
+        for (text, include_maps, ignore_stereo), canonical in canon._CANONICAL_TEXTS.items():
+            assert not include_maps
+            assert _uncached_multiset([parse_smiles(text)], ignore_stereo) == Counter([canonical])
 
     def test_repeated_reactant_text_is_canonicalized_once_per_stereo_setting(self, monkeypatch):
         calls = []
 
-        def counting(molecule):
+        def counting(molecule, include_maps=False):
             calls.append(molecule)
-            return canonical_smiles(molecule)
+            return canonical_smiles(molecule, include_maps)
 
-        monkeypatch.setattr(metrics, "canonical_smiles", counting)
+        monkeypatch.setattr(canon, "canonical_smiles", counting)
         texts = ["[CH3:1][C:2](=[O:3])[OH:4]", "CN"]
         gt = [parse_smiles(t) for t in texts]
         # A text that differs only in its atom maps shares the entry; the

@@ -318,6 +318,18 @@ class TestParseTransitionOutput:
         assert len(outcome.ok) == 1
         assert "invalid SMILES" in outcome.dropped[0]["reason"]
 
+    def test_a_number_of_thousands_of_digits_is_dropped_not_raised(self):
+        # int() refuses a text of more than 4,300 digits with a ValueError.
+        huge = "1" * 5000
+        raw = _transition_payload(
+            _group("X", *(_permutation([text]) for text in (f"[CH3:{huge}]O", f"[{huge}CH3]O", f"[CH{huge}]O")))
+        )
+        outcome = parse_transition_output(raw)
+        assert outcome.failure_class == ALL_ITEMS_INVALID
+        assert [d["reason"] for d in outcome.dropped] == [
+            "syntactically invalid SMILES: malformed bracket atom (at position 0)"
+        ] * 3
+
     def test_template_wildcards_accepted(self):
         raw = _transition_payload(
             _group("X", _permutation(["[*]C(=O)O", "[F,Cl,Br,I]C"], is_template=True))
@@ -356,12 +368,28 @@ class TestParseTransitionOutput:
         assert outcome.dropped[1]["fragment"] == json.dumps(unwritable)[:300] + "..."
 
     def test_wildcard_in_non_template_dropped(self):
+        texts = ["[*]C(=O)O", "*C", "[Cl,Br]C"]  # an element list counts as a wildcard
         raw = _transition_payload(
-            _group("X", _permutation(["[*]C(=O)O"], is_template=False))
+            _group("X", *(_permutation([text], is_template=False) for text in texts))
         )
         outcome = parse_transition_output(raw)
         assert not outcome.ok
-        assert "wildcard" in outcome.dropped[0]["reason"]
+        assert all("wildcard" in d["reason"] for d in outcome.dropped)
+        assert len(outcome.dropped) == len(texts)
+
+    def test_reasons_within_a_permutation_rank_parse_then_template_then_spelling(self):
+        """Whatever the text order: a text that does not parse, then a
+        template atom in a non-template permutation, then a text with no
+        canonical spelling."""
+        cases = [
+            (([HUB_SMILES, "CC("], False), "syntactically invalid SMILES"),
+            ((["[*]C", "CC("], False), "syntactically invalid SMILES"),
+            (([HUB_SMILES, "[*]C"], False), "wildcard atom in non-template prediction"),
+            (([HUB_SMILES, "[*]C"], True), "reactants cannot be written as canonical SMILES"),
+        ]
+        perms = [_permutation(texts, is_template=is_template) for (texts, is_template), _ in cases]
+        outcome = parse_transition_output(_transition_payload(_group("X", *perms)))
+        assert [d["reason"].split(":")[0] for d in outcome.dropped] == [reason for _, reason in cases]
 
     def test_missing_booleans_dropped(self):
         raw = _transition_payload(

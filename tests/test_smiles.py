@@ -154,6 +154,10 @@ PARSE_ERRORS = [
     ("[C:1]C[C:0]", "atom map", "atom map must be positive", 6),
     ("[NH4+].[C+H]", "malformed bracket", "malformed bracket atom", 7),
     ("[OH-]C(=O)[C+16]", "charge", "charge magnitude 16 out of range", 10),
+    # A bracket number takes at most nine digits, so int() never sees thousands.
+    ("C[CH3:1234567890]", "malformed bracket", "malformed bracket atom", 1),
+    ("C[1234567890CH4]", "malformed bracket", "malformed bracket atom", 1),
+    ("C[CH1234567890]", "malformed bracket", "malformed bracket atom", 1),
     ("[C:1]C(", "unclosed branch", "unclosed branch", 6),
     ("[C:1][C:1]1[C:1]1", "duplicate bond", "duplicate bond between atoms 1 and 2", 16),
     ("C\u00b2", "unexpected character", "unexpected character '\u00b2'", 1),
