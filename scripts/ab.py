@@ -4,7 +4,8 @@ Makes two fresh copies under ``.perfbench_work/``: the committed files
 of ``--base`` (``git archive``), and the working tree's files as they are
 on disk (the head: tracked files plus untracked ones that are not
 ignored).  Neither copy holds bytecode that the other lacks.  Then runs
-``perfbench/run.py`` alternately in the two copies, ``--pairs`` times:
+``perfbench/run.py`` alternately in the two copies, ``--pairs`` times
+(10 by default):
 the base runs first in odd pairs, the head first in even ones.  Each side
 runs its own perfbench.  A run that is not ``correct: true`` stops the
 comparison, and so does a pair whose ``outputs`` hash lines differ.  The
@@ -14,8 +15,9 @@ Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  Results are merged
 into ``BENCH_<n>.json`` at the repo root, one entry per workload and seed:
 the base and head ids with the line count of each one's ``src/**/*.py``
 (as ``wc -l`` counts it), the seed, each run's end-to-end values, and per
-metric the medians, quartiles, the pairs the head won and a verdict.  A
-gain is shown when the head wins at least nine tenths of the pairs (ties
+metric the medians, quartiles, the pairs the head won, ``sign_p`` (the
+exact two-sided sign-test p-value over the pairs with a strict winner,
+1.0 when none has one) and a verdict.  A gain is shown when the head wins at least nine tenths of the pairs (ties
 count for neither) and the medians differ by more than the base's
 interquartile range.  The verdict reads the metric's ``bound`` as a share
 of the base median: ``gain`` when a gain is shown; ``regression`` when the
@@ -27,7 +29,7 @@ so a dirty head records the commit it sits on as ``parent_commit``.  All
 workloads in one file must measure the same base commit and head tree.
 Run from the repo root:
 
-    python3 scripts/ab.py --base HEAD --workload catalog --seed 7 --pairs 10 --bench 12
+    python3 scripts/ab.py --base HEAD --workload catalog --seed 7 --bench 12
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -123,6 +126,14 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
+def sign_p(won: int, lost: int) -> float:
+    """Exact two-sided sign-test p-value of ``won`` against ``lost`` pairs
+    (ties already dropped); 1.0 when no pair has a winner."""
+    n = won + lost
+    tail = sum(math.comb(n, k) for k in range(min(won, lost) + 1)) / 2**n
+    return min(1.0, 2 * tail)
+
+
 def _verdict(base: list[float], head: list[float], sign: int, bound: float, gain_shown: bool) -> str:
     allowed = bound * abs(statistics.median(base))
     q1, q3 = _quartiles(base)
@@ -161,19 +172,25 @@ def summarize(base_runs: list[dict], head_runs: list[dict], declared: list[dict]
             "change": (head_median - base_median) / base_median if base_median else None,
             "head_won": won,
             "head_lost": lost,
+            "sign_p": sign_p(won, lost),
             "gain_shown": gain_shown,
             "verdict": _verdict(base, head, sign, spec["bound"], gain_shown),
         }
     return out
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description="paired perfbench runs, base against head")
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--bench", type=int, required=True, help="writes BENCH_<n>.json")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")

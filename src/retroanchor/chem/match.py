@@ -35,8 +35,6 @@ def find_embedding(pattern: Molecule, target: Molecule) -> dict[int, int] | None
     """
     if len(pattern.atoms) > len(target.atoms):
         return None
-    if not pattern.atoms:
-        return {}
 
     order: list[int] = []
     for component in pattern.components():

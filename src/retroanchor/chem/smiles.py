@@ -367,8 +367,6 @@ def write_smiles(
     rank.  Parsing the output reconstructs an isomorphic molecule.
     """
     n = len(molecule.atoms)
-    if not n:
-        return ""
     rank = ranks if ranks is not None else range(n)
     # Adjacency lists hold bond order, so index ranks need the sort too.
     ranked_neighbors = [

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from retroanchor.chem import AtomMapSet
     from retroanchor.datasets import Ontology, ReactionRecord
-    from retroanchor.gateway import Completion, GatewayFailure, HttpBackend, ModelConfig
     from retroanchor.outputs import ParseOutcome
     from retroanchor.prompts import PromptTemplate, RenderedPrompt
 
@@ -177,11 +176,25 @@ def cmd_subsample(args) -> int:
 # ------------------------------------------------------------ model runs
 
 
-def _run_config(args, stage: str, **fields) -> tuple[ModelConfig, HttpBackend | None, dict]:
-    """The run's model, its live backend (None in replay) and its
-    ``config.json`` record; a stage's own keys go in ``fields`` or are
-    added to the record before the run."""
-    from retroanchor.gateway import GatewayError, HttpBackend, ModelConfig
+def _execute_run(
+    args,
+    stage: str,
+    template: PromptTemplate,
+    records: list[ReactionRecord],
+    render: Callable[[ReactionRecord], RenderedPrompt],
+    parse: Callable[[str, ReactionRecord, RenderedPrompt], tuple[ParseOutcome, dict]],
+    **fields,
+) -> int:
+    """Check the model flags, then render, send, parse and write one run
+    directory.  ``config.json`` records the flags, the template and the
+    stage's own ``fields``.
+
+    ``render`` raises ValueError for a record it cannot prompt; that row
+    is skipped and sends no request.  ``parse`` returns the parse outcome
+    plus the stage's own fields for the ``ok`` row.
+    """
+    from retroanchor.gateway import Completion, Gateway, GatewayError, HttpBackend, ModelConfig
+    from retroanchor.utils import atomic_write_text, stable_json_dumps, write_jsonl
     if args.parallelism < 1:
         raise CliError("--parallelism must be at least 1")
     model = ModelConfig(model_id=args.model, endpoint=args.endpoint, api_key_env=args.api_key_env)
@@ -193,54 +206,22 @@ def _run_config(args, stage: str, **fields) -> tuple[ModelConfig, HttpBackend | 
             raise CliError(f"--endpoint: {exc}") from exc
         if not os.environ.get(args.api_key_env):
             raise CliError(f"environment variable {args.api_key_env} is not set")
+    cache_dir = args.cache_dir or args.output / "cache"
     config = {
         "stage": stage,
         "input": str(args.input),
         "output_dir": str(args.output),
-        "cache_dir": str(args.cache_dir or args.output / "cache"),
+        "cache_dir": str(cache_dir),
         "backend": args.backend,
         "parallelism": args.parallelism,
         "model": asdict(model),
+        "template_name": template.name,
+        "template_digest": template.digest,
         # Keys that only the other stage sets are recorded as null.
         **dict.fromkeys(("prompt_variant", "examples_k", "seed", "ontology", "train")),
         **fields,
     }
-    return model, backend, config
 
-
-def _manifest_row(cfg: ModelConfig, result: Completion | GatewayFailure) -> dict:
-    from retroanchor.gateway import Completion
-    if isinstance(result, Completion):
-        outcome = "cache_hit" if result.from_cache else "ok"
-        latency_ms = result.latency_ms
-    else:
-        outcome, latency_ms = result.kind, 0
-    return {
-        "digest": result.request_digest,
-        "model": cfg.model_id,
-        "attempts": result.attempts,
-        "outcome": outcome,
-        "latency_ms": latency_ms,
-    }
-
-
-def _execute_run(
-    model: ModelConfig,
-    backend: HttpBackend | None,
-    config: dict,
-    records: list[ReactionRecord],
-    render: Callable[[ReactionRecord], RenderedPrompt],
-    parse: Callable[[str, ReactionRecord, RenderedPrompt], tuple[ParseOutcome, dict]],
-) -> int:
-    """Render, send, parse and write one run directory, ``config`` as its
-    ``config.json``.
-
-    ``render`` raises ValueError for a record it cannot prompt; that row
-    is skipped and sends no request.  ``parse`` returns the parse outcome
-    plus the stage's own fields for the ``ok`` row.
-    """
-    from retroanchor.gateway import Gateway, GatewayFailure
-    from retroanchor.utils import atomic_write_text, stable_json_dumps, write_jsonl
     pending: list[tuple[ReactionRecord, RenderedPrompt | None, str]] = []
     for record in records:
         try:
@@ -248,8 +229,7 @@ def _execute_run(
         except ValueError as exc:
             pending.append((record, None, str(exc)))
     prompts = [prompt for _, prompt, _ in pending if prompt is not None]
-    gateway = Gateway(model, config["cache_dir"], backend)
-    results = iter(gateway.run_batch(prompts, config["parallelism"]))
+    results = iter(Gateway(model, cache_dir, backend).run_batch(prompts, args.parallelism))
 
     outcomes: list[dict] = []
     manifest: list[dict] = []
@@ -259,12 +239,9 @@ def _execute_run(
             outcomes.append({"id": record.record_id, "status": "skipped", "reason": skip_reason})
             continue
         result = next(results)
-        manifest.append(_manifest_row(model, result))
         row = {"id": record.record_id, "digest": result.request_digest}
-        if isinstance(result, GatewayFailure):
-            n_failed += 1
-            row.update(status="gateway_failure", failure_kind=result.kind, message=result.message)
-        else:
+        entry = {"digest": result.request_digest, "model": model.model_id, "attempts": result.attempts}
+        if isinstance(result, Completion):
             parsed, stage_fields = parse(result.text, record, prompt)
             row.update(
                 status="ok",
@@ -273,20 +250,24 @@ def _execute_run(
                 failure_class=parsed.failure_class,
                 **stage_fields,
             )
+            entry.update(outcome="cache_hit" if result.from_cache else "ok", latency_ms=result.latency_ms)
+        else:
+            n_failed += 1
+            row.update(status="gateway_failure", failure_kind=result.kind, message=result.message)
+            entry.update(outcome=result.kind, latency_ms=0)
         outcomes.append(row)
+        manifest.append(entry)
 
-    out = Path(config["output_dir"])
-    atomic_write_text(out / "config.json", stable_json_dumps(config))
-    write_jsonl(out / "outcomes.jsonl", outcomes)
-    write_jsonl(out / "manifest.jsonl", manifest)
-    print(f"{config['stage']} run over {len(records)} examples ({n_failed} gateway failures) -> {out}")
+    atomic_write_text(args.output / "config.json", stable_json_dumps(config))
+    write_jsonl(args.output / "outcomes.jsonl", outcomes)
+    write_jsonl(args.output / "manifest.jsonl", manifest)
+    print(f"{stage} run over {len(records)} examples ({n_failed} gateway failures) -> {args.output}")
     return 0
 
 
 def cmd_run_position(args) -> int:
     from retroanchor.outputs import parse_position_output, to_row
     from retroanchor.prompts import render_position_prompt
-    model, backend, config = _run_config(args, "position", ontology=str(args.ontology))
     records, rejects = _ingest(args.input)
     _by_id(records, args.input)
     ontology = _load_ontology(args.ontology)
@@ -301,35 +282,23 @@ def cmd_run_position(args) -> int:
         parsed = parse_position_output(text, record.product, ontology)
         return parsed, {"candidates": [to_row(c) for c in parsed.ok]}
 
-    config.update(
-        template_name=template.name,
-        template_digest=template.digest,
-        ontology_sha256=_sha256_file(args.ontology),
-        ontology_size=len(ontology),
-        ingest_rejects=len(rejects),
+    return _execute_run(
+        args, "position", template, records, render, parse,
+        ontology=str(args.ontology), ontology_sha256=_sha256_file(args.ontology),
+        ontology_size=len(ontology), ingest_rejects=len(rejects),
     )
-    return _execute_run(model, backend, config, records, render, parse)
 
 
 def cmd_run_transition(args) -> int:
     from retroanchor.datasets import sample_examples
     from retroanchor.outputs import parse_transition_output, to_row
-    from retroanchor.prompts import render_transition_prompt
+    from retroanchor.prompts import TRANSITION_TEMPLATES, render_transition_prompt
     if args.examples_k < 0:
         raise CliError("--examples-k must be at least 0")
-    model, backend, config = _run_config(
-        args,
-        "transition",
-        prompt_variant=args.prompt_variant,
-        examples_k=args.examples_k,
-        seed=args.seed,
-        train=str(args.train),
-    )
     records, rejects = _ingest(args.input)
     _by_id(records, args.input)
     train_records, train_rejects = _ingest(args.train, parse=False)
-    template_name = "transition" if args.prompt_variant == "full" else "transition_short"
-    template = _load_template(template_name)
+    template = _load_template(TRANSITION_TEMPLATES[args.prompt_variant])
     # Only rows under a name an input row carries can be drawn, so only
     # they are parsed; one that fails leaves its pool as at ingest.
     # sample_examples still filters each group by split, id and name, so
@@ -361,13 +330,11 @@ def cmd_run_transition(args) -> int:
         parsed = parse_transition_output(text)
         return parsed, {"example_count": prompt.example_count, "predictions": [to_row(p) for p in parsed.ok]}
 
-    config.update(
-        template_name=template.name,
-        template_digest=template.digest,
-        ingest_rejects=len(rejects),
-        train_ingest_rejects=n_train_rejects,
+    return _execute_run(
+        args, "transition", template, records, render, parse,
+        prompt_variant=args.prompt_variant, examples_k=args.examples_k, seed=args.seed, train=str(args.train),
+        ingest_rejects=len(rejects), train_ingest_rejects=n_train_rejects,
     )
-    return _execute_run(model, backend, config, records, render, parse)
 
 
 # ------------------------------------------------------------- evaluate
@@ -387,7 +354,7 @@ def _items_from_row(row: dict, key: str, cls: type) -> list:
 
 def cmd_evaluate(args) -> int:
     from retroanchor.chem import AtomMapSet, SmilesError
-    from retroanchor.metrics import aggregate, score_position, score_transition, write_report
+    from retroanchor.metrics import GroundTruthError, aggregate, score_position, score_transition, write_report
     from retroanchor.outputs import DisconnectionCandidate, TransitionPrediction
     from retroanchor.utils import read_jsonl
     config_path = args.run / "config.json"
@@ -427,10 +394,14 @@ def cmd_evaluate(args) -> int:
         preds = _items_from_row(row, "predictions", TransitionPrediction)
         try:
             return score_transition(preds, list(record.reactants), ignore_stereo=args.ignore_stereo), None
+        except GroundTruthError as exc:
+            raise CliError(f"example {record.record_id}: {exc}") from exc
         except SmilesError as exc:  # a stored prediction text
             raise CliError(f"run outcome for {row.get('id')} holds unparsable SMILES: {exc}") from exc
-        except ValueError as exc:  # a reactant with no canonical spelling
-            raise CliError(f"example {record.record_id}: {exc}") from exc
+        except ValueError as exc:  # a stored prediction reactant with no canonical spelling
+            raise CliError(
+                f"run outcome for {row.get('id')} holds a reactant with no canonical spelling: {exc}"
+            ) from exc
 
     score_row = score_position_row if stage == "position" else score_transition_row
     rows: list[tuple] = []

@@ -342,8 +342,6 @@ class Gateway:
             raise ValueError("parallelism must be at least 1")
         if self.backend is None:  # a pool costs more than reading small cache files in turn
             return list(map(self._complete, prompts))
-        if not prompts:
-            return []
         from concurrent.futures import ThreadPoolExecutor
         try:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:

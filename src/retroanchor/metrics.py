@@ -185,6 +185,10 @@ def template_cover(
     return lambda side: assign(side, 0, frozenset())
 
 
+class GroundTruthError(ValueError):
+    """An example's true reactants cannot be scored."""
+
+
 def score_transition(
     preds: list[TransitionPrediction],
     r_gt: list[Molecule],
@@ -194,9 +198,10 @@ def score_transition(
 
     Only predictions the model itself marked valid are eligible, for the
     template route and the exact route alike.  Every prediction's texts
-    are read before any is scored, in order, so an unparsable one raises
-    SmilesError: a valid non-template prediction's as canonical texts,
-    any other's as molecules.
+    are read before any is scored, in order: a valid non-template
+    prediction's as canonical texts, any other's as molecules.  An
+    unparsable text raises SmilesError and one with no canonical spelling
+    ValueError; a fault of the truth raises GroundTruthError.
     """
     read = [
         reactant_multiset(p.reactants, ignore_stereo)
@@ -205,7 +210,7 @@ def score_transition(
         for p in preds
     ]
     if not r_gt:
-        raise ValueError("ground-truth reactant list is empty")
+        raise GroundTruthError("ground-truth reactant list is empty")
     if not preds:
         return TransitionScore(
             template_acc=False,
@@ -215,7 +220,10 @@ def score_transition(
             n_predictions=0,
             failed=True,
         )
-    gt_multiset = reactant_multiset([m.source_text for m in r_gt], ignore_stereo)
+    try:
+        gt_multiset = reactant_multiset([m.source_text for m in r_gt], ignore_stereo)
+    except ValueError as exc:  # a reactant with no canonical spelling
+        raise GroundTruthError(str(exc)) from exc
     reactant_acc = gt_multiset in read  # only valid non-template predictions read as multisets
     # Per side (template, then ground-truth share), the first covering
     # template prediction settles it.
@@ -335,6 +343,7 @@ def _write_confusion_csv(matrix: dict[str, dict[str, int]], path: Path) -> None:
 
 
 def _csv_quote(cell: str) -> str:
+    # Not csv.writer: on Python 3.11 it leaves a "\r" field unquoted and writes a lone empty field as "".
     if any(ch in cell for ch in ',"\r\n'):
         return '"' + cell.replace('"', '""') + '"'
     return cell

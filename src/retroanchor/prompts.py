@@ -17,10 +17,13 @@ from importlib import resources
 from retroanchor.chem import AtomMapSet, Molecule, canonical_smiles, position_tokens
 from retroanchor.datasets import Ontology
 
+# The transition template each prompt variant renders from.
+TRANSITION_TEMPLATES = {"full": "transition", "short": "transition_short"}
+
 TEMPLATE_PLACEHOLDERS: dict[str, tuple[str, ...]] = {
     "position": ("<reaction_ontology>", "<canonicalized_product>"),
     **dict.fromkeys(
-        ("transition", "transition_short"),
+        TRANSITION_TEMPLATES.values(),
         ("<REACTION_POSITION>", "<REACTION_NAME>", "<PRODUCT_SMILES>", "<TRAIN_REACTION_EXAMPLES>"),
     ),
 }
@@ -108,11 +111,11 @@ def render_transition_prompt(
 ) -> RenderedPrompt:
     """Fill the reactant-prediction prompt for one disconnection site,
     with ``examples`` as ``sample_examples`` draws them."""
-    if variant not in ("full", "short"):
+    name = TRANSITION_TEMPLATES.get(variant)
+    if name is None:
         raise ValueError(f"variant must be 'full' or 'short', got {variant!r}")
     if not s.maps:
         raise ValueError("empty disconnection set")
-    name = "transition" if variant == "full" else "transition_short"
     if template.name != name:
         raise ValueError(f"expected {name} template, got {template.name!r}")
     tokens = position_tokens(product, s)

@@ -1,6 +1,7 @@
-"""``scripts/ab.py``: the paired A/B summary (pairs won, quartiles, when a
-gain counts as shown and each metric's verdict) and the head's snapshot of
-a working tree.  No perfbench process runs."""
+"""``scripts/ab.py``: the paired A/B summary (pairs won, quartiles, the
+sign test, when a gain counts as shown and each metric's verdict), its
+default of ten pairs and the head's snapshot of a working tree.  No
+perfbench process runs."""
 
 from __future__ import annotations
 
@@ -104,6 +105,23 @@ def test_a_head_slower_by_more_than_the_bound_over_a_tight_base_is_a_regression(
     assert out["verdict"] == "regression"
     # Within the bound it is no change.
     assert _summary(BASE, [v * 1.2 for v in BASE])["verdict"] == "no change"
+
+
+def test_sign_p_is_the_exact_two_sided_sign_test_over_pairs_with_a_winner():
+    assert _summary(BASE, [v - 0.1 for v in BASE])["sign_p"] == 2 / 1024
+    assert _summary(BASE, [v + 0.1 for v in BASE])["sign_p"] == 2 / 1024
+    nine = _summary(BASE, [v - 0.1 for v in BASE[:9]] + [BASE[9] + 0.01])
+    assert nine["sign_p"] == 22 / 1024
+    # Ties are dropped: nine wins and one tie is nine of nine.
+    assert _summary(BASE, [v - 0.1 for v in BASE[:9]] + BASE[9:])["sign_p"] == 2 / 512
+    assert _summary(BASE, list(BASE))["sign_p"] == 1.0
+    # Five each way: the doubled tail exceeds 1 and is capped.
+    assert ab.sign_p(5, 5) == 1.0
+
+
+def test_pairs_default_to_ten():
+    assert ab.build_parser().parse_args(["--base", "HEAD", "--workload", "drug", "--seed", "7",
+                                         "--bench", "1"]).pairs == 10
 
 
 def test_head_snapshot_is_the_working_tree_without_ignored_files(tmp_path):

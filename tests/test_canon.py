@@ -30,6 +30,12 @@ def test_permutation_invariance_hand_case():
     assert len(canon) == 1
 
 
+def test_empty_molecule_writes_and_canonicalizes_to_empty_text():
+    empty = Molecule(atoms=(), bonds=())
+    assert write_smiles(empty) == write_smiles(empty, ranks=[]) == ""
+    assert canonical_smiles(empty) == canonical_smiles(empty, include_maps=True) == ""
+
+
 def test_permutation_invariance_random():
     rng = random.Random(7)
     for _ in range(60):

@@ -908,6 +908,18 @@ def test_too_deep_json_is_a_classified_fault(pipeline, monkeypatch, plant, expec
     assert expected in plant(pipeline, monkeypatch)
 
 
+def test_unreadable_cache_entry_is_a_manifest_row(pipeline):
+    """An example whose cache entry cannot be replayed gets a manifest row
+    with the failure as its outcome, no attempt and no latency."""
+    digests = seed_position(pipeline)
+    (pipeline["cache"] / f"{digests['e1']}.json").write_text(TOO_DEEP)
+    manifest = read_jsonl(run_position(pipeline) / "manifest.jsonl")
+    assert manifest[0] == {
+        "digest": digests["e1"], "model": "test-model", "attempts": 0, "outcome": "cache_corrupt", "latency_ms": 0,
+    }
+    assert manifest[1]["digest"] == digests["e2"] and manifest[1]["outcome"] == "cache_hit"
+
+
 def _insert_eval_rows(paths, extra_rows: dict[int, dict]) -> None:
     """Rewrite the eval file with ``extra_rows`` inserted at their positions."""
     rows = read_jsonl(paths["eval"])
@@ -1209,6 +1221,23 @@ class TestEvaluate:
         assert main(["evaluate", "--run", str(run_dir), "--input", str(truth)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: example e1: more than 99 simultaneously open ring closures")
+
+    def test_prediction_reactant_without_canonical_spelling_exits_1(self, tmp_path, capsys):
+        """A stored prediction reactant that parses but has no canonical
+        spelling is a fault of the run, not of the ground truth."""
+        paths = run_golden_pipeline(tmp_path)
+        outcomes = paths["run_transition"] / "outcomes.jsonl"
+        rows = read_jsonl(outcomes)
+        [row] = [r for r in rows if r["id"] == "g01"]
+        prediction = next(p for p in row["predictions"] if p["is_valid"] and not p["is_template"])
+        prediction["reactants"][0] = HUB_SMILES
+        write_jsonl(outcomes, rows)
+        capsys.readouterr()
+        assert main(["evaluate", "--run", str(paths["run_transition"]), "--input", str(paths["eval"])]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: run outcome for g01 holds a reactant with no canonical spelling: "
+            "more than 99 simultaneously open ring closures"
+        )
 
     @pytest.mark.parametrize("is_valid", [True, False])
     def test_unparsable_prediction_text_exits_1(self, pipeline, capsys, is_valid):

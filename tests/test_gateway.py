@@ -17,7 +17,6 @@ from helpers import golden_fixture_dir, run_golden_pipeline
 from loopback import ChatServer, chat_body, without_proxies
 
 import retroanchor.gateway as gateway_module
-from retroanchor.cli import _manifest_row
 from retroanchor.gateway import (
     AUTH_FAILURE,
     CACHE_CORRUPT,
@@ -309,6 +308,11 @@ class TestRunBatch:
         gateway = Gateway(CFG, tmp_path)
         assert gateway.run_batch([], parallelism=2) == []
 
+    def test_empty_live_batch_sends_nothing(self, tmp_path):
+        backend = ScriptedBackend([])
+        assert Gateway(CFG, tmp_path, backend=backend).run_batch([], parallelism=2) == []
+        assert backend.calls == 0
+
     def test_parallelism_below_one_rejected(self, tmp_path):
         gateway = Gateway(CFG, tmp_path)
         with pytest.raises(ValueError, match="parallelism"):
@@ -427,7 +431,6 @@ def test_unreadable_cache_entry_fails_only_its_item(tmp_path, case, form):
     assert (first.text, last.text) == ("cached first", "cached last")
     assert isinstance(broken, GatewayFailure)
     assert (broken.kind, broken.attempts) == (CACHE_CORRUPT, 0)
-    assert _manifest_row(CFG, broken)["outcome"] == CACHE_CORRUPT
     assert backend is None or backend.calls == 0
     assert path.read_bytes() == corrupted  # left for inspection, never overwritten
 

@@ -35,6 +35,13 @@ def brute_force_match(pattern: Molecule, target: Molecule) -> bool:
     return False
 
 
+def test_empty_pattern_embeds_as_the_empty_assignment():
+    empty = Molecule(atoms=(), bonds=())
+    assert find_embedding(empty, parse_smiles("CC")) == {}
+    assert find_embedding(empty, empty) == {}
+    assert substructure_match(empty, parse_smiles("C"))
+
+
 def test_exact_self_match():
     mol = parse_smiles("CC(=O)O")
     assert substructure_match(mol, mol)
