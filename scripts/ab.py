@@ -14,7 +14,10 @@ copies are removed afterwards.
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  Results are merged
 into ``BENCH_<n>.json`` at the repo root, one entry per workload and seed:
 the base and head ids with the line count of each one's ``src/**/*.py``
-(as ``wc -l`` counts it), the seed, each run's end-to-end values, and per
+(as ``wc -l`` counts it), the seed, the run conditions (``python``,
+``cpus`` and ``bytecode_written``, false when the environment the stage
+processes inherit sets ``PYTHONDONTWRITEBYTECODE``, so that every stage
+process compiles the package), each run's end-to-end values, and per
 metric the medians, quartiles, the pairs the head won, ``sign_p`` (the
 exact two-sided sign-test p-value over the pairs with a strict winner,
 1.0 when none has one) and a verdict.  A gain is shown when the head wins at least nine tenths of the pairs (ties
@@ -40,6 +43,7 @@ import io
 import json
 import math
 import os
+import platform
 import shutil
 import statistics
 import subprocess
@@ -77,6 +81,16 @@ def head_identity() -> dict:
 def src_lines(checkout: Path) -> int:
     """Lines of ``src/**/*.py`` in a checkout, counted as ``wc -l`` does."""
     return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
+
+
+def run_conditions(env=os.environ) -> dict:
+    """The interpreter version and CPU count perfbench runs with, and
+    whether its stage processes, which inherit ``env``, write bytecode."""
+    return {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "bytecode_written": not env.get("PYTHONDONTWRITEBYTECODE"),
+    }
 
 
 def _fresh(directory: Path) -> Path:
@@ -246,6 +260,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "order": order,
         "outputs": outputs["head"].split()[1:],
+        **run_conditions(),
         "metrics": summarize(base_runs, head_runs, declared["end_to_end"]),
     }
     out_path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")

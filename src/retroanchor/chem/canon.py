@@ -1,34 +1,40 @@
 """Canonical SMILES: rank the atoms, then write the text in rank order.
 
-The ranking starts from per-atom invariants (element, aromatic flag,
-charge, isotope, implicit hydrogen count, degree), refines each atom by
-the sorted multiset of its neighbors' ranks until the partition is
-stable or discrete, and resolves residual ties by promoting one member of
-the lowest tied class and refining again.  A discrete partition, where
-every atom has its own rank, cannot split, so no refinement round runs on
-one, whether the invariants, a round or a promotion made it.  The
-promoted member is chosen by atom map when one is present, else by input
-position; for the symmetric ties this resolves, the choices are
-interchangeable.  ``write_smiles`` then emits the text in one depth-first
-traversal ordered by rank (Weininger, Weininger & Weininger, J. Chem.
-Inf. Comput. Sci. 29:97, 1989).  The text does not depend on input atom order, except for
-chirality tags and directional bond marks: they are copied as written,
-not re-derived for the emission order, so equivalent stereo spellings
-can give different texts.
+The ranking keeps the partition as an ordered list of cells, each a
+list of atoms of equal rank; an atom's rank is the number of atoms in
+lower cells.  The first cells group the atoms by per-atom invariants
+(element, aromatic flag, charge, isotope, implicit hydrogen count,
+degree).  A round re-keys only the members of tied cells, by the sorted
+ranks of each atom's neighbors, and splits each such cell in key order;
+an atom alone in its cell keeps its place whatever its key.  Rounds run
+until the partition is stable or discrete.  A stable partition with ties
+is resolved by promoting one member of the first tied cell and refining
+again; a discrete one, where every atom has its own cell, ends the
+ranking.  The promoted member is chosen by atom map when one is present,
+else by input position; for the symmetric ties this resolves, the
+choices are interchangeable.  ``write_smiles`` then emits the text in one
+depth-first traversal ordered by rank (Weininger, Weininger & Weininger,
+J. Chem. Inf. Comput. Sci. 29:97, 1989).  The text does not depend on
+input atom order, except for chirality tags and directional bond marks:
+they are copied as written, not re-derived for the emission order, so
+equivalent stereo spellings can give different texts.
 
 Before ranking, any six-ring of plain carbons and nitrogens whose bonds
 strictly alternate single/double is rewritten to aromatic form, so the
 two kekulized spellings of such a ring collapse to one canonical text.
 
 ``canonical_text`` is the one text-to-canonical-text cache; see the
-README, "Scoring".  A hit implies the text parses: a bracket atom with a
-map parses exactly when it does without, and the key keeps every map
-the parser rejects (all zeros, or more than nine digits).
+README, "Scoring".  It also takes a parsed molecule, looked up by its
+source text, so a miss need not parse that text again.  A hit implies
+the text parses: a bracket atom with a map parses exactly when it does
+without, and the key keeps every map the parser rejects (all zeros, or
+more than nine digits).
 """
 
 from __future__ import annotations
 
 import re
+from itertools import groupby
 
 from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, Molecule, _atom, _bond, strip_atom_maps, strip_stereo
 from retroanchor.chem.smiles import parse_smiles, write_smiles
@@ -46,13 +52,20 @@ def canonical_smiles(molecule: Molecule, include_maps: bool = False) -> str:
     )
 
 
-def canonical_text(text: str, include_maps: bool = False, ignore_stereo: bool = False) -> str:
+def canonical_text(text: str | Molecule, include_maps: bool = False, ignore_stereo: bool = False) -> str:
     """``canonical_smiles`` of the molecule ``text`` spells, stereo marks
     removed when ``ignore_stereo``; SmilesError for text that does not
-    parse, ValueError for a molecule with no spelling."""
+    parse, ValueError for a molecule with no spelling.  ``text`` may be a
+    parsed molecule, read as its source text; a miss then canonicalizes
+    it without parsing again.  A rewritten molecule, with no source text,
+    is refused with ValueError."""
+    molecule, text = (text, text.source_text) if isinstance(text, Molecule) else (None, text)
+    if molecule is not None and not text:
+        raise ValueError("a rewritten molecule has no source text to look up")
     key = (text if include_maps else _ATOM_MAP_RE.sub(r"\1]", text), include_maps, ignore_stereo)
-    if key not in _CANONICAL_TEXTS:  # a miss parses the text as written; a failure is not stored
-        molecule = parse_smiles(text) if include_maps else strip_atom_maps(parse_smiles(text))
+    if key not in _CANONICAL_TEXTS:  # a miss reads the text as written; a failure is not stored
+        molecule = parse_smiles(text) if molecule is None else molecule
+        molecule = molecule if include_maps else strip_atom_maps(molecule)
         molecule = strip_stereo(molecule) if ignore_stereo else molecule
         _CANONICAL_TEXTS[key] = canonical_smiles(molecule, include_maps)
     return _CANONICAL_TEXTS[key]
@@ -118,16 +131,21 @@ def _qualifying_six_rings(molecule: Molecule) -> list[tuple[int, ...]]:
     return list(found.values())
 
 
-def _dense_ranks(keys: list) -> list[int]:
-    rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-    return [rank_of[key] for key in keys]
+def _parts(cell, key) -> list[list[int]]:
+    """The members of ``cell`` grouped by ``key``, in ascending key order."""
+    return [list(part) for _, part in groupby(sorted(cell, key=key), key)]
 
 
-def _refine_round(neighbors: list[list[int]], ranks: list[int]) -> list[int]:
-    """Split each rank class by its members' sorted neighbor ranks."""
-    return _dense_ranks(
-        [(ranks[i], tuple(sorted([ranks[j] for j in nbrs]))) for i, nbrs in enumerate(neighbors)]
-    )
+def _refine(cells: list[list[int]], neighbors: list[list[int]], rank: list[int]) -> list[list[int]]:
+    """One round: split each tied cell by its members' sorted neighbor ranks."""
+    refined = []
+    for cell in cells:
+        if len(cell) == 1:  # alone in its cell: keeps its place whatever its key
+            refined.append(cell)
+        else:
+            keys = {i: sorted([rank[j] for j in neighbors[i]]) for i in cell}
+            refined += _parts(cell, keys.__getitem__)
+    return refined
 
 
 def _canonical_ranks(molecule: Molecule) -> list[int]:
@@ -145,23 +163,24 @@ def _canonical_ranks(molecule: Molecule) -> list[int]:
         )
         for i, atom in enumerate(molecule.atoms)
     ]
-    ranks = _dense_ranks(initial)
-    while len(set(ranks)) < n:  # until discrete: every atom its own rank
-        refined = _refine_round(neighbors, ranks)
-        if refined != ranks:
-            ranks = refined
-            continue
-        # Stable with ties: promote one member of the lowest tied class.
-        class_sizes: dict[int, int] = {}
-        for rank in ranks:
-            class_sizes[rank] = class_sizes.get(rank, 0) + 1
-        target = min(rank for rank, size in class_sizes.items() if size > 1)
-        members = [i for i in range(n) if ranks[i] == target]
-        chosen = min(members, key=lambda i: _promotion_key(molecule, i))
-        ranks = _dense_ranks(
-            [(ranks[i], 0 if i == chosen else 1) for i in range(n)]
-        )
-    return ranks
+    cells = _parts(range(n), initial.__getitem__)
+    rank = [0] * n
+    while True:
+        start = 0  # an atom's rank: the number of atoms in lower cells
+        for cell in cells:
+            if rank[cell[0]] != start:  # the members of a cell share their old rank
+                for i in cell:
+                    rank[i] = start
+            start += len(cell)
+        if len(cells) == n:  # discrete: every atom its own cell
+            return rank
+        refined = _refine(cells, neighbors, rank)
+        if len(refined) == len(cells):
+            # Stable with ties: promote one member of the first tied cell.
+            at = next(k for k, cell in enumerate(cells) if len(cell) > 1)
+            chosen = min(cells[at], key=lambda i: _promotion_key(molecule, i))
+            refined[at : at + 1] = [[chosen], [i for i in cells[at] if i != chosen]]
+        cells = refined
 
 
 def _promotion_key(molecule: Molecule, idx: int) -> tuple[int, int]:

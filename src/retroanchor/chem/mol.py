@@ -9,12 +9,15 @@ Atoms and bonds are values: the parser and the rewrites below build
 them through shared constructors, so equal atoms and bonds, within a
 molecule and across molecules, are often one object.  Compare them with
 ``==``; identity means nothing.
+
+A molecule builds its graph, the adjacency lists and the bond lookup, on
+first read, so one parsed only to validate a row never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 SINGLE = "single"
@@ -157,31 +160,29 @@ class Molecule:
     bonds: tuple[Bond, ...]
     source_text: str = ""
 
-    def __post_init__(self) -> None:
-        # Bonds are not re-checked: parse_smiles checks every new bond list,
-        # and the rewrites keep the endpoints of an already checked one.
+    # Bonds are not re-checked: parse_smiles checks every new bond list,
+    # and the rewrites keep the endpoints of an already checked one.
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[tuple[int, Bond], ...], ...]:
         adjacency: list[list[tuple[int, Bond]]] = [[] for _ in self.atoms]
-        lookup: dict[tuple[int, int], Bond] = {}
         for bond in self.bonds:
-            a, b = bond.a, bond.b
-            lookup[(a, b) if a < b else (b, a)] = bond
-            adjacency[a].append((b, bond))
-            adjacency[b].append((a, bond))
-        object.__setattr__(self, "_adjacency", tuple(tuple(row) for row in adjacency))
-        object.__setattr__(self, "_bond_lookup", lookup)
+            adjacency[bond.a].append((bond.b, bond))
+            adjacency[bond.b].append((bond.a, bond))
+        return tuple(tuple(row) for row in adjacency)
+
+    @cached_property
+    def _bond_lookup(self) -> dict[tuple[int, int], Bond]:
+        return {bond.key(): bond for bond in self.bonds}
 
     def neighbors(self, idx: int) -> tuple[tuple[int, Bond], ...]:
-        return self._adjacency[idx]  # type: ignore[attr-defined]
+        return self._adjacency[idx]
 
     def degree(self, idx: int) -> int:
         return len(self.neighbors(idx))
 
     def bond_between(self, a: int, b: int) -> Bond | None:
         key = (a, b) if a < b else (b, a)
-        return self._bond_lookup.get(key)  # type: ignore[attr-defined]
-
-    def bond_order_sum(self, idx: int) -> float:
-        return sum(BOND_ORDER[bond.kind] for _, bond in self.neighbors(idx))
+        return self._bond_lookup.get(key)
 
     def atom_map_index(self) -> dict[int, int]:
         """Mapping of atom-map value to atom index; first atom wins on duplicates."""

@@ -19,8 +19,12 @@ chemistry bounds the key space.  It holds lexical atom fields only.
 Anything that depends on an atom's neighbours stays out of it: the
 implicit hydrogens of bare organic-subset atoms, set in _finalize, and
 stereo parity once chirality is interpreted rather than carried as text.
-The writer builds each atom token once per (atom, include_maps, bond-order
-sum), all that the token depends on, and caches it the same way.
+The writer sums each atom's bond orders in its one pass over the
+neighbor lists and writes each atom's token once per call, from a cache
+keyed by (atom, include_maps, bond-order sum), all that the token depends
+on.  It then writes the text atom by atom in emission order, each atom
+with the dot, branch marks and bond symbol before it and its ring-closure
+digits after it.
 """
 
 from __future__ import annotations
@@ -368,21 +372,26 @@ def write_smiles(
     """
     n = len(molecule.atoms)
     rank = ranks if ranks is not None else range(n)
-    # Adjacency lists hold bond order, so index ranks need the sort too.
-    ranked_neighbors = [
-        sorted(molecule.neighbors(idx), key=lambda item: rank[item[0]]) for idx in range(n)
-    ]
+    order = sorted(range(n), key=rank.__getitem__)
+    # Atoms are visited in rank order, so each neighbor list comes out
+    # ranked; the same pass sums each atom's bond orders for its token.
+    ranked_neighbors: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
+    order_sums = [0.0] * n
+    for j in order:
+        for i, bond in molecule.neighbors(j):
+            ranked_neighbors[i].append((j, bond))
+            order_sums[i] += BOND_ORDER[bond.kind]
     position = [-1] * n  # emission position; -1 until emitted
     tree_children: list[list[tuple[int, Bond]]] = [[] for _ in range(n)]
     ring_bonds_at: dict[int, list[tuple[int, Bond]]] = {}  # opener -> [(closer, bond)]
     emit_order: list[int] = []
-    roots: list[int] = []
+    prefix = [""] * n  # the dot, branch marks and bond symbol written before an atom
 
     # The first atom in rank order not yet emitted roots the next component.
-    for root in sorted(range(n), key=rank.__getitem__):
+    for root in order:
         if position[root] >= 0:
             continue
-        roots.append(root)
+        prefix[root] = "." if emit_order else ""
         position[root] = len(emit_order)
         emit_order.append(root)
         stack = [(root, -1, iter(ranked_neighbors[root]))]
@@ -401,25 +410,6 @@ def write_smiles(
             else:
                 stack.pop()
 
-    # Assign ring-closure digits in emission order, reusing freed digits.
-    in_use: set[int] = set()
-    closures_open: dict[int, list[tuple[int, Bond, int]]] = {}
-    closures_close: dict[int, list[tuple[int, Bond, int]]] = {}
-    for atom in emit_order:
-        for closer, bond in sorted(
-            ring_bonds_at.get(atom, []), key=lambda item: position[item[0]]
-        ):
-            digit = 1
-            while digit in in_use:
-                digit += 1
-            if digit > 99:
-                raise ValueError("more than 99 simultaneously open ring closures")
-            in_use.add(digit)
-            closures_open.setdefault(atom, []).append((closer, bond, digit))
-            closures_close.setdefault(closer, []).append((atom, bond, digit))
-        for opener, bond, digit in closures_close.get(atom, []):
-            in_use.discard(digit)
-
     def bond_symbol(bond: Bond, source: int, target: int) -> str:
         a_arom = molecule.atoms[bond.a].aromatic
         b_arom = molecule.atoms[bond.b].aromatic
@@ -431,32 +421,31 @@ def write_smiles(
             return ""
         return _BOND_SYMBOL[bond.kind]
 
-    def ring_digit_token(digit: int) -> str:
-        return str(digit) if digit < 10 else f"%{digit:02d}"
+    # Every child but the first closes its elder sibling's branch, and
+    # every child but the last opens its own.
+    for parent, children in enumerate(tree_children):
+        for k, (child, bond) in enumerate(children):
+            prefix[child] = ")" * (k > 0) + "(" * (k < len(children) - 1) + bond_symbol(bond, parent, child)
 
-    def emit(root: int) -> str:
-        # An explicit stack of atom indices and literal text, so a long
-        # chain needs no call frame per atom.
-        pieces: list[str] = []
-        todo: list[int | str] = [root]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                pieces.append(item)
-                continue
-            pieces.append(_atom_token(molecule.atoms[item], include_maps, molecule.bond_order_sum(item)))
-            for opener, bond, digit in closures_close.get(item, []):
-                pieces.append(ring_digit_token(digit))
-            for closer, bond, digit in closures_open.get(item, []):
-                pieces.append(bond_symbol(bond, item, closer))
-                pieces.append(ring_digit_token(digit))
-            # Pushed in reverse: branches in parentheses, then the last child.
-            children = tree_children[item]
-            if children:
-                child, bond = children[-1]
-                todo += (child, bond_symbol(bond, item, child))
-            for child, bond in reversed(children[:-1]):
-                todo += (")", child, bond_symbol(bond, item, child), "(")
-        return "".join(pieces)
+    # Assign ring-closure digits in emission order, reusing freed digits:
+    # a digit is free again after the atom that closes it.  An atom writes
+    # the digits it closes, then the bonds and digits it opens.
+    rings = [""] * n
+    open_digits: dict[int, int] = {}  # digit -> the atom that closes it
+    for atom in sorted(ring_bonds_at, key=position.__getitem__):
+        open_digits = {d: c for d, c in open_digits.items() if position[c] >= position[atom]}
+        for closer, bond in sorted(ring_bonds_at[atom], key=lambda item: position[item[0]]):
+            digit = 1
+            while digit in open_digits:
+                digit += 1
+            if digit > 99:
+                raise ValueError("more than 99 simultaneously open ring closures")
+            open_digits[digit] = closer
+            token = str(digit) if digit < 10 else f"%{digit:02d}"
+            rings[atom] += bond_symbol(bond, atom, closer) + token
+            rings[closer] += token
 
-    return ".".join(emit(root) for root in roots)
+    atoms = molecule.atoms
+    return "".join(
+        prefix[i] + _atom_token(atoms[i], include_maps, order_sums[i]) + rings[i] for i in emit_order
+    )

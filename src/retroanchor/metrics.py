@@ -143,7 +143,8 @@ def score_position(
 
 
 def reactant_multiset(texts, ignore_stereo: bool = False) -> Counter:
-    """Canonical map-free text multiset for order-insensitive equality."""
+    """Canonical map-free text multiset for order-insensitive equality, of
+    texts or of parsed molecules (see ``canonical_text``)."""
     return Counter(canonical_text(text, ignore_stereo=ignore_stereo) for text in texts)
 
 
@@ -221,7 +222,7 @@ def score_transition(
             failed=True,
         )
     try:
-        gt_multiset = reactant_multiset([m.source_text for m in r_gt], ignore_stereo)
+        gt_multiset = reactant_multiset(r_gt, ignore_stereo)
     except ValueError as exc:  # a reactant with no canonical spelling
         raise GroundTruthError(str(exc)) from exc
     reactant_acc = gt_multiset in read  # only valid non-template predictions read as multisets

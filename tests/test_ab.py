@@ -1,11 +1,13 @@
 """``scripts/ab.py``: the paired A/B summary (pairs won, quartiles, the
 sign test, when a gain counts as shown and each metric's verdict), its
-default of ten pairs and the head's snapshot of a working tree.  No
-perfbench process runs."""
+default of ten pairs, the run conditions it records and the head's
+snapshot of a working tree.  No perfbench process runs."""
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import platform
 import subprocess
 from pathlib import Path
 
@@ -163,3 +165,10 @@ def test_src_lines_counts_newlines_of_python_files_under_src(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text(text)
     assert ab.src_lines(tmp_path) == 4
+
+
+def test_run_conditions_name_the_interpreter_the_cpus_and_bytecode_writing():
+    written = ab.run_conditions({})
+    assert written == {"python": platform.python_version(), "cpus": os.cpu_count(), "bytecode_written": True}
+    assert ab.run_conditions({"PYTHONDONTWRITEBYTECODE": "1"})["bytecode_written"] is False
+    assert ab.run_conditions({"PYTHONDONTWRITEBYTECODE": ""})["bytecode_written"] is True  # as Python reads it

@@ -208,23 +208,77 @@ def test_written_and_canonical_text_match_pins():
 
 
 def test_refinement_never_runs_a_round_on_a_discrete_partition(monkeypatch):
-    # A round on a partition where every atom has its own rank can only
-    # return it unchanged, so ranking stops before one.
-    discrete_inputs = []
-    real_round = canon._refine_round
+    # A round on a partition where every atom has its own cell can only
+    # return it unchanged, so ranking stops before one.  Re-keying an atom
+    # reads its neighbour list; an atom alone in its cell is never re-keyed.
+    rounds = []
+    real_refine = canon._refine
 
-    def counting_round(neighbors, ranks):
-        discrete_inputs.append(len(set(ranks)) == len(ranks))
-        return real_round(neighbors, ranks)
+    class ReadLog(list):
+        def __getitem__(self, i):
+            self.read.add(i)
+            return list.__getitem__(self, i)
 
-    monkeypatch.setattr(canon, "_refine_round", counting_round)
+    def logging_refine(cells, neighbors, rank):
+        log = ReadLog(neighbors)
+        log.read = set()
+        refined = real_refine(cells, log, rank)
+        alone = {cell[0] for cell in cells if len(cell) == 1}
+        rounds.append((len(cells) == len(rank), log.read & alone))
+        return refined
+
+    monkeypatch.setattr(canon, "_refine", logging_refine)
     pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
     for text, (_, canonical, canonical_maps) in pins.items():
         mol = parse_smiles(text)
         assert canonical_smiles(mol) == canonical, text
         assert canonical_smiles(mol, include_maps=True) == canonical_maps, text
-    assert discrete_inputs.count(False) > len(pins)
-    assert discrete_inputs.count(True) == 0
+    discrete = [on_discrete for on_discrete, _ in rounds]
+    assert discrete.count(False) > len(pins)
+    assert discrete.count(True) == 0
+    assert all(not rekeyed_alone for _, rekeyed_alone in rounds)
+
+
+def _dense_ranks(keys: list) -> list[int]:
+    rank_of = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [rank_of[key] for key in keys]
+
+
+def _ranks_rescanning_every_atom(molecule):
+    """Reference for ``canon._canonical_ranks``: every round re-keys every
+    atom by (rank, sorted neighbour ranks) and re-ranks densely; a stable
+    round promotes one member of the lowest tied rank."""
+    n = len(molecule.atoms)
+    neighbors = [[j for j, _ in molecule.neighbors(i)] for i in range(n)]
+    ranks = _dense_ranks([
+        (a.element, a.element_options, a.aromatic, a.charge, a.isotope or 0, a.implicit_h, len(neighbors[i]))
+        for i, a in enumerate(molecule.atoms)
+    ])
+    while len(set(ranks)) < n:
+        refined = _dense_ranks(
+            [(ranks[i], tuple(sorted([ranks[j] for j in nbrs]))) for i, nbrs in enumerate(neighbors)]
+        )
+        if refined != ranks:
+            ranks = refined
+            continue
+        target = min(r for r in set(ranks) if ranks.count(r) > 1)
+        chosen = min((i for i in range(n) if ranks[i] == target), key=lambda i: canon._promotion_key(molecule, i))
+        ranks = _dense_ranks([(ranks[i], 0 if i == chosen else 1) for i in range(n)])
+    return ranks
+
+
+def test_cell_ranks_equal_ranks_from_rescanning_every_atom():
+    rng = random.Random(30)
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    texts = (PINS_PATH.parent / "smiles_corpus.txt").read_text(encoding="utf-8").splitlines()
+    molecules = [parse_smiles(text) for text in dict.fromkeys(texts + list(pins))]
+    molecules += [random_molecule(rng, with_maps=rng.random() < 0.5) for _ in range(200)]
+    aromatic = [random_aromatic_molecule(rng, with_maps=rng.random() < 0.5) for _ in range(100)]
+    molecules += aromatic + [_kekulized(mol, rng) for mol in aromatic]
+    molecules += [permute_molecule(mol, rng) for mol in molecules]
+    molecules += [strip_atom_maps(mol) for mol in molecules]
+    for mol in molecules:
+        assert canon._canonical_ranks(mol) == _ranks_rescanning_every_atom(mol), write_smiles(mol)
 
 
 CORPUS = (Path(__file__).parent / "fixtures" / "smiles_corpus.txt").read_text(encoding="utf-8").splitlines()
@@ -312,3 +366,22 @@ class TestCanonicalText:
             has_template_atoms = any(a.is_wildcard or a.is_element_list for a in molecule.atoms)
             assert ("*" in text or "," in text) == has_template_atoms, text
         assert parsed > len(CORPUS) + 1_000
+
+    def test_a_parsed_molecule_reads_as_its_source_text_and_is_not_parsed_again(self, monkeypatch):
+        molecules = [parse_smiles(text) for text in CORPUS[::7]]
+        parses = []
+        monkeypatch.setattr(canon, "parse_smiles", lambda text: parses.append(text) or parse_smiles(text))
+        flags = [(include_maps, ignore_stereo) for include_maps in (False, True) for ignore_stereo in (False, True)]
+        for molecule in molecules:
+            for include_maps, ignore_stereo in flags:
+                expected = _uncached_text(molecule.source_text, include_maps, ignore_stereo)
+                assert canonical_text(molecule, include_maps, ignore_stereo) == expected
+                assert canonical_text(molecule.source_text, include_maps, ignore_stereo) == expected
+        assert parses == []  # the texts hit what the molecules stored
+
+    def test_a_rewritten_molecule_is_refused(self):
+        molecule = parse_smiles("[CH3:1]C=O")
+        for rewritten in (strip_atom_maps(molecule), strip_stereo(molecule), Molecule(molecule.atoms, molecule.bonds)):
+            with pytest.raises(ValueError, match="no source text"):
+                canonical_text(rewritten)
+        assert canon._CANONICAL_TEXTS == {}

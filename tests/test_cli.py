@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,7 @@ import pytest
 from helpers import run_golden_pipeline
 from loopback import ChatServer, chat_body, without_proxies
 
-from retroanchor.chem import AtomMapSet, canon, canonical_smiles, parse_smiles
+from retroanchor.chem import AtomMapSet, Molecule, canon, canonical_smiles, parse_smiles
 from retroanchor.cli import main
 from retroanchor.datasets import ingest_dataset, parse_reaction_smiles, sample_examples
 from retroanchor.gateway import ModelConfig, seed_cache
@@ -426,6 +428,39 @@ def test_input_repeating_an_id_exits_1_before_writing(pipeline, capsys, stage):
 
 
 class TestRunPosition:
+    def test_only_products_and_their_ring_normalized_copies_build_a_graph(self, tmp_path, monkeypatch):
+        """On the golden run-position, each product builds its graph at most
+        once, plus once for its ring-normalized copy when one is made; no
+        reactant or reagent builds one."""
+        paths = run_golden_pipeline(tmp_path)
+        records, _ = ingest_dataset(paths["eval"])
+        products = Counter(r.product.source_text for r in records)
+        normalized = sum(bool(canon._qualifying_six_rings(r.product)) for r in records)
+        others = {
+            m.source_text
+            for r in records
+            for side in parse_reaction_smiles(r.reaction_smiles)[:2]
+            for m in side
+        }
+        built = []
+        build = Molecule._adjacency.func
+
+        def counting(molecule):
+            built.append(molecule.source_text)
+            return build(molecule)
+
+        counted = functools.cached_property(counting)
+        counted.__set_name__(Molecule, "_adjacency")
+        monkeypatch.setattr(Molecule, "_adjacency", counted)
+        config = json.loads((paths["run_position"] / "config.json").read_text())
+        argv = ["run-position", "--input", str(paths["eval"]), "--ontology", config["ontology"]]
+        out = tmp_path / "again"
+        assert main([*argv, "--output", str(out), "--model", "golden-model", "--cache-dir", config["cache_dir"]]) == 0
+        assert len(records) == 10
+        assert Counter(t for t in built if t) == products
+        assert built.count("") == normalized
+        assert not others & set(built)
+
     def test_replay_outcomes(self, pipeline):
         seed_position(pipeline)
         out = run_position(pipeline)

@@ -273,6 +273,14 @@ class TestCanonicalMemo:
                 assert score_transition(preds, gt, ignore_stereo=ignore_stereo).reactant_acc
             assert len(calls) == len(texts) * (1 + ignore_stereo)
 
+    def test_truth_reactants_are_read_from_their_parsed_molecules(self, monkeypatch):
+        parses = []
+        monkeypatch.setattr(canon, "parse_smiles", lambda text: parses.append(text) or parse_smiles(text))
+        gt = [parse_smiles("[CH3:1][C:2](=[O:3])[OH:4]"), parse_smiles("CN")]
+        for ignore_stereo in (False, True):
+            assert score_transition([_pred(["NC", "OC(C)=O"])], gt, ignore_stereo=ignore_stereo).reactant_acc
+        assert parses == ["NC", "OC(C)=O"] * 2  # the prediction's texts, never the truth's
+
 
 GT_ACID = parse_smiles("[CH3:1][CH2:2][C:3](=[O:4])[OH:5]")
 GT_AMINE = parse_smiles("[CH3:6][NH2:7]")
