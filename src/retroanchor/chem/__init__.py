@@ -1,4 +1,4 @@
-"""Molecular graphs, SMILES I/O, canonical ordering, and substructure search."""
+"""Molecular graphs, SMILES I/O, canonical ordering, substructure search and anchor tables."""
 
 from __future__ import annotations
 
@@ -8,15 +8,15 @@ from retroanchor.chem.mol import (
     Bond,
     Molecule,
     SmilesError,
-    position_tokens,
     strip_atom_maps,
     strip_stereo,
 )
 from retroanchor.chem.smiles import parse_smiles, write_smiles
-from retroanchor.chem.canon import canonical_smiles, canonical_text
+from retroanchor.chem.canon import AnchorTable, canonical_smiles, canonical_text
 from retroanchor.chem.match import substructure_match
 
 __all__ = [
+    "AnchorTable",
     "Atom",
     "AtomMapSet",
     "Bond",
@@ -25,7 +25,6 @@ __all__ = [
     "canonical_smiles",
     "canonical_text",
     "parse_smiles",
-    "position_tokens",
     "strip_atom_maps",
     "strip_stereo",
     "substructure_match",

@@ -29,14 +29,21 @@ source text, so a miss need not parse that text again.  A hit implies
 the text parses: a bracket atom with a map parses exactly when it does
 without, and the key keeps every map the parser rejects (all zeros, or
 more than nine digits).
+
+``AnchorTable`` alone reads and writes a product's atom identifiers: an
+id is the dataset's atom map, unique in a product (ingest checks), and a
+site is ascending ``Elem:id`` tokens, aromatic atoms in lower case.  A
+reply's token resolves by id alone; its element is only information.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from itertools import groupby
 
-from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, Molecule, _atom, _bond, strip_atom_maps, strip_stereo
+from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, AtomMapSet, Molecule, _atom, _bond
+from retroanchor.chem.mol import strip_atom_maps, strip_stereo
 from retroanchor.chem.smiles import parse_smiles, write_smiles
 
 # A bracket atom's map as the parser reads one: one to nine digits, not all zeros.
@@ -69,6 +76,43 @@ def canonical_text(text: str | Molecule, include_maps: bool = False, ignore_ster
         molecule = strip_stereo(molecule) if ignore_stereo else molecule
         _CANONICAL_TEXTS[key] = canonical_smiles(molecule, include_maps)
     return _CANONICAL_TEXTS[key]
+
+
+class AnchorTable:
+    """One product's anchors: ``index`` maps each id to its atom index,
+    and ``text`` is the product's canonical text written with the ids."""
+
+    def __init__(self, product: Molecule):
+        self.product = product
+        self.index = {atom.atom_map: i for i, atom in enumerate(product.atoms) if atom.atom_map is not None}
+
+    @cached_property
+    def text(self) -> str:
+        return canonical_smiles(self.product, include_maps=True)
+
+    def tokens(self, site: AtomMapSet) -> str:
+        """``site`` as tokens such as ``"C:12 c:14"``; ValueError for an id the product lacks."""
+        missing = sorted(site.maps - self.index.keys())
+        if missing:
+            raise ValueError(f"atom maps not present in molecule: {missing}")
+        atoms = [(self.product.atoms[self.index[value]], value) for value in site.sorted()]
+        return " ".join(f"{a.element.lower() if a.aromatic else a.element}:{value}" for a, value in atoms)
+
+    def read(self, text: str) -> AtomMapSet:
+        """Tokens back to a site; ValueError for none, a malformed one or an id the product lacks."""
+        tokens = text.split()
+        if not tokens:
+            raise ValueError("empty disconnection string")
+        values = []
+        for token in tokens:
+            match = re.fullmatch(r"[A-Za-z*\[\],]*:(\d+)", token)
+            if match is None:
+                raise ValueError(f"malformed atom token {token!r}")
+            value = int(match.group(1))
+            if value not in self.index:
+                raise ValueError(f"atom map {value} does not resolve against the product")
+            values.append(value)
+        return AtomMapSet.of(values)
 
 
 def _normalize_alternating_rings(molecule: Molecule) -> Molecule:

@@ -184,14 +184,6 @@ class Molecule:
         key = (a, b) if a < b else (b, a)
         return self._bond_lookup.get(key)
 
-    def atom_map_index(self) -> dict[int, int]:
-        """Mapping of atom-map value to atom index; first atom wins on duplicates."""
-        index: dict[int, int] = {}
-        for i, atom in enumerate(self.atoms):
-            if atom.atom_map is not None and atom.atom_map not in index:
-                index[atom.atom_map] = i
-        return index
-
     def atom_maps(self) -> set[int]:
         return {a.atom_map for a in self.atoms if a.atom_map is not None}
 
@@ -228,25 +220,6 @@ class AtomMapSet:
 
     def sorted(self) -> list[int]:
         return sorted(self.maps)
-
-
-def position_tokens(molecule: Molecule, maps: AtomMapSet) -> str:
-    """Render a map set as space-separated ``Elem:map`` tokens.
-
-    Tokens come in ascending map order and keep the aromatic case of the
-    source atom, e.g. ``"C:12 N:14"`` or ``"c:18"``.  Raises ValueError
-    when any map value does not resolve.
-    """
-    index = molecule.atom_map_index()
-    missing = sorted(maps.maps - index.keys())
-    if missing:
-        raise ValueError(f"atom maps not present in molecule: {missing}")
-    tokens = []
-    for value in maps.sorted():
-        atom = molecule.atoms[index[value]]
-        symbol = atom.element.lower() if atom.aromatic else atom.element
-        tokens.append(f"{symbol}:{value}")
-    return " ".join(tokens)
 
 
 def strip_atom_maps(molecule: Molecule) -> Molecule:

@@ -49,10 +49,14 @@ class ReactionRecord:
     @cached_property
     def _molecules(self) -> tuple[tuple[Molecule, ...], Molecule]:
         """Reactants and product, parsed with the reagents; ValueError for
-        malformed SMILES or a product atom map on two reactant atoms."""
+        malformed SMILES or a product atom map on two atoms of either side."""
         reactants, _reagents, product = parse_reaction_smiles(self.reaction_smiles)
+        product_maps = Counter(atom.atom_map for atom in product.atoms if atom.atom_map is not None)
+        repeated = sorted(m for m, n in product_maps.items() if n > 1)
+        if repeated:
+            raise ValueError(f"product repeats atom maps: {repeated}")
         reactant_maps = Counter(atom.atom_map for molecule in reactants for atom in molecule.atoms)
-        duplicated = sorted(m for m in product.atom_maps() if reactant_maps[m] > 1)
+        duplicated = sorted(m for m in product_maps if reactant_maps[m] > 1)
         if duplicated:
             raise ValueError(f"product atom maps appear on multiple reactant atoms: {duplicated}")
         return tuple(reactants), product

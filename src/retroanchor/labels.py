@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from retroanchor.chem import AtomMapSet, Molecule
+from retroanchor.chem import AnchorTable, AtomMapSet
 from retroanchor.datasets import ReactionRecord
 
 CONNECTIVITY = "connectivity"
@@ -34,7 +34,7 @@ def extract_structural_label(record: ReactionRecord) -> StructuralLabel:
     records from evaluation sets.
     """
     product = record.product
-    product_map_to_idx = product.atom_map_index()
+    product_map_to_idx = AnchorTable(product).index
 
     # map value -> (reactant molecule position, atom index)
     reactant_map_to_loc: dict[int, tuple[int, int]] = {}

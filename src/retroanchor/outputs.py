@@ -14,7 +14,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import get_args, get_type_hints
 
-from retroanchor.chem import AtomMapSet, Molecule, SmilesError, canonical_text
+from retroanchor.chem import AnchorTable, AtomMapSet, Molecule, SmilesError, canonical_text
 from retroanchor.datasets import Ontology
 from retroanchor.utils import normalize_name
 
@@ -112,28 +112,6 @@ def extract_json_object(raw: str) -> dict | None:
     return None
 
 
-def parse_center_tokens(text: str, product: Molecule) -> AtomMapSet:
-    """Space-separated ``Elem:map`` tokens into a resolved map set.
-
-    The element prefix is informational; resolution is by map value only.
-    Raises ValueError on malformed tokens or maps absent from product.
-    """
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty disconnection string")
-    product_maps = product.atom_maps()
-    values: list[int] = []
-    for token in tokens:
-        match = re.fullmatch(r"[A-Za-z*\[\],]*:(\d+)", token)
-        if match is None:
-            raise ValueError(f"malformed atom token {token!r}")
-        value = int(match.group(1))
-        if value not in product_maps:
-            raise ValueError(f"atom map {value} does not resolve against the product")
-        values.append(value)
-    return AtomMapSet.of(values)
-
-
 def _drop(entry, reason: str) -> dict:
     try:
         fragment = json.dumps(entry, default=str)
@@ -172,7 +150,7 @@ def _parse_items(raw: str, root: str, items: Callable[..., Iterator], *args) -> 
     return ParseOutcome(ok=tuple(ok), dropped=tuple(dropped), failure_class=None if ok else ALL_ITEMS_INVALID)
 
 
-def _position_items(entries: list, product: Molecule, ontology: Ontology) -> Iterator:
+def _position_items(entries: list, anchors: AnchorTable, ontology: Ontology) -> Iterator:
     seen: set[tuple[frozenset, str]] = set()
     for entry in entries:
         if not isinstance(entry, dict):
@@ -183,7 +161,7 @@ def _position_items(entries: list, product: Molecule, ontology: Ontology) -> Ite
             yield _drop(entry, "missing disconnection string")
             continue
         try:
-            s = parse_center_tokens(text, product)
+            s = anchors.read(text)
         except ValueError as exc:
             yield _drop(entry, str(exc))
             continue
@@ -231,7 +209,7 @@ def _position_items(entries: list, product: Molecule, ontology: Ontology) -> Ite
 
 def parse_position_output(raw: str, product: Molecule, ontology: Ontology) -> ParseOutcome:
     """Validate the disconnection-stage payload against the product."""
-    return _parse_items(raw, "disconnections", _position_items, product, ontology)
+    return _parse_items(raw, "disconnections", _position_items, AnchorTable(product), ontology)
 
 
 def _canonical_reactants(texts: list[str], is_template: bool) -> tuple[str, ...] | str:

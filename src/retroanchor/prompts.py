@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from retroanchor.chem import AtomMapSet, Molecule, canonical_smiles, position_tokens
+from retroanchor.chem import AnchorTable, AtomMapSet, Molecule
 from retroanchor.datasets import Ontology
 
 # The transition template each prompt variant renders from.
@@ -88,7 +88,8 @@ def render_position_prompt(
     template: PromptTemplate,
 ) -> RenderedPrompt:
     """Fill the disconnection-stage prompt for one mapped product."""
-    if not product.atom_maps():
+    anchors = AnchorTable(product)
+    if not anchors.index:
         raise ValueError("product has no atom maps")
     if len(ontology) == 0:
         raise ValueError("ontology is empty")
@@ -96,7 +97,7 @@ def render_position_prompt(
         raise ValueError(f"expected position template, got {template.name!r}")
     values = {
         "<reaction_ontology>": ontology.prompt_block,
-        "<canonicalized_product>": canonical_smiles(product, include_maps=True),
+        "<canonicalized_product>": anchors.text,
     }
     return _render(template, values, example_count=0)
 
@@ -118,11 +119,11 @@ def render_transition_prompt(
         raise ValueError("empty disconnection set")
     if template.name != name:
         raise ValueError(f"expected {name} template, got {template.name!r}")
-    tokens = position_tokens(product, s)
+    anchors = AnchorTable(product)
     values = {
-        "<REACTION_POSITION>": json.dumps(tokens),
+        "<REACTION_POSITION>": json.dumps(anchors.tokens(s)),
         "<REACTION_NAME>": json.dumps(reaction_name) if reaction_name else "null",
-        "<PRODUCT_SMILES>": json.dumps(canonical_smiles(product, include_maps=True)),
+        "<PRODUCT_SMILES>": json.dumps(anchors.text),
         "<TRAIN_REACTION_EXAMPLES>": json.dumps(list(examples), indent=2),
     }
     return _render(template, values, example_count=len(examples))

@@ -141,6 +141,8 @@ MISSING = "<missing>"
 
 # A product map that two reactant atoms carry: no injection.
 DUPLICATE_MAP_SMILES = "[CH3:1]O.[CH3:1]N>>[CH3:1]O"
+# Two product atoms carry map 1, so an anchor id would name either.
+REPEATED_MAP_SMILES = "[CH3:1][OH:2].[CH3:3]Br>>[CH3:1][O:2][CH3:1]"
 
 
 def _with_malformed(rows: list[dict], names=("Branch fault", "Map fault")) -> list[dict]:
@@ -1071,14 +1073,18 @@ class TestMalformedMolecules:
     not parse or whose maps are no injection."""
 
     def test_label_rejects_both(self, tmp_path, capsys):
+        """Both malformed rows, and a row whose product repeats a map."""
         source, out = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl"
-        write_jsonl(source, _with_malformed(TRAIN_ROWS + TEST_ROWS))
+        repeated = dict(TEST_ROWS[0], id="x3", reaction_smiles=REPEATED_MAP_SMILES)
+        rows = _with_malformed(TRAIN_ROWS + TEST_ROWS) + [repeated]
+        write_jsonl(source, rows)
         assert main(["label", "--input", str(source), "--output", str(out)]) == 0
-        assert "(2 rejected)" in capsys.readouterr().out
+        assert "(3 rejected)" in capsys.readouterr().out
         assert [r["id"] for r in read_jsonl(out)] == [r["id"] for r in TRAIN_ROWS + TEST_ROWS]
         assert read_jsonl(tmp_path / "labeled.rejects.jsonl") == [
             {"row": 2, "id": "x1", "error": "unclosed branch (at position 33)"},
             {"row": 4, "id": "x2", "error": "product atom maps appear on multiple reactant atoms: [1]"},
+            {"row": len(rows), "id": "x3", "error": "product repeats atom maps: [1]"},
         ]
 
     def test_ontology_counts_their_names(self, tmp_path, capsys):
@@ -1377,6 +1383,7 @@ class TestEvaluate:
                 for case, smiles, message in (
                     ("unclosed-branch", TEST_ROWS[0]["reaction_smiles"] + "(", "unclosed branch (at position 33)"),
                     ("duplicate-map", DUPLICATE_MAP_SMILES, "product atom maps appear on multiple reactant atoms: [1]"),
+                    ("repeated-product-map", REPEATED_MAP_SMILES, "product repeats atom maps: [1]"),
                 )
             ),
         ],
@@ -1608,6 +1615,34 @@ def test_package_imports_only_stdlib():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+def _anchor_reads(source: str) -> list[str]:
+    """Calls in ``source`` that read or write a product's atom ids
+    without the anchor table."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        include_maps = [k.value for k in node.keywords if k.arg == "include_maps"] + node.args[1:]
+        with_maps = any(not (isinstance(v, ast.Constant) and v.value is False) for v in include_maps)
+        if called in ("atom_maps", "atom_map_index") or (called == "canonical_smiles" and with_maps):
+            found.append(f"{node.lineno}: {called}")
+    return found
+
+
+def test_only_the_anchor_table_reads_atom_ids():
+    """``prompts``, ``outputs`` and ``labels`` reach a product's atom ids
+    only through ``AnchorTable``: none calls ``atom_maps``,
+    ``atom_map_index`` or ``canonical_smiles`` with maps."""
+    probe = "p.atom_maps()\nm.atom_map_index()\ncanonical_smiles(p, include_maps=True)\ncanonical_smiles(p, True)\n"
+    assert len(_anchor_reads(probe)) == 4
+    assert _anchor_reads("canonical_smiles(p)\ncanonical_smiles(p, include_maps=False)\n") == []
+    package = Path(__file__).resolve().parent.parent / "src" / "retroanchor"
+    names = ("prompts.py", "outputs.py", "labels.py")
+    found = {name: _anchor_reads((package / name).read_text(encoding="utf-8")) for name in names}
+    assert found == dict.fromkeys(names, [])
 
 
 # Replies the loopback server gives each run stage: one ok answer apiece.

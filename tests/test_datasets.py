@@ -81,6 +81,12 @@ class TestRecordFromRow:
         with pytest.raises(ValueError, match="multiple reactant atoms"):
             record_from_row(row)
 
+    def test_repeated_product_map_rejected(self):
+        # Two product atoms would share the anchor id 1.
+        row = _row("r1", smiles="[CH3:1][OH:2].[CH3:3]Br>>[CH3:1][O:2][CH3:1]")
+        with pytest.raises(ValueError, match=r"^product repeats atom maps: \[1\]$"):
+            record_from_row(row)
+
     def test_duplicate_map_outside_product_is_tolerated(self):
         row = _row("r1", smiles="[CH3:9]O.[CH3:9]N>>[CH3:1]O")
         record = record_from_row(row)

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from retroanchor.datasets import record_from_row
+from retroanchor.chem import AnchorTable, parse_smiles
+from retroanchor.datasets import ingest_dataset, record_from_row
 from retroanchor.labels import extract_structural_label
 
-from helpers import label_oracle, random_labeled_reaction
+from helpers import golden_fixture_dir, label_oracle, random_labeled_reaction
 
 
 def _record(reaction_smiles: str):
@@ -131,3 +132,40 @@ class TestOracleAgreement:
             ordered = label.maps.sorted()
             assert ordered == sorted(set(ordered))
             assert len(ordered) == len(label.maps.maps)
+
+
+def _labeled_products():
+    """(anchor table, label) of 300 synthetic reactions and every golden row."""
+    rng = random.Random(2131)
+    records = [random_labeled_reaction(rng)[0] for _ in range(300)]
+    for name in ("eval_raw.jsonl", "train.jsonl"):
+        golden, rejects = ingest_dataset(golden_fixture_dir() / name)
+        assert not rejects
+        records += golden
+    return [(AnchorTable(r.product), extract_structural_label(r).maps) for r in records]
+
+
+class TestAnchorRoundTrip:
+    """The anchor table reads back the ids it writes."""
+
+    def test_written_tokens_read_back_as_the_label(self):
+        checked = 0
+        for anchors, label in _labeled_products():
+            if label.maps:
+                assert anchors.read(anchors.tokens(label)) == label
+                checked += 1
+        assert checked > 200
+
+    def test_text_names_each_id_once(self):
+        for anchors, _ in _labeled_products():
+            written = [a.atom_map for a in parse_smiles(anchors.text).atoms if a.atom_map is not None]
+            assert sorted(written) == sorted(anchors.index)
+
+    def test_element_prefix_is_information_only(self):
+        rng = random.Random(2132)
+        for anchors, label in _labeled_products():
+            if not label.maps:
+                continue
+            tokens = anchors.tokens(label).split()
+            respelled = [rng.choice(("", "C", "n", "Br", "*", "[Cl,Br]")) + t[t.index(":"):] for t in tokens]
+            assert anchors.read(" ".join(respelled)) == label

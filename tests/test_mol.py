@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
-from retroanchor.chem import AtomMapSet, parse_smiles, position_tokens
+from retroanchor.chem import AnchorTable, AtomMapSet, parse_smiles
 from retroanchor.chem.mol import implicit_hydrogens
 
 
@@ -38,20 +38,21 @@ def test_implicit_hydrogens(element, aromatic, order_sum, expected):
 
 def test_atom_map_index_and_resolution():
     mol = parse_smiles("[CH3:7][C:2](=[O:3])[NH:4][CH3:5]")
-    index = mol.atom_map_index()
-    assert [mol.atoms[index[m]].atom_map for m in (2, 4)] == [2, 4]
+    anchors = AnchorTable(mol)
+    assert [mol.atoms[anchors.index[m]].atom_map for m in (2, 4)] == [2, 4]
     # Each map resolves to its own atom, in ascending map order.
-    assert position_tokens(mol, AtomMapSet.of([4, 2])) == "C:2 N:4"
+    assert anchors.tokens(AtomMapSet.of([4, 2])) == "C:2 N:4"
     with pytest.raises(ValueError, match=r"not present in molecule: \[99, 100\]$"):
-        position_tokens(mol, AtomMapSet.of([2, 100, 99]))
+        anchors.tokens(AtomMapSet.of([2, 100, 99]))
 
 
 def test_position_tokens_ascending_and_aromatic_case():
     mol = parse_smiles("[CH3:12][C:3](=[O:9])[NH:14][c:2]1[cH:1][cH:6][cH:7][cH:8][cH:10]1")
-    assert position_tokens(mol, AtomMapSet.of([14, 3])) == "C:3 N:14"
-    assert position_tokens(mol, AtomMapSet.of([2])) == "c:2"
+    anchors = AnchorTable(mol)
+    assert anchors.tokens(AtomMapSet.of([14, 3])) == "C:3 N:14"
+    assert anchors.tokens(AtomMapSet.of([2])) == "c:2"
     with pytest.raises(ValueError, match=r"not present in molecule: \[404\]$"):
-        position_tokens(mol, AtomMapSet.of([3, 404]))
+        anchors.tokens(AtomMapSet.of([3, 404]))
 
 
 def test_components():

@@ -10,7 +10,7 @@ import pytest
 from test_cli import HUB_SMILES
 
 from retroanchor import outputs
-from retroanchor.chem import canonical_smiles, parse_smiles
+from retroanchor.chem import AnchorTable, canonical_smiles, parse_smiles
 from retroanchor.datasets import Ontology, OntologyEntry
 from retroanchor.outputs import (
     ALL_ITEMS_INVALID,
@@ -18,7 +18,6 @@ from retroanchor.outputs import (
     SCHEMA_VIOLATION,
     ParseOutcome,
     extract_json_object,
-    parse_center_tokens,
     parse_position_output,
     parse_transition_output,
 )
@@ -122,22 +121,24 @@ class TestExtractJsonObject:
 
 
 class TestParseCenterTokens:
+    """A reply's ``Elem:id`` tokens, read back through the product's anchor table."""
+
     def test_mixed_case_tokens(self):
         product = parse_smiles("[cH:18]1[cH:19][cH:20][cH:21][cH:22][c:23]1[N:17]")
-        s = parse_center_tokens("N:17 c:18", product)
+        s = AnchorTable(product).read("N:17 c:18")
         assert s.sorted() == [17, 18]
 
     def test_malformed_token_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
-            parse_center_tokens("C12", PRODUCT)
+            AnchorTable(PRODUCT).read("C12")
 
     def test_unresolvable_map_rejected(self):
         with pytest.raises(ValueError, match="99"):
-            parse_center_tokens("C:99", PRODUCT)
+            AnchorTable(PRODUCT).read("C:99")
 
     def test_empty_string_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            parse_center_tokens("   ", PRODUCT)
+            AnchorTable(PRODUCT).read("   ")
 
 
 class TestParsePositionOutput:
