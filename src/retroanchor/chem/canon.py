@@ -92,10 +92,10 @@ class AnchorTable:
 
     def tokens(self, site: AtomMapSet) -> str:
         """``site`` as tokens such as ``"C:12 c:14"``; ValueError for an id the product lacks."""
-        missing = sorted(site.maps - self.index.keys())
+        missing = sorted(site - self.index.keys())
         if missing:
             raise ValueError(f"atom maps not present in molecule: {missing}")
-        atoms = [(self.product.atoms[self.index[value]], value) for value in site.sorted()]
+        atoms = [(self.product.atoms[self.index[value]], value) for value in sorted(site)]
         return " ".join(f"{a.element.lower() if a.aromatic else a.element}:{value}" for a, value in atoms)
 
     def read(self, text: str) -> AtomMapSet:

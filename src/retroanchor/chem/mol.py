@@ -16,7 +16,7 @@ first read, so one parsed only to validate a row never builds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
@@ -208,18 +208,14 @@ class Molecule:
         return components
 
 
-@dataclass(frozen=True)
-class AtomMapSet:
+class AtomMapSet(frozenset):
     """A set of atom-map values naming a disconnection site."""
 
-    maps: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ()
 
     @classmethod
     def of(cls, values: Iterable[int]) -> "AtomMapSet":
-        return cls(frozenset(int(v) for v in values))
-
-    def sorted(self) -> list[int]:
-        return sorted(self.maps)
+        return cls(int(v) for v in values)
 
 
 def strip_atom_maps(molecule: Molecule) -> Molecule:

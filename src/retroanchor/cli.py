@@ -65,12 +65,10 @@ def _record_label(record: ReactionRecord) -> tuple[AtomMapSet, str]:
         raise ValueError(f"label_maps/label_kind: {exc}") from exc
 
 
-def _ingest(path: Path, parse: bool = True) -> tuple[list[ReactionRecord], list[dict]]:
-    from retroanchor.datasets import DatasetError, ingest_dataset
-    try:
-        return ingest_dataset(path, parse)
-    except DatasetError as exc:
-        raise CliError(str(exc)) from exc
+def _check_jsonl_output(path: Path) -> None:
+    """CliError for a ``.csv`` output: every reader takes that suffix for CSV."""
+    if path.suffix.lower() == ".csv":
+        raise CliError(f"--output {path}: this stage writes JSON lines, not CSV")
 
 
 def _by_id(records: list[ReactionRecord], where: object) -> dict[str, ReactionRecord]:
@@ -115,14 +113,16 @@ def _sha256_file(path: Path) -> str:
 
 
 def cmd_label(args) -> int:
+    from retroanchor.datasets import ingest_dataset
     from retroanchor.labels import extract_structural_label
     from retroanchor.utils import write_jsonl
-    records, rejects = _ingest(args.input)
+    _check_jsonl_output(args.output)
+    records, rejects = ingest_dataset(args.input)
     rows = []
     for record in records:
         label = extract_structural_label(record)
         row = _record_to_row(record)
-        row["label_maps"] = label.maps.sorted()
+        row["label_maps"] = sorted(label.maps)
         row["label_kind"] = label.kind
         rows.append(row)
     write_jsonl(args.output, rows)
@@ -136,13 +136,10 @@ def cmd_label(args) -> int:
 
 
 def cmd_ontology(args) -> int:
-    from retroanchor.datasets import build_ontology
+    from retroanchor.datasets import build_ontology, ingest_dataset
     from retroanchor.utils import atomic_write_text, stable_json_dumps
-    records, rejects = _ingest(args.input, parse=False)
-    try:
-        ontology = build_ontology(records, args.split)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    records, rejects = ingest_dataset(args.input, parse=False)
+    ontology = build_ontology(records, args.split)
     payload = {"source_split": args.split, "entries": ontology.to_json_obj()}
     atomic_write_text(args.output, stable_json_dumps(payload))
     print(f"ontology of {len(ontology)} reaction names ({len(rejects)} rows rejected) -> {args.output}")
@@ -153,18 +150,18 @@ def cmd_ontology(args) -> int:
 
 
 def cmd_subsample(args) -> int:
-    from retroanchor.datasets import subsample_eval_set
+    from retroanchor.datasets import ingest_dataset, subsample_eval_set
     from retroanchor.utils import write_jsonl
-    records, rejects = _ingest(args.input, parse=False)
+    if args.cap < 1:
+        raise CliError("--cap must be at least 1")
+    _check_jsonl_output(args.output)
+    records, rejects = ingest_dataset(args.input, parse=False)
     _by_id(records, args.input)
     if args.split is not None:
         records = [r for r in records if r.split == args.split]
     usable = [r for r in records if r.extra.get("label_kind") != "empty"]
     dropped_empty = len(records) - len(usable)
-    try:
-        chosen = subsample_eval_set(usable, args.cap, args.unclassified_label, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    chosen = subsample_eval_set(usable, args.cap, args.unclassified_label, args.seed)
     write_jsonl(args.output, [_record_to_row(r) for r in chosen])
     print(
         f"subsampled {len(chosen)} of {len(usable)} rows "
@@ -266,9 +263,10 @@ def _execute_run(
 
 
 def cmd_run_position(args) -> int:
+    from retroanchor.datasets import ingest_dataset
     from retroanchor.outputs import parse_position_output, to_row
     from retroanchor.prompts import render_position_prompt
-    records, rejects = _ingest(args.input)
+    records, rejects = ingest_dataset(args.input)
     _by_id(records, args.input)
     ontology = _load_ontology(args.ontology)
     if len(ontology) == 0:
@@ -290,14 +288,14 @@ def cmd_run_position(args) -> int:
 
 
 def cmd_run_transition(args) -> int:
-    from retroanchor.datasets import sample_examples
+    from retroanchor.datasets import ingest_dataset, sample_examples
     from retroanchor.outputs import parse_transition_output, to_row
     from retroanchor.prompts import TRANSITION_TEMPLATES, render_transition_prompt
     if args.examples_k < 0:
         raise CliError("--examples-k must be at least 0")
-    records, rejects = _ingest(args.input)
+    records, rejects = ingest_dataset(args.input)
     _by_id(records, args.input)
-    train_records, train_rejects = _ingest(args.train, parse=False)
+    train_records, train_rejects = ingest_dataset(args.train, parse=False)
     template = _load_template(TRANSITION_TEMPLATES[args.prompt_variant])
     # Only rows under a name an input row carries can be drawn, so only
     # they are parsed; one that fails leaves its pool as at ingest.
@@ -354,6 +352,7 @@ def _items_from_row(row: dict, key: str, cls: type) -> list:
 
 def cmd_evaluate(args) -> int:
     from retroanchor.chem import AtomMapSet, SmilesError
+    from retroanchor.datasets import ingest_dataset
     from retroanchor.metrics import GroundTruthError, aggregate, score_position, score_transition, write_report
     from retroanchor.outputs import DisconnectionCandidate, TransitionPrediction
     from retroanchor.utils import read_jsonl
@@ -373,7 +372,7 @@ def cmd_evaluate(args) -> int:
         raise CliError(f"{args.run} holds no outcomes to evaluate")
 
     # A position run reads only ids, names and label columns of the truth.
-    records, _rejects = _ingest(args.input, parse=stage == "transition")
+    records, _rejects = ingest_dataset(args.input, parse=stage == "transition")
     by_id = _by_id(records, "ground truth file")
 
     def score_position_row(row: dict, record: ReactionRecord):
@@ -385,7 +384,7 @@ def cmd_evaluate(args) -> int:
                 s_gt, _kind = _record_label(record)
             except ValueError as exc:
                 raise CliError(f"example {record.record_id} has a malformed label: {exc}") from exc
-            if not s_gt.maps:
+            if not s_gt:
                 raise CliError(f"example {record.record_id} has an empty disconnection label")
         cands = _items_from_row(row, "candidates", DisconnectionCandidate)
         return score_position(cands, s_gt, record.reaction_name, record.reaction_class)
@@ -495,9 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    from retroanchor.datasets import DatasetError
     try:
         return args.func(args)
-    except (CliError, OSError) as exc:
+    except (CliError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ REQUIRED_COLUMNS = ("id", "reaction_smiles", "reaction_name", "reaction_class", 
 
 
 class DatasetError(ValueError):
-    """File-level dataset fault: unreadable file, missing columns, malformed line."""
+    """File-level dataset fault: unreadable file, missing columns, malformed line, empty split."""
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def build_ontology(records: list[ReactionRecord], split: str) -> Ontology:
     result is a pure function of the record set, whatever its order.
     """
     if not any(r.split == split for r in records):
-        raise ValueError(f"no records in split {split!r}")
+        raise DatasetError(f"no records in split {split!r}")
     tallies: dict[str, tuple[Counter, Counter]] = {}
     for record in records:
         if record.split == split and record.reaction_name:

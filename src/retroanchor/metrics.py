@@ -113,12 +113,12 @@ def score_position(
             n_predictions=0,
             failed=True,
         ), ConfusionLabel(class_gt, name_gt, None, None)
-    if not s_gt.maps:
+    if not s_gt:
         raise ValueError("ground-truth disconnection set is empty")
-    similarities = [jaccard(c.s.maps, s_gt.maps) for c in cands]
+    similarities = [jaccard(c.s, s_gt) for c in cands]
     best = max(similarities)
     best_cands = [c for c, sim in zip(cands, similarities) if sim == best]
-    partial = any(c.s.maps & s_gt.maps for c in cands)
+    partial = any(c.s & s_gt for c in cands)
     reaction_match = None
     reaction_match_in_ontology = None
     if partial:

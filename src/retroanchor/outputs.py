@@ -90,7 +90,7 @@ _FIELD_READERS = {
 
 def to_row(item: DisconnectionCandidate | TransitionPrediction) -> dict:
     """An item's ``outcomes.jsonl`` row: its fields, a map set as its sorted list."""
-    return {k: v.sorted() if isinstance(v, AtomMapSet) else v for k, v in vars(item).items()}
+    return {k: sorted(v) if isinstance(v, AtomMapSet) else v for k, v in vars(item).items()}
 
 
 def from_row(cls, row: dict):
@@ -189,7 +189,7 @@ def _position_items(entries: list, anchors: AnchorTable, ontology: Ontology) -> 
             if wrong:
                 yield _drop(reaction, f"{wrong} is not a string")
                 continue
-            key = (s.maps, normalize_name(name))
+            key = (s, normalize_name(name))
             if key in seen:
                 yield _drop(reaction, "duplicate site/reaction pair")
                 continue

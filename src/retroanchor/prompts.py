@@ -115,7 +115,7 @@ def render_transition_prompt(
     name = TRANSITION_TEMPLATES.get(variant)
     if name is None:
         raise ValueError(f"variant must be 'full' or 'short', got {variant!r}")
-    if not s.maps:
+    if not s:
         raise ValueError("empty disconnection set")
     if template.name != name:
         raise ValueError(f"expected {name} template, got {template.name!r}")

@@ -25,12 +25,13 @@ def stable_json_dumps(value: Any) -> str:
 
 def atomic_write_text(path: Path | str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never observe
-    a partially written file."""
+    a partially written file.  A lone surrogate, which ``json.loads`` makes
+    of a ``\\ud800`` escape, is written as that escape."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", errors="backslashreplace", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:

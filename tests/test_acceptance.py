@@ -102,7 +102,7 @@ def test_criterion_3_label_oracle_equivalence():
         label = extract_structural_label(record)
         oracle_maps, oracle_kind = label_oracle(record)
 
-        assert set(label.maps.maps) == oracle_maps == expected_maps
+        assert label.maps == oracle_maps == expected_maps
         assert label.kind == oracle_kind == expected_kind
 
         connectivity, order_changed = label_oracle_parts(record)

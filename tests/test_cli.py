@@ -396,16 +396,13 @@ class TestSubsample:
         )
         assert again.read_bytes() == pipeline["eval"].read_bytes()
 
-    def test_cap_below_one_errors(self, pipeline):
-        code = main(
-            [
-                "subsample",
-                "--input", str(pipeline["labeled"]),
-                "--cap", "0",
-                "--output", str(pipeline["root"] / "x.jsonl"),
-            ]
-        )
-        assert code == 1
+    def test_cap_below_one_errors(self, pipeline, capsys):
+        # Checked before anything is read: the input need not exist.
+        out = pipeline["root"] / "x.jsonl"
+        argv = ["subsample", "--input", str(pipeline["root"] / "absent.jsonl"), "--cap", "0", "--output", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --cap must be at least 1\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["subsample", "run-position", "run-transition"])
@@ -1514,6 +1511,67 @@ class TestDeterminism:
                 }
             )
         assert outputs[0] == outputs[1]
+
+
+# ``json.loads`` reads a ``\ud800`` escape as a lone surrogate, which no UTF-8 text holds.
+LONE = "\ud800"
+
+
+class TestLoneSurrogate:
+    """A lone surrogate in a reply or a row is written as its escape,
+    which reads back as the same string."""
+
+    def test_position_reply_rationale(self, pipeline):
+        reply = json.dumps({"disconnections": [{"disconnection": "N:2 C:4", "reactions": [
+            {"forwardReaction": "Amide coupling", "Retrosynthesis Importance": 4, "Priority": 1,
+             "rationale": LONE}]}]})
+        seed_position(pipeline, (("e1", reply),))
+        out = run_position(pipeline)
+        again = run_position(pipeline, "run_pos_again")
+        assert _outcome(out, "e1")["candidates"][0]["rationale"] == LONE
+        assert b'"rationale": "\\ud800"' in (out / "outcomes.jsonl").read_bytes()
+        assert (again / "outcomes.jsonl").read_bytes() == (out / "outcomes.jsonl").read_bytes()
+        assert main(["evaluate", "--run", str(out), "--input", str(pipeline["eval"])]) == 0
+
+    def test_transition_reply_reasoning(self, pipeline):
+        reply = json.dumps({"reaction_analysis": [{"forward_reaction_name": "Amide coupling", "reactant_permutations": [
+            {"reactants": ["CC(=O)O", "CN"], "is_valid": True, "is_template": False, "reasoning": LONE}]}]})
+        seed_transition(pipeline, (("e1", reply),))
+        out = run_transition(pipeline)
+        assert _outcome(out, "e1")["predictions"][0]["reasoning"] == LONE
+        assert main(["evaluate", "--run", str(out), "--input", str(pipeline["eval"])]) == 0
+
+    def test_live_reply_is_cached_and_replayed(self, pipeline, monkeypatch):
+        without_proxies(monkeypatch)
+        monkeypatch.setenv("RETROANCHOR_API_KEY", "k")
+        text = POSITION_TEXT_E1 + LONE
+        with ChatServer(lambda request: (200, chat_body(text), {})) as server:
+            out = run_live(pipeline, "position", server.endpoint, "live")
+        digest = _outcome(out, "e1")["digest"]
+        assert json.loads((out / "cache" / f"{digest}.json").read_text())["text"] == text
+        replay = pipeline["root"] / "replay"
+        argv = [*live_argv(pipeline, "position", server.endpoint, replay), "--backend", "replay",
+                "--cache-dir", str(out / "cache")]
+        assert main(argv) == 0
+        assert (replay / "outcomes.jsonl").read_bytes() == (out / "outcomes.jsonl").read_bytes()
+
+    def test_label_and_ontology_keep_a_row_name(self, tmp_path):
+        raw, labeled, ontology = tmp_path / "raw.jsonl", tmp_path / "labeled.jsonl", tmp_path / "ontology.json"
+        raw.write_text("".join(json.dumps(dict(row, reaction_name="x" + LONE)) + "\n" for row in TRAIN_ROWS))
+        assert main(["label", "--input", str(raw), "--output", str(labeled)]) == 0
+        assert {row["reaction_name"] for row in read_jsonl(labeled)} == {"x" + LONE}
+        assert main(["ontology", "--input", str(labeled), "--split", "train", "--output", str(ontology)]) == 0
+        assert [e["id"] for e in json.loads(ontology.read_text())["entries"]] == ["x" + LONE]
+
+
+@pytest.mark.parametrize("stage,name", [("label", "lab.csv"), ("subsample", "eval.CSV")])
+def test_csv_output_exits_1_before_reading(tmp_path, capsys, stage, name):
+    """Both stages write JSON lines, and every reader takes a ``.csv``
+    suffix, in any case, for CSV."""
+    out = tmp_path / name
+    assert main([stage, "--input", str(tmp_path / "absent.jsonl"), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --output {out}: this stage writes JSON lines, not CSV\n"
+    assert not out.exists()
 
 
 class TestParser:

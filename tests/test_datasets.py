@@ -58,6 +58,10 @@ class TestParseReactionSmiles:
         with pytest.raises(ValueError, match="no reactants"):
             parse_reaction_smiles(">>CC")
 
+    def test_rejects_missing_product(self):
+        with pytest.raises(ValueError, match="^reaction has no product$"):
+            parse_reaction_smiles("CC>>")
+
 
 class TestRecordFromRow:
     def test_passthrough_fields_and_extra(self):
@@ -124,6 +128,12 @@ class TestIngest:
         path = tmp_path / "data.csv"
         path.write_text("id,reaction_smiles\na,CC>>CC\n")
         with pytest.raises(DatasetError, match="missing columns"):
+            ingest_dataset(path)
+
+    def test_empty_csv_is_file_level_fault(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(DatasetError, match="empty CSV file"):
             ingest_dataset(path)
 
     def test_unreadable_file_is_file_level_fault(self, tmp_path):
@@ -194,7 +204,7 @@ class TestOntology:
         assert [e.id for e in ontology.entries] == ["Ester"]
 
     def test_empty_split_raises(self):
-        with pytest.raises(ValueError, match="no records in split"):
+        with pytest.raises(DatasetError, match="no records in split"):
             build_ontology([_record("1")], "eval")
 
     def test_json_roundtrip(self):

@@ -27,7 +27,7 @@ def _record(reaction_smiles: str):
 
 def _label(reaction_smiles: str):
     label = extract_structural_label(_record(reaction_smiles))
-    return set(label.maps.maps), label.kind
+    return set(label.maps), label.kind
 
 
 class TestHandCases:
@@ -46,6 +46,11 @@ class TestHandCases:
 
     def test_mapped_vanishing_atom_marks_surviving_partner_only(self):
         maps, kind = _label("CC(C)(C)OC(=O)[NH:1][CH3:2]>>[NH2:1][CH3:2]")
+        assert maps == {1}
+        assert kind == "connectivity"
+
+    def test_product_bond_to_an_atom_no_reactant_maps_is_skipped(self):
+        maps, kind = _label("[CH3:1]Br>>[CH3:1][OH:2]")
         assert maps == {1}
         assert kind == "connectivity"
 
@@ -119,7 +124,7 @@ class TestOracleAgreement:
             oracle_maps, oracle_kind = label_oracle(record)
             assert oracle_maps == expected_maps
             assert oracle_kind == expected_kind
-            assert set(label.maps.maps) == expected_maps
+            assert label.maps == expected_maps
             assert label.kind == expected_kind
             kinds.add(expected_kind)
         assert kinds == {"connectivity", "bond_order", "empty"}
@@ -129,9 +134,9 @@ class TestOracleAgreement:
         for _ in range(50):
             record, _, _ = random_labeled_reaction(rng)
             label = extract_structural_label(record)
-            ordered = label.maps.sorted()
+            ordered = sorted(label.maps)
             assert ordered == sorted(set(ordered))
-            assert len(ordered) == len(label.maps.maps)
+            assert len(ordered) == len(label.maps)
 
 
 def _labeled_products():
@@ -151,7 +156,7 @@ class TestAnchorRoundTrip:
     def test_written_tokens_read_back_as_the_label(self):
         checked = 0
         for anchors, label in _labeled_products():
-            if label.maps:
+            if label:
                 assert anchors.read(anchors.tokens(label)) == label
                 checked += 1
         assert checked > 200
@@ -164,7 +169,7 @@ class TestAnchorRoundTrip:
     def test_element_prefix_is_information_only(self):
         rng = random.Random(2132)
         for anchors, label in _labeled_products():
-            if not label.maps:
+            if not label:
                 continue
             tokens = anchors.tokens(label).split()
             respelled = [rng.choice(("", "C", "n", "Br", "*", "[Cl,Br]")) + t[t.index(":"):] for t in tokens]

@@ -73,7 +73,7 @@ class TestJaccard:
         assert jaccard({1}, {1, 2}) == 0.5
 
     def test_accepts_map_sets(self):
-        assert jaccard(AtomMapSet.of({1, 2}).maps, AtomMapSet.of({2, 3}).maps) == pytest.approx(1 / 3)
+        assert jaccard(AtomMapSet.of({1, 2}), AtomMapSet.of({2, 3})) == pytest.approx(1 / 3)
 
     def test_both_empty_is_one(self):
         assert jaccard(set(), set()) == 1.0

@@ -55,6 +55,22 @@ def test_position_tokens_ascending_and_aromatic_case():
         anchors.tokens(AtomMapSet.of([3, 404]))
 
 
+def test_site_is_a_frozenset_of_ids():
+    from retroanchor.outputs import DisconnectionCandidate, from_row, to_row
+
+    assert not AtomMapSet() and not AtomMapSet.of(())
+    site = AtomMapSet.of([2, 1])
+    assert isinstance(site, frozenset) and site == frozenset({1, 2})
+    assert (len(site), 2 in site, sorted(site), site & {2, 3}) == (2, True, [1, 2], {2})
+    cand = DisconnectionCandidate(
+        s=site, reaction_name="n", reaction_class="", in_ontology=True, importance=4, priority=1, rationale=""
+    )
+    row = to_row(cand)
+    assert row["s"] == [1, 2]
+    back = from_row(DisconnectionCandidate, row)
+    assert back == cand and type(back.s) is AtomMapSet
+
+
 def test_components():
     mol = parse_smiles("CCO.[Na+].[Cl-]")
     assert mol.components() == [[0, 1, 2], [3], [4]]

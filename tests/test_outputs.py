@@ -126,7 +126,7 @@ class TestParseCenterTokens:
     def test_mixed_case_tokens(self):
         product = parse_smiles("[cH:18]1[cH:19][cH:20][cH:21][cH:22][c:23]1[N:17]")
         s = AnchorTable(product).read("N:17 c:18")
-        assert s.sorted() == [17, 18]
+        assert s == {17, 18}
 
     def test_malformed_token_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -147,7 +147,7 @@ class TestParsePositionOutput:
         outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
         assert outcome.ok
         (candidate,) = outcome.ok
-        assert candidate.s.sorted() == [12, 14]
+        assert candidate.s == {12, 14}
         assert candidate.reaction_name == "Carboxylic acid to amide conversion"
         assert candidate.importance == 4
         assert candidate.priority == 1
@@ -182,7 +182,7 @@ class TestParsePositionOutput:
         )
         outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
         assert len(outcome.ok) == 1
-        assert outcome.ok[0].s.sorted() == [12, 14]
+        assert outcome.ok[0].s == {12, 14}
         assert any("99" in d["reason"] for d in outcome.dropped)
 
     def test_importance_out_of_range_dropped(self):
@@ -204,6 +204,12 @@ class TestParsePositionOutput:
         outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
         assert not outcome.ok
         assert "priority" in outcome.dropped[0]["reason"]
+
+    def test_reaction_that_is_not_an_object_dropped(self):
+        raw = _payload({"disconnection": "C:12", "reactions": [5, _reaction()]})
+        outcome = parse_position_output(raw, PRODUCT, ONTOLOGY)
+        assert len(outcome.ok) == 1
+        assert [d["reason"] for d in outcome.dropped] == ["reaction is not an object"]
 
     def test_empty_reaction_list_dropped(self):
         raw = _payload({"disconnection": "C:12", "reactions": []})
@@ -406,6 +412,12 @@ class TestParseTransitionOutput:
         )
         outcome = parse_transition_output(raw)
         assert not outcome.ok
+
+    def test_permutation_that_is_not_an_object_dropped(self):
+        raw = _transition_payload(_group("X", 5, _permutation(["CC"])))
+        outcome = parse_transition_output(raw)
+        assert len(outcome.ok) == 1
+        assert [d["reason"] for d in outcome.dropped] == ["permutation is not an object"]
 
     def test_empty_reactants_dropped(self):
         raw = _transition_payload(_group("X", _permutation([])))

@@ -97,6 +97,15 @@ def test_stereo_marks_kept_lexically():
     assert [b.kind for b in mol.bonds] == [SINGLE, DOUBLE, SINGLE]
 
 
+def test_ring_closure_bond_symbol_at_both_ends():
+    # Both ends may carry the same symbol: one bond, the opener's mark kept.
+    double = parse_smiles("C=1CCCCC=1")
+    assert [(b.a, b.b) for b in double.bonds if b.kind == DOUBLE] == [(0, 5)]
+    assert parse_smiles("C/1CCCCC/1").bond_between(0, 5).stereo == "/"
+    # A mark only at the closer reads toward the opener, so it flips.
+    assert parse_smiles("C-1CCCCC/1").bond_between(0, 5).stereo == "\\"
+
+
 def test_dot_separates_components():
     mol = parse_smiles("[Na+].[Cl-]")
     assert len(mol.bonds) == 0
@@ -136,6 +145,7 @@ PARSE_ERRORS = [
     ("C11", "itself", "ring closure bonds an atom to itself", 2),
     ("C12C12", "duplicate bond", "duplicate bond between atoms 0 and 1", 4),
     ("[Xx]", "unknown element", "unknown element 'Xx'", 0),
+    ("[xx]", "unknown element", "unknown element 'xx'", 0),
     ("[C", "unclosed bracket", "unclosed bracket atom", 0),
     ("[]", "malformed bracket", "malformed bracket atom", 0),
     ("[C+H]", "malformed bracket", "malformed bracket atom", 0),

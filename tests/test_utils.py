@@ -1,0 +1,44 @@
+"""Tests for the shared writers and readers."""
+
+from __future__ import annotations
+
+import pytest
+
+from retroanchor import utils
+from retroanchor.utils import atomic_write_text, read_jsonl, write_jsonl
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.mkdir()  # the rename onto a directory fails
+        with pytest.raises(OSError):
+            atomic_write_text(target, "x")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failed_cleanup_keeps_the_write_error(self, tmp_path, monkeypatch):
+        def replace_then_fail(src, dst):
+            utils.os.unlink(src)
+            raise PermissionError("rename refused")
+
+        monkeypatch.setattr(utils.os, "replace", replace_then_fail)
+        with pytest.raises(PermissionError, match="rename refused"):
+            atomic_write_text(tmp_path / "out.json", "x")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lone_surrogate_is_written_as_its_escape(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        rows = [{"a": "x\ud800", "b": "é\U0001f600"}]
+        write_jsonl(path, rows)
+        assert path.read_bytes() == '{"a": "x\\ud800", "b": "é\U0001f600"}\n'.encode("utf-8")
+        assert read_jsonl(path) == rows
+
+
+class TestReadJsonl:
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n   \n{"a": 2}\n')
+        assert read_jsonl(path) == [{"a": 1}, {"a": 2}]
+        path.write_text('{"a": 1}\n\n5\n')
+        with pytest.raises(ValueError, match=r"rows.jsonl:3: not a JSON object$"):
+            read_jsonl(path)
