@@ -46,8 +46,8 @@ from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, AtomMapSet, Molecule,
 from retroanchor.chem.mol import strip_atom_maps, strip_stereo
 from retroanchor.chem.smiles import parse_smiles, write_smiles
 
-# A bracket atom's map as the parser reads one: one to nine digits, not all zeros.
-_ATOM_MAP_RE = re.compile(r"(\[[^\[\]:]*):(?!0+\])\d{1,9}\]")
+# A bracket atom's map as the parser reads one: one to nine ASCII digits, not all zeros.
+_ATOM_MAP_RE = re.compile(r"(\[[^\[\]:]*):(?!0+\])[0-9]{1,9}\]")
 _CANONICAL_TEXTS: dict[tuple[str, bool, bool], str] = {}
 
 
@@ -105,7 +105,7 @@ class AnchorTable:
             raise ValueError("empty disconnection string")
         values = []
         for token in tokens:
-            match = re.fullmatch(r"[A-Za-z*\[\],]*:(\d+)", token)
+            match = re.fullmatch(r"[A-Za-z*\[\],]*:([0-9]+)", token)
             if match is None:
                 raise ValueError(f"malformed atom token {token!r}")
             value = int(match.group(1))

@@ -16,9 +16,8 @@ first read, so one parsed only to validate a row never builds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 SINGLE = "single"
 DOUBLE = "double"
@@ -95,8 +94,7 @@ def implicit_hydrogens(element: str, aromatic: bool, bond_order_sum: float) -> i
     return 0
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """One atom.  ``element`` is a periodic-table symbol, or ``*`` for the
     wildcard and element-list markers used by reaction templates."""
 
@@ -123,8 +121,7 @@ class Atom:
         return self.element != "H"
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     """An undirected bond between atom indices ``a`` and ``b``.
 
     ``stereo`` keeps the ``/`` or ``\\`` mark exactly as written for the
@@ -141,9 +138,9 @@ class Bond:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
 
-# Shared constructors.  A frozen dataclass sets every field through
-# object.__setattr__, which costs several times a cache lookup, and a
-# whole pipeline builds only a few thousand distinct atoms and bonds.
+# Shared constructors.  A NamedTuple's __new__ is Python code, which
+# costs more than a cache hit, and a whole pipeline builds only a few
+# thousand distinct atoms and bonds, so equal ones become one object.
 # The caches are unbounded because chemistry bounds the key space;
 # typed=True keeps True and 1 apart.  Callers pass every field
 # positionally, so one value has one cache key.  The SMILES reader and
@@ -152,13 +149,17 @@ _atom = lru_cache(maxsize=None, typed=True)(Atom)
 _bond = lru_cache(maxsize=None, typed=True)(Bond)
 
 
-@dataclass(frozen=True)
 class Molecule:
-    """An immutable attributed graph plus the text it was read from."""
+    """An immutable attributed graph plus the text it was read from.  Not
+    a NamedTuple: the graph is cached on the instance."""
 
-    atoms: tuple[Atom, ...]
-    bonds: tuple[Bond, ...]
-    source_text: str = ""
+    def __init__(self, atoms: tuple[Atom, ...], bonds: tuple[Bond, ...], source_text: str = ""):
+        self.atoms, self.bonds, self.source_text = atoms, bonds, source_text
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Molecule) and (self.atoms, self.bonds, self.source_text) == (
+            other.atoms, other.bonds, other.source_text
+        )
 
     # Bonds are not re-checked: parse_smiles checks every new bond list,
     # and the rewrites keep the endpoints of an already checked one.

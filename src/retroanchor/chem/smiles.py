@@ -53,7 +53,7 @@ from retroanchor.chem.mol import (
     implicit_hydrogens,
 )
 
-# A number takes at most nine digits: int() refuses a text of thousands.
+# A number takes one to nine ASCII digits: int() refuses a text of thousands, and reads "١".
 _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d{1,9})?"
     r"(?P<symbols>\*|[A-Za-z][a-z]?(?:,[A-Za-z][a-z]?)+|[A-Za-z][a-z]?)"
@@ -61,7 +61,8 @@ _BRACKET_RE = re.compile(
     r"(?P<hcount>H\d{0,9})?"
     r"(?P<charge>\+\d{1,2}|-\d{1,2}|\++|-+)?"
     r"(?::(?P<map>\d{1,9}))?"
-    r"\]"
+    r"\]",
+    re.ASCII,
 )
 
 # Bond symbol -> (kind, stereo mark).  Directional marks are single bonds.
@@ -77,6 +78,8 @@ _BOND_CHARS = {
 _FLIP_STEREO = {"/": "\\", "\\": "/"}
 
 _BOND_SYMBOL = {SINGLE: "-", DOUBLE: "=", TRIPLE: "#", AROMATIC: ":"}
+
+_DIGITS = frozenset("0123456789")  # ring-closure digits; isdecimal() also passes "١"
 
 
 # Bracket-atom token text -> finished Atom (see the module docstring).
@@ -218,11 +221,11 @@ def parse_smiles(text: str) -> Molecule:
             pending = _BOND_CHARS[ch]
             pending_pos = i
             i += 1
-        elif ch.isdecimal() or ch == "%":  # isdigit() also passes "²", which int() rejects
+        elif ch in _DIGITS or ch == "%":
             if prev is None:
                 raise SmilesError("ring closure with no preceding atom", i)
             if ch == "%":
-                if not s[i + 1 : i + 3].isdecimal() or len(s[i + 1 : i + 3]) < 2:
+                if len(s[i + 1 : i + 3]) < 2 or not set(s[i + 1 : i + 3]) <= _DIGITS:
                     raise SmilesError("'%' ring closure needs two digits", i)
                 number = int(s[i + 1 : i + 3])
                 width = 3

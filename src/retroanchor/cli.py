@@ -15,12 +15,11 @@ and per-example outcomes hold everything needed to re-derive a report.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import json
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -106,6 +105,7 @@ def _load_template(name: str) -> PromptTemplate:
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib  # only run-position takes a digest; the other stages skip the import
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
@@ -211,7 +211,7 @@ def _execute_run(
         "cache_dir": str(cache_dir),
         "backend": args.backend,
         "parallelism": args.parallelism,
-        "model": asdict(model),
+        "model": model._asdict(),
         "template_name": template.name,
         "template_digest": template.digest,
         # Keys that only the other stage sets are recorded as null.
@@ -500,6 +500,9 @@ def main(argv=None) -> int:
     except (CliError, DatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if argv is None:  # the program entry: interpreter exit then collects only objects made after this
+            gc.freeze()
 
 
 if __name__ == "__main__":

@@ -14,10 +14,9 @@ import csv
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from retroanchor.utils import normalize_name, read_jsonl
 
@@ -31,16 +30,14 @@ class DatasetError(ValueError):
     """File-level dataset fault: unreadable file, missing columns, malformed line, empty split."""
 
 
-@dataclass(frozen=True)
 class ReactionRecord:
     """One reaction row with passthrough metadata; molecules parse on first read."""
 
-    record_id: str
-    reaction_smiles: str
-    reaction_name: str
-    reaction_class: str
-    split: str
-    extra: dict = field(default_factory=dict)
+    def __init__(
+        self, record_id: str, reaction_smiles: str, reaction_name: str, reaction_class: str, split: str, extra: dict
+    ):
+        self.record_id, self.reaction_smiles, self.reaction_name = record_id, reaction_smiles, reaction_name
+        self.reaction_class, self.split, self.extra = reaction_class, split, extra
 
     @cached_property
     def name_key(self) -> str:
@@ -70,18 +67,19 @@ class ReactionRecord:
         return self._molecules[1]
 
 
-@dataclass(frozen=True)
-class OntologyEntry:
+class OntologyEntry(NamedTuple):
     id: str
     reaction_class: str
 
 
-@dataclass(frozen=True)
 class Ontology:
     """Unique reaction names of one split with their majority classes."""
 
-    entries: tuple[OntologyEntry, ...]
-    source_split: str = ""
+    def __init__(self, entries: tuple[OntologyEntry, ...], source_split: str = ""):
+        self.entries, self.source_split = entries, source_split
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Ontology) and (self.entries, self.source_split) == (other.entries, other.source_split)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -171,6 +169,8 @@ def ingest_dataset(path: Path | str, parse: bool = True) -> tuple[list[ReactionR
             rows = read_jsonl(path)
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a CSV file; read_jsonl names the line itself
+        raise DatasetError(f"{path}: not UTF-8: {exc.reason}") from exc
     except ValueError as exc:
         raise DatasetError(str(exc)) from exc
 

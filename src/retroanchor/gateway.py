@@ -14,8 +14,8 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from retroanchor.prompts import RenderedPrompt
 from retroanchor.utils import atomic_write_text, stable_json_dumps
@@ -52,8 +52,7 @@ BACKOFF_S = 1.0  # the longest sleep before the second send; it doubles before e
 TIMEOUT_S = 120.0  # per connect and per read
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
     """One model endpoint, as the model flags of a run stage set it."""
 
     model_id: str
@@ -61,8 +60,7 @@ class ModelConfig:
     api_key_env: str = "RETROANCHOR_API_KEY"
 
 
-@dataclass(frozen=True)
-class Completion:
+class Completion(NamedTuple):
     request_digest: str
     text: str
     finish_reason: str
@@ -72,16 +70,14 @@ class Completion:
     from_cache: bool = False
 
 
-@dataclass(frozen=True)
-class GatewayFailure:
+class GatewayFailure(NamedTuple):
     request_digest: str
     kind: str
     message: str
     attempts: int = 0
 
 
-@dataclass(frozen=True)
-class BackendResult:
+class BackendResult(NamedTuple):
     text: str
     finish_reason: str = "stop"
     token_usage: dict | None = None

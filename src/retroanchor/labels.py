@@ -8,7 +8,7 @@ into leaving groups contribute only the surviving product atom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from retroanchor.chem import AnchorTable, AtomMapSet
 from retroanchor.datasets import ReactionRecord
@@ -18,8 +18,7 @@ BOND_ORDER_KIND = "bond_order"
 EMPTY = "empty"
 
 
-@dataclass(frozen=True)
-class StructuralLabel:
+class StructuralLabel(NamedTuple):
     maps: AtomMapSet
     kind: str
 

@@ -14,8 +14,8 @@ import functools
 import io
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from retroanchor.chem import AtomMapSet, Molecule, canonical_text, parse_smiles, substructure_match
 from retroanchor.outputs import DisconnectionCandidate, TransitionPrediction
@@ -33,8 +33,7 @@ def jaccard(a, b) -> float:
     return len(a & b) / len(union)
 
 
-@dataclass(frozen=True)
-class PositionScore:
+class _PositionScore(NamedTuple):
     partial_match: bool
     best_jaccard: float
     exact_match: bool
@@ -43,15 +42,20 @@ class PositionScore:
     n_predictions: int
     failed: bool
 
-    def __post_init__(self):
+
+class PositionScore(_PositionScore):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.exact_match and self.best_jaccard != 1.0:
             raise ValueError("exact_match requires best_jaccard == 1.0")
         if (self.reaction_match is not None) != self.partial_match:
             raise ValueError("reaction_match is defined exactly when partial_match")
+        return self
 
 
-@dataclass(frozen=True)
-class TransitionScore:
+class _TransitionScore(NamedTuple):
     template_acc: bool
     reactant_acc: bool
     combined_acc: bool
@@ -59,13 +63,18 @@ class TransitionScore:
     n_predictions: int
     failed: bool
 
-    def __post_init__(self):
+
+class TransitionScore(_TransitionScore):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.combined_acc != (self.template_acc or self.reactant_acc):
             raise ValueError("combined_acc must equal template_acc or reactant_acc")
+        return self
 
 
-@dataclass(frozen=True)
-class ConfusionLabel:
+class ConfusionLabel(NamedTuple):
     """Ground-truth and predicted naming for one example.
 
     ``class_pred``/``name_pred`` are None when the example contributes no
@@ -79,8 +88,7 @@ class ConfusionLabel:
     name_pred: str | None
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     kind: str
     rows: tuple[dict, ...]
     aggregates: dict[str, float]
@@ -312,7 +320,7 @@ def aggregate(
     confusion_class: dict[str, dict[str, int]] = {}
     confusion_name: dict[str, dict[str, int]] = {}
     for example_id, score, label in rows:
-        row = {"id": example_id, **vars(score)}
+        row = {"id": example_id, **score._asdict()}
         if kind == "position":
             row["best_jaccard"] = round(score.best_jaccard, 4)
             if label is not None:
@@ -361,7 +369,7 @@ def write_report(report: EvaluationReport, directory: Path | str) -> dict[str, P
         "confusion_name": directory / "confusion_name.csv",
         "summary": directory / "summary.txt",
     }
-    atomic_write_text(paths["report"], stable_json_dumps(vars(report)))
+    atomic_write_text(paths["report"], stable_json_dumps(report._asdict()))
 
     rows_csv = io.StringIO()
     writer = csv.DictWriter(rows_csv, fieldnames=list(report.rows[0]))

@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 from retroanchor.chem import AnchorTable, AtomMapSet, Molecule, SmilesError, canonical_text
 from retroanchor.datasets import Ontology
@@ -27,8 +26,7 @@ _FENCE_RE = re.compile(r"```(?:[A-Za-z0-9_-]+)?\s*\n(.*?)```", re.DOTALL)
 _OBJECT_START_RE = re.compile(r'\{[ \t\n\r]*["}]')
 
 
-@dataclass(frozen=True)
-class DisconnectionCandidate:
+class DisconnectionCandidate(NamedTuple):
     """One (site, reaction) pair flattened from the position output."""
 
     s: AtomMapSet
@@ -41,8 +39,7 @@ class DisconnectionCandidate:
     claimed_in_ontology: bool | None = None
 
 
-@dataclass(frozen=True)
-class TransitionPrediction:
+class TransitionPrediction(NamedTuple):
     """One reactant-set permutation, each reactant canonical mapped SMILES."""
 
     reactants: tuple[str, ...]
@@ -52,17 +49,22 @@ class TransitionPrediction:
     reaction_name: str
 
 
-@dataclass(frozen=True)
-class ParseOutcome:
-    """Salvaged items plus an inventory of what was discarded and why."""
-
+class _ParseOutcome(NamedTuple):
     ok: tuple
     dropped: tuple[dict, ...] = ()
     failure_class: str | None = None
 
-    def __post_init__(self):
+
+class ParseOutcome(_ParseOutcome):
+    """Salvaged items plus an inventory of what was discarded and why."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if bool(self.ok) == (self.failure_class is not None):
             raise ValueError("failure_class must be set exactly when nothing parsed")
+        return self
 
 
 def exact(value, *kinds: type):
@@ -90,7 +92,7 @@ _FIELD_READERS = {
 
 def to_row(item: DisconnectionCandidate | TransitionPrediction) -> dict:
     """An item's ``outcomes.jsonl`` row: its fields, a map set as its sorted list."""
-    return {k: sorted(v) if isinstance(v, AtomMapSet) else v for k, v in vars(item).items()}
+    return {k: sorted(v) if isinstance(v, AtomMapSet) else v for k, v in item._asdict().items()}
 
 
 def from_row(cls, row: dict):

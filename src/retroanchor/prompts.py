@@ -11,8 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from retroanchor.chem import AnchorTable, AtomMapSet, Molecule
 from retroanchor.datasets import Ontology
@@ -37,8 +37,7 @@ TEMPLATE_DIGESTS = {
 }
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(NamedTuple):
     """One named template body, split at its declared placeholders."""
 
     name: str
@@ -46,8 +45,7 @@ class PromptTemplate:
     pieces: tuple[str, ...]  # body split at placeholders: literals at even indices
 
 
-@dataclass(frozen=True)
-class RenderedPrompt:
+class RenderedPrompt(NamedTuple):
     """Final prompt as template segments interleaved with values."""
 
     template_name: str

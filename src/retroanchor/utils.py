@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Any
@@ -45,22 +46,28 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 def read_jsonl(path: Path | str) -> list[dict]:
     """Rows of a JSON-lines file; blank lines are skipped.
 
-    A line that is not a JSON object raises ValueError naming the path
-    and the 1-based line number.
+    A line that is not UTF-8 or not a JSON object raises ValueError
+    naming the path and the 1-based line number.
     """
     rows = []
     with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise ValueError(f"{path}:{number}: not JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise ValueError(f"{path}:{number}: not a JSON object")
-            rows.append(row)
+        try:
+            for number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise ValueError(f"{path}:{number}: not JSON: {exc}") from exc
+                if not isinstance(row, dict):
+                    raise ValueError(f"{path}:{number}: not a JSON object")
+                rows.append(row)
+        except UnicodeDecodeError as exc:  # raised for a whole read chunk, so find the line
+            handle.seek(0)
+            handle.reconfigure(errors="surrogateescape")  # a byte that is not UTF-8 reads as U+DC80-U+DCFF
+            number = next(n for n, line in enumerate(handle, start=1) if re.search("[\udc80-\udcff]", line))
+            raise ValueError(f"{path}:{number}: not UTF-8: {exc.reason}") from exc
     return rows
 
 

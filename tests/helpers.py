@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import replace
 
 from retroanchor.chem.mol import (
     AROMATIC,
@@ -247,7 +246,7 @@ def random_molecule(
     if with_maps:
         values = list(range(1, n + 1))
         rng.shuffle(values)
-        atoms = [replace(a, atom_map=values[i]) for i, a in enumerate(atoms)]
+        atoms = [a._replace(atom_map=values[i]) for i, a in enumerate(atoms)]
 
     molecule = Molecule(
         atoms=tuple(atoms),
@@ -271,12 +270,12 @@ def random_aromatic_molecule(rng: random.Random, with_maps: bool = False) -> Mol
         h = implicit_hydrogens(substituent, False, 1.0)
         atoms.append(Atom(element=substituent, implicit_h=h))
         bonds.append(Bond(a=k, b=idx, kind=SINGLE))
-        atoms[k] = replace(atoms[k], implicit_h=0)
+        atoms[k] = atoms[k]._replace(implicit_h=0)
 
     if with_maps:
         values = list(range(1, len(atoms) + 1))
         rng.shuffle(values)
-        atoms = [replace(a, atom_map=values[i]) for i, a in enumerate(atoms)]
+        atoms = [a._replace(atom_map=values[i]) for i, a in enumerate(atoms)]
     return Molecule(atoms=tuple(atoms), bonds=tuple(bonds))
 
 

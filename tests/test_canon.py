@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -152,8 +151,8 @@ def _kekulized(molecule, rng):
     if rng.random() < 1 / 3:
         k = rng.randrange(6)
         kinds[k] = kinds[k - 1]
-    atoms = tuple(replace(a, aromatic=False) if i < 6 else a for i, a in enumerate(molecule.atoms))
-    bonds = tuple(replace(b, kind=kinds[b.a]) if b.b < 6 else b for b in molecule.bonds)
+    atoms = tuple(a._replace(aromatic=False) if i < 6 else a for i, a in enumerate(molecule.atoms))
+    bonds = tuple(b._replace(kind=kinds[b.a]) if b.b < 6 else b for b in molecule.bonds)
     return Molecule(atoms=atoms, bonds=bonds)
 
 
@@ -341,6 +340,11 @@ class TestCanonicalText:
                     canonical_text(text)
                 assert excinfo.value.position == position, text
         assert len(canon._CANONICAL_TEXTS) == 3  # "[CH3:1]C" and "[CH3]C" share a key
+
+    def test_a_map_in_non_ascii_digits_misses_the_map_free_spelling(self):
+        canonical_text("[CH3]C")
+        with pytest.raises(SmilesError, match="malformed bracket atom"):
+            canonical_text("[CH3:\u0661\u0662]C")
 
     def test_a_failing_text_raises_the_same_error_each_time(self):
         for text in ("C1CC(", "[Zz]", "C" + "1" * 60):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import contextlib
 import functools
+import gc
 import io
 import json
 import os
@@ -348,6 +349,14 @@ class TestLabel:
         code = main([stage[0], "--input", str(source), "--output", str(out), *stage[1:]])
         assert code == 1
         assert f"error: {source}:2:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jsonl_line_not_utf8_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "rows.jsonl"
+        source.write_bytes(json.dumps(TRAIN_ROWS[0]).encode() + b'\n{"id": "\xff"}\n')
+        out = tmp_path / "out.jsonl"
+        assert main(["label", "--input", str(source), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {source}:2: not UTF-8: invalid start byte\n"
         assert not out.exists()
 
 
@@ -725,6 +734,18 @@ class TestRunTransition:
         assert len(products) == len(rows) == 10 and (len(kept), len(set(kept))) == (16, 13)
         assert len(set(sources)) == len(sources)
         assert sorted(written) == sorted(products + list(set(kept)))
+
+    def test_train_file_not_utf8_exits_1_naming_it(self, pipeline, capsys):
+        """The run reads ``--input`` and ``--train``; the message says which is at fault."""
+        train = pipeline["root"] / "train.jsonl"
+        train.write_bytes(pipeline["labeled"].read_bytes() + b'{"id": "\xff"}\n')
+        n_lines = len(pipeline["labeled"].read_bytes().splitlines()) + 1
+        out = pipeline["root"] / "run_trans"
+        code = main(["run-transition", "--input", str(pipeline["eval"]), "--train", str(train),
+                     "--output", str(out), "--model", "test-model", "--cache-dir", str(pipeline["cache"])])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {train}:{n_lines}: not UTF-8: invalid start byte\n"
+        assert not out.exists()
 
     def test_negative_examples_k_exits_1(self, pipeline, capsys):
         out, cache = pipeline["root"] / "r", pipeline["root"] / "c"
@@ -1611,13 +1632,16 @@ STAGE_LAYERS = {
 HTTP_MODULES = ("requests", "http.client", "urllib.request")
 # Modules that only a live run's thread pool needs.
 POOL_MODULES = ("concurrent.futures", "logging")
+# Modules that ``dataclasses`` brings in; no stage needs them.
+RECORD_MODULES = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("stage", sorted(STAGE_LAYERS))
 def test_import_leaves_requests_unloaded(pipeline, stage):
     """A stage process imports only the layers its subcommand calls: no
-    stage here loads HTTP code or a thread pool, and only the run stage,
-    in replay, loads the prompts."""
+    stage here loads HTTP code, a thread pool or the record machinery of
+    ``dataclasses``, and only the run stage, in replay, loads the prompts
+    and ``hashlib``."""
     root = pipeline["root"]
     if stage in ("evaluate", "run-position"):
         seed_position(pipeline)
@@ -1641,7 +1665,7 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
         "import json, sys\n"
         "from retroanchor.cli import main\n"
         "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-        f"names = [m for m in sys.modules if m.startswith('retroanchor') or m in {(*POOL_MODULES, *HTTP_MODULES)}]\n"
+        f"names = [m for m in sys.modules if m.startswith('retroanchor') or m in {(*POOL_MODULES, *HTTP_MODULES, *RECORD_MODULES, 'hashlib')}]\n"
         "print(json.dumps({'code': code, 'modules': sorted(names)}))"
     )
     result = subprocess.run(
@@ -1649,9 +1673,10 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
     )
     loaded = json.loads(result.stdout.splitlines()[-1])
     assert loaded["code"] == 0
-    assert not {*HTTP_MODULES, *POOL_MODULES} & set(loaded["modules"])
+    assert not {*HTTP_MODULES, *POOL_MODULES, *RECORD_MODULES} & set(loaded["modules"])
+    assert ("hashlib" in loaded["modules"]) == (stage == "run-position")
     expected = ["retroanchor", "retroanchor.cli", *(f"retroanchor.{m}" for m in STAGE_LAYERS[stage])]
-    assert loaded["modules"] == sorted(expected)
+    assert [m for m in loaded["modules"] if m != "hashlib"] == sorted(expected)
 
 
 def test_package_imports_only_stdlib():
@@ -1673,6 +1698,40 @@ def test_package_imports_only_stdlib():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert project["dependencies"] == []
+
+
+def test_no_module_imports_dataclasses():
+    """Records are ``NamedTuple``s or plain classes: ``dataclasses`` would
+    cost every stage process its import and a class build per record."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0 else []
+            found += [f"{path.name}: {name}" for name in names if name.partition(".")[0] == "dataclasses"]
+    assert found == []
+
+
+@pytest.fixture
+def unfreeze():
+    yield
+    gc.unfreeze()
+
+
+def test_only_the_program_entry_freezes_the_collector(tmp_path, monkeypatch, unfreeze):
+    """``main()`` reads ``sys.argv`` as the process entry and freezes the
+    collector when the stage returns, so exit's collection skips the
+    stage's objects; ``main(argv)`` leaves the caller's collector alone."""
+    raw = tmp_path / "raw.jsonl"
+    write_jsonl(raw, TRAIN_ROWS)
+    argv = ["ontology", "--input", str(raw), "--split", "train", "--output", str(tmp_path / "o.json")]
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["retroanchor", *argv])
+    assert main() == 0
+    assert gc.get_freeze_count() > 0
 
 
 def _anchor_reads(source: str) -> list[str]:

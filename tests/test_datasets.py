@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -134,6 +135,13 @@ class TestIngest:
         path = tmp_path / "data.csv"
         path.write_text("")
         with pytest.raises(DatasetError, match="empty CSV file"):
+            ingest_dataset(path)
+
+    def test_csv_that_is_not_utf8_is_file_level_fault(self, tmp_path):
+        """The message names the file; for JSON lines ``read_jsonl`` names the line too."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"id,reaction_smiles,reaction_name,reaction_class,split\na\xff,CC>>CC,n,c,train\n")
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: not UTF-8: invalid start byte$"):
             ingest_dataset(path)
 
     def test_unreadable_file_is_file_level_fault(self, tmp_path):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, replace
-
 import pytest
 
 from retroanchor.chem import AnchorTable, AtomMapSet, parse_smiles
@@ -81,11 +79,11 @@ def test_parsed_atoms_and_bonds_stay_immutable():
     # only while assignment keeps failing.
     mol = parse_smiles("[CH3:1]C=O")
     atom, bond = mol.atoms[0], mol.bonds[1]
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         atom.atom_map = 2
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         bond.kind = "single"
-    assert replace(atom, atom_map=2).atom_map == 2
-    assert replace(bond, stereo="/").stereo == "/"
+    assert atom._replace(atom_map=2).atom_map == 2
+    assert bond._replace(stereo="/").stereo == "/"
     assert (atom.atom_map, bond.kind, bond.stereo) == (1, "double", None)
     assert parse_smiles("[CH3:1]C=O") == mol

@@ -132,6 +132,12 @@ class TestParseCenterTokens:
         with pytest.raises(ValueError, match="malformed"):
             AnchorTable(PRODUCT).read("C12")
 
+    def test_non_ascii_digits_are_malformed(self):
+        product = parse_smiles("CC(C)C(=O)O[C:12](=O)[N:14]([CH3:15])C")
+        for text in ("C:\uff11\uff12", "N:\u0660\u0661\u0664"):  # full-width 12, Arabic-Indic 014
+            with pytest.raises(ValueError, match="malformed"):
+                AnchorTable(product).read(text)
+
     def test_unresolvable_map_rejected(self):
         with pytest.raises(ValueError, match="99"):
             AnchorTable(PRODUCT).read("C:99")

@@ -172,6 +172,12 @@ PARSE_ERRORS = [
     ("[C:1][C:1]1[C:1]1", "duplicate bond", "duplicate bond between atoms 1 and 2", 16),
     ("C\u00b2", "unexpected character", "unexpected character '\u00b2'", 1),
     ("C%\u00b2\u00b3C", "two digits", "'%' ring closure needs two digits", 1),
+    # OpenSMILES digits are ASCII: int() would read these Arabic-Indic ones.
+    ("C\u0661CC\u0661", "unexpected character", "unexpected character '\u0661'", 1),
+    ("[CH3:\u0661\u0662]C", "malformed bracket", "malformed bracket atom", 0),
+    ("[\u0661\u0663CH4]", "malformed bracket", "malformed bracket atom", 0),
+    ("[CH\u0663]C", "malformed bracket", "malformed bracket atom", 0),
+    ("C%\u0661\u0662CC%\u0661\u0662", "two digits", "'%' ring closure needs two digits", 1),
 ]
 
 

@@ -42,3 +42,13 @@ class TestReadJsonl:
         path.write_text('{"a": 1}\n\n5\n')
         with pytest.raises(ValueError, match=r"rows.jsonl:3: not a JSON object$"):
             read_jsonl(path)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, newline):
+        """The decoder fails for a whole read chunk; the message still names
+        the line, counted as the JSON errors count it, past the first chunk."""
+        path = tmp_path / "rows.jsonl"
+        good = b'{"a": "\xc3\xa9"}'
+        path.write_bytes(newline.join([good] * 2000 + [b'{"a": "\xff"}', good, b""]))
+        with pytest.raises(ValueError, match=r"rows.jsonl:2001: not UTF-8: invalid start byte$"):
+            read_jsonl(path)
