@@ -20,7 +20,11 @@ processes inherit sets ``PYTHONDONTWRITEBYTECODE``, so that every stage
 process compiles the package), each run's end-to-end values, and per
 metric the medians, quartiles, the pairs the head won, ``sign_p`` (the
 exact two-sided sign-test p-value over the pairs with a strict winner,
-1.0 when none has one) and a verdict.  A gain is shown when the head wins at least nine tenths of the pairs (ties
+1.0 when none has one), ``paired_change`` (the median and quartiles of
+each pair's relative change ``(head - base) / base``, over the pairs whose
+base is not zero; None when none is) and a verdict.  ``paired_change``
+shows a head that wins every pair while the base drifts; no verdict reads
+it.  A gain is shown when the head wins at least nine tenths of the pairs (ties
 count for neither) and the medians differ by more than the base's
 interquartile range.  The verdict reads the metric's ``bound`` as a share
 of the base median: ``gain`` when a gain is shown; ``regression`` when the
@@ -161,8 +165,8 @@ def _verdict(base: list[float], head: list[float], sign: int, bound: float, gain
 
 
 def summarize(base_runs: list[dict], head_runs: list[dict], declared: list[dict]) -> dict:
-    """Medians, quartiles, pairs won and a verdict for every declared
-    end-to-end metric."""
+    """Medians, quartiles, pairs won, the paired change and a verdict for
+    every declared end-to-end metric."""
     out = {}
     for spec in declared:
         name = spec["name"]
@@ -174,6 +178,7 @@ def summarize(base_runs: list[dict], head_runs: list[dict], declared: list[dict]
         base_q = _quartiles(base)
         base_median, head_median = statistics.median(base), statistics.median(head)
         gain_shown = won >= 0.9 * len(base) and sign * (base_median - head_median) > base_q[1] - base_q[0]
+        paired = [(h - b) / b for b, h in zip(base, head) if b]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -187,6 +192,9 @@ def summarize(base_runs: list[dict], head_runs: list[dict], declared: list[dict]
             "head_won": won,
             "head_lost": lost,
             "sign_p": sign_p(won, lost),
+            "paired_change": {"median": statistics.median(paired), "quartiles": _quartiles(paired)}
+            if paired
+            else None,
             "gain_shown": gain_shown,
             "verdict": _verdict(base, head, sign, spec["bound"], gain_shown),
         }

@@ -27,7 +27,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from retroanchor.chem import canonical_smiles, parse_smiles, write_smiles  # noqa: E402
+from retroanchor.chem.canon import canonical_smiles  # noqa: E402
+from retroanchor.chem.smiles import parse_smiles, write_smiles  # noqa: E402
 
 FIXTURES = ROOT / "tests" / "fixtures"
 OUT_PATH = FIXTURES / "canonical_pins.json"

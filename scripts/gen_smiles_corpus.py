@@ -16,7 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from retroanchor.chem import canonical_smiles, parse_smiles, write_smiles  # noqa: E402
+from retroanchor.chem.canon import canonical_smiles  # noqa: E402
+from retroanchor.chem.smiles import parse_smiles, write_smiles  # noqa: E402
 
 OUT_PATH = Path(__file__).resolve().parents[1] / "tests" / "fixtures" / "smiles_corpus.txt"
 TARGET = 560

@@ -1,4 +1,5 @@
-"""Molecular graphs, SMILES I/O, canonical ordering, substructure search and anchor tables."""
+"""Molecular graphs and atom-map sets; the kernel is imported from its own
+module: ``chem.smiles``, ``chem.canon`` or ``chem.match``."""
 
 from __future__ import annotations
 
@@ -11,22 +12,13 @@ from retroanchor.chem.mol import (
     strip_atom_maps,
     strip_stereo,
 )
-from retroanchor.chem.smiles import parse_smiles, write_smiles
-from retroanchor.chem.canon import AnchorTable, canonical_smiles, canonical_text
-from retroanchor.chem.match import substructure_match
 
 __all__ = [
-    "AnchorTable",
     "Atom",
     "AtomMapSet",
     "Bond",
     "Molecule",
     "SmilesError",
-    "canonical_smiles",
-    "canonical_text",
-    "parse_smiles",
     "strip_atom_maps",
     "strip_stereo",
-    "substructure_match",
-    "write_smiles",
 ]

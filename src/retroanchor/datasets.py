@@ -10,7 +10,6 @@ but neither kept nor labeled.
 
 from __future__ import annotations
 
-import csv
 import json
 import random
 from collections import Counter
@@ -107,7 +106,7 @@ class Ontology:
 
 def parse_reaction_smiles(text: str) -> tuple[list[Molecule], list[Molecule], Molecule]:
     """Split and parse a reaction SMILES into (reactants, reagents, product)."""
-    from retroanchor.chem import parse_smiles
+    from retroanchor.chem.smiles import parse_smiles
 
     segments = text.split(">")
     if len(segments) != 3:
@@ -157,6 +156,7 @@ def ingest_dataset(path: Path | str, parse: bool = True) -> tuple[list[ReactionR
     path = Path(path)
     try:
         if path.suffix.lower() == ".csv":
+            import csv
             with open(path, newline="", encoding="utf-8") as handle:
                 reader = csv.DictReader(handle)
                 if reader.fieldnames is None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from retroanchor.chem import AnchorTable, AtomMapSet
+from retroanchor.chem import AtomMapSet
+from retroanchor.chem.canon import AnchorTable
 from retroanchor.datasets import ReactionRecord
 
 CONNECTIVITY = "connectivity"

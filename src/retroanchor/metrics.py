@@ -9,15 +9,13 @@ the rows.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from collections import Counter
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-from retroanchor.chem import AtomMapSet, Molecule, canonical_text, parse_smiles, substructure_match
+from retroanchor.chem import AtomMapSet, Molecule
 from retroanchor.outputs import DisconnectionCandidate, TransitionPrediction
 from retroanchor.utils import atomic_write_text, normalize_name, stable_json_dumps
 
@@ -153,6 +151,7 @@ def score_position(
 def reactant_multiset(texts, ignore_stereo: bool = False) -> Counter:
     """Canonical map-free text multiset for order-insensitive equality, of
     texts or of parsed molecules (see ``canonical_text``)."""
+    from retroanchor.chem.canon import canonical_text
     return Counter(canonical_text(text, ignore_stereo=ignore_stereo) for text in texts)
 
 
@@ -177,6 +176,7 @@ def template_cover(
     ``atom_shares`` on ``side`` reach the threshold.  The search checks a
     pair only when it reaches it, and embeds each pair at most once for
     both sides."""
+    from retroanchor.chem.match import substructure_match
 
     @functools.cache
     def embeds(t_idx: int, gt_idx: int) -> bool:
@@ -212,6 +212,7 @@ def score_transition(
     unparsable text raises SmilesError and one with no canonical spelling
     ValueError; a fault of the truth raises GroundTruthError.
     """
+    from retroanchor.chem.smiles import parse_smiles
     read = [
         reactant_multiset(p.reactants, ignore_stereo)
         if p.is_valid and not p.is_template
@@ -347,12 +348,12 @@ def _write_confusion_csv(matrix: dict[str, dict[str, int]], path: Path) -> None:
     for gt_label in sorted(matrix):
         row = matrix[gt_label]
         lines.append([gt_label] + [str(row.get(p, 0)) for p in pred_labels])
-    text = "\n".join(",".join(_csv_quote(cell) for cell in line) for line in lines) + "\n"
-    atomic_write_text(path, text)
+    atomic_write_text(path, "".join(",".join(map(_csv_quote, line)) + "\n" for line in lines))
 
 
-def _csv_quote(cell: str) -> str:
+def _csv_quote(cell) -> str:
     # Not csv.writer: on Python 3.11 it leaves a "\r" field unquoted and writes a lone empty field as "".
+    cell = "" if cell is None else str(cell)
     if any(ch in cell for ch in ',"\r\n'):
         return '"' + cell.replace('"', '""') + '"'
     return cell
@@ -371,11 +372,9 @@ def write_report(report: EvaluationReport, directory: Path | str) -> dict[str, P
     }
     atomic_write_text(paths["report"], stable_json_dumps(report._asdict()))
 
-    rows_csv = io.StringIO()
-    writer = csv.DictWriter(rows_csv, fieldnames=list(report.rows[0]))
-    writer.writeheader()
-    writer.writerows(report.rows)
-    atomic_write_text(paths["rows"], rows_csv.getvalue())
+    fields = list(report.rows[0])
+    rows = [fields] + [[row.get(field) for field in fields] for row in report.rows]
+    atomic_write_text(paths["rows"], "".join(",".join(map(_csv_quote, row)) + "\r\n" for row in rows))
 
     _write_confusion_csv(report.confusion_class, paths["confusion_class"])
     _write_confusion_csv(report.confusion_name, paths["confusion_name"])

@@ -11,11 +11,14 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Iterator
-from typing import NamedTuple, get_args, get_type_hints
+from typing import TYPE_CHECKING, NamedTuple, get_args, get_type_hints
 
-from retroanchor.chem import AnchorTable, AtomMapSet, Molecule, SmilesError, canonical_text
+from retroanchor.chem import AtomMapSet, Molecule, SmilesError
 from retroanchor.datasets import Ontology
 from retroanchor.utils import normalize_name
+
+if TYPE_CHECKING:
+    from retroanchor.chem.canon import AnchorTable
 
 NO_JSON = "no_json"
 SCHEMA_VIOLATION = "schema_violation"
@@ -211,6 +214,7 @@ def _position_items(entries: list, anchors: AnchorTable, ontology: Ontology) -> 
 
 def parse_position_output(raw: str, product: Molecule, ontology: Ontology) -> ParseOutcome:
     """Validate the disconnection-stage payload against the product."""
+    from retroanchor.chem.canon import AnchorTable
     return _parse_items(raw, "disconnections", _position_items, AnchorTable(product), ontology)
 
 
@@ -219,6 +223,7 @@ def _canonical_reactants(texts: list[str], is_template: bool) -> tuple[str, ...]
     dropped: the first text that does not parse, then a template atom
     (``*`` or an element list's ``,``, read from the text) where the
     permutation is no template, then the first text with no spelling."""
+    from retroanchor.chem.canon import canonical_text
     canonical, unwritable = [], None
     for text in texts:
         try:

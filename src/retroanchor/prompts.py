@@ -14,7 +14,8 @@ import re
 from importlib import resources
 from typing import NamedTuple
 
-from retroanchor.chem import AnchorTable, AtomMapSet, Molecule
+from retroanchor.chem import AtomMapSet, Molecule
+from retroanchor.chem.canon import AnchorTable
 from retroanchor.datasets import Ontology
 
 # The transition template each prompt variant renders from.

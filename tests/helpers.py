@@ -362,7 +362,7 @@ def random_labeled_reaction(rng) -> tuple["object", set[int], str]:
     """
     from retroanchor.chem.mol import Atom, Bond, Molecule, implicit_hydrogens
     from retroanchor.chem.mol import BOND_ORDER, DEFAULT_VALENCES, DOUBLE, SINGLE
-    from retroanchor.chem import write_smiles
+    from retroanchor.chem.smiles import write_smiles
     from retroanchor.datasets import record_from_row
 
     n_atoms = rng.randint(3, 10)
@@ -695,7 +695,7 @@ def respell_atom_order(eval_rows, train_rows, rng):
     atom maps kept (``permute_molecule``; stereo tags ride along as
     attributes).  Train rows keep their spellings: few-shot examples
     quote them verbatim."""
-    from retroanchor.chem import parse_smiles, write_smiles
+    from retroanchor.chem.smiles import parse_smiles, write_smiles
 
     def respell(text):
         if not text:

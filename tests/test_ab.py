@@ -1,5 +1,6 @@
 """``scripts/ab.py``: the paired A/B summary (pairs won, quartiles, the
-sign test, when a gain counts as shown and each metric's verdict), its
+sign test, the paired change, when a gain counts as shown and each
+metric's verdict), its
 default of ten pairs, the run conditions it records and the head's
 snapshot of a working tree.  No perfbench process runs."""
 
@@ -119,6 +120,25 @@ def test_sign_p_is_the_exact_two_sided_sign_test_over_pairs_with_a_winner():
     assert _summary(BASE, list(BASE))["sign_p"] == 1.0
     # Five each way: the doubled tail exceeds 1 and is capped.
     assert ab.sign_p(5, 5) == 1.0
+
+
+def test_paired_change_shows_a_head_that_wins_every_pair_of_a_drifting_base():
+    # The base drifts upward over the run; the head is 10% faster in every
+    # pair, yet its median gap (0.1225) is below the base IQR (0.225).
+    drifting = [1.0 + 0.05 * k for k in range(10)]
+    out = _summary(drifting, [0.9 * v for v in drifting])
+    assert out["head_won"] == 10
+    assert out["paired_change"]["median"] == pytest.approx(-0.10)
+    assert out["paired_change"]["quartiles"] == pytest.approx([-0.10, -0.10])
+    # The verdict does not read it: the median gap is within the base IQR.
+    assert out["gain_shown"] is False
+    assert out["verdict"] == "no change"
+
+
+def test_paired_change_leaves_out_pairs_with_a_zero_base():
+    out = _summary([0.0, 2.0, 4.0], [0.5, 1.0, 5.0])
+    assert out["paired_change"]["median"] == pytest.approx(-0.125)  # of -0.5 and +0.25
+    assert _summary([0.0, 0.0], [0.0, 0.1])["paired_change"] is None
 
 
 def test_pairs_default_to_ten():

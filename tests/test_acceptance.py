@@ -31,8 +31,10 @@ from helpers import (
 )
 from test_match import brute_force_match
 
-from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles, write_smiles
+from retroanchor.chem import AtomMapSet
+from retroanchor.chem.canon import canonical_smiles
 from retroanchor.chem.match import substructure_match
+from retroanchor.chem.smiles import parse_smiles, write_smiles
 from retroanchor.datasets import build_ontology, ingest_dataset, subsample_eval_set
 from retroanchor.gateway import (
     BackendResult,

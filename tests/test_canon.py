@@ -10,17 +10,10 @@ from pathlib import Path
 import pytest
 
 from helpers import molecules_isomorphic, permute_molecule, random_aromatic_molecule, random_molecule
-from retroanchor.chem import (
-    SmilesError,
-    canon,
-    canonical_smiles,
-    canonical_text,
-    parse_smiles,
-    strip_atom_maps,
-    strip_stereo,
-    write_smiles,
-)
+from retroanchor.chem import SmilesError, canon, strip_atom_maps, strip_stereo
+from retroanchor.chem.canon import canonical_smiles, canonical_text
 from retroanchor.chem.mol import DOUBLE, SINGLE, Molecule
+from retroanchor.chem.smiles import parse_smiles, write_smiles
 
 
 def test_permutation_invariance_hand_case():

@@ -19,7 +19,9 @@ import pytest
 from helpers import run_golden_pipeline
 from loopback import ChatServer, chat_body, without_proxies
 
-from retroanchor.chem import AtomMapSet, Molecule, canon, canonical_smiles, parse_smiles
+from retroanchor.chem import AtomMapSet, Molecule, canon
+from retroanchor.chem.canon import canonical_smiles
+from retroanchor.chem.smiles import parse_smiles
 from retroanchor.cli import main
 from retroanchor.datasets import ingest_dataset, parse_reaction_smiles, sample_examples
 from retroanchor.gateway import ModelConfig, seed_cache
@@ -1616,17 +1618,37 @@ class TestParser:
         assert excinfo.value.code == 2
 
 
-_CHEM = ("chem", "chem.canon", "chem.match", "chem.mol", "chem.smiles")
+# The data model, then that model with SMILES reading and canonical text.
+_MODEL = ("chem", "chem.mol")
+_READ = (*_MODEL, "chem.canon", "chem.smiles")
 
-# The package modules each stage loads, below ``retroanchor.cli`` itself.
+# The package modules each stage loads, below ``retroanchor.cli`` itself:
+# only the stage that scores a template prediction loads the matcher.
 STAGE_LAYERS = {
     "--help": (),
     "ontology": ("datasets", "utils"),
     "subsample": ("datasets", "utils"),
-    "label": ("datasets", "utils", *_CHEM, "labels"),
-    "evaluate": ("datasets", "utils", *_CHEM, "metrics", "outputs"),
-    "run-position": ("datasets", "utils", *_CHEM, "gateway", "outputs", "prompts"),
+    "label": ("datasets", "utils", *_READ, "labels"),
+    "evaluate": ("datasets", "utils", *_MODEL, "metrics", "outputs"),
+    "evaluate-transition": ("datasets", "utils", *_READ, "chem.match", "metrics", "outputs"),
+    "run-position": ("datasets", "utils", *_READ, "gateway", "outputs", "prompts"),
+    "run-transition": ("datasets", "utils", *_READ, "gateway", "outputs", "prompts"),
 }
+
+# e1's reply with a valid template prediction beside the exact one.
+TRANSITION_TEXT_TEMPLATE = json.dumps(
+    {
+        "reaction_analysis": [
+            {
+                "forward_reaction_name": "Amide coupling",
+                "reactant_permutations": [
+                    {"reactants": ["CC(=O)O", "CN"], "is_valid": True, "is_template": False},
+                    {"reactants": ["CC(=O)*", "*N"], "is_valid": True, "is_template": True},
+                ],
+            }
+        ]
+    }
+)
 
 # Modules that only a live run's HTTP backend needs.
 HTTP_MODULES = ("requests", "http.client", "urllib.request")
@@ -1639,14 +1661,19 @@ RECORD_MODULES = ("dataclasses", "inspect")
 @pytest.mark.parametrize("stage", sorted(STAGE_LAYERS))
 def test_import_leaves_requests_unloaded(pipeline, stage):
     """A stage process imports only the layers its subcommand calls: no
-    stage here loads HTTP code, a thread pool or the record machinery of
-    ``dataclasses``, and only the run stage, in replay, loads the prompts
-    and ``hashlib``."""
+    stage here loads HTTP code, a thread pool, the record machinery of
+    ``dataclasses`` or, reading only JSON lines, ``csv``; only the run
+    stages, in replay, load the prompts and ``hashlib``; and evaluating a
+    position run loads the data model of ``chem`` alone."""
     root = pipeline["root"]
     if stage in ("evaluate", "run-position"):
         seed_position(pipeline)
     if stage == "evaluate":
         run_position(pipeline)
+    if stage in ("evaluate-transition", "run-transition"):
+        seed_transition(pipeline, (("e1", TRANSITION_TEXT_TEMPLATE), ("e2", TRANSITION_TEXT_E2)))
+    if stage == "evaluate-transition":
+        run_transition(pipeline)
     argv = {
         "--help": ["--help"],
         "label": ["label", "--input", str(pipeline["raw"]), "--output", str(root / "l.jsonl")],
@@ -1654,9 +1681,13 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
                      "--output", str(root / "o.json")],
         "subsample": ["subsample", "--input", str(pipeline["labeled"]), "--output", str(root / "e.jsonl")],
         "evaluate": ["evaluate", "--run", str(root / "run_pos"), "--input", str(pipeline["eval"])],
+        "evaluate-transition": ["evaluate", "--run", str(root / "run_trans"), "--input", str(pipeline["eval"])],
         "run-position": ["run-position", "--input", str(pipeline["eval"]), "--ontology", str(pipeline["ontology"]),
                          "--output", str(root / "r"), "--model", "test-model", "--backend", "replay",
                          "--cache-dir", str(pipeline["cache"])],
+        "run-transition": ["run-transition", "--input", str(pipeline["eval"]), "--train", str(pipeline["labeled"]),
+                           "--output", str(root / "t"), "--model", "test-model", "--backend", "replay",
+                           "--cache-dir", str(pipeline["cache"])],
     }[stage]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
@@ -1665,7 +1696,7 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
         "import json, sys\n"
         "from retroanchor.cli import main\n"
         "try:\n    code = main(sys.argv[1:])\nexcept SystemExit as exc:\n    code = exc.code\n"
-        f"names = [m for m in sys.modules if m.startswith('retroanchor') or m in {(*POOL_MODULES, *HTTP_MODULES, *RECORD_MODULES, 'hashlib')}]\n"
+        f"names = [m for m in sys.modules if m.startswith('retroanchor') or m in {(*POOL_MODULES, *HTTP_MODULES, *RECORD_MODULES, 'csv', 'hashlib')}]\n"
         "print(json.dumps({'code': code, 'modules': sorted(names)}))"
     )
     result = subprocess.run(
@@ -1673,8 +1704,8 @@ def test_import_leaves_requests_unloaded(pipeline, stage):
     )
     loaded = json.loads(result.stdout.splitlines()[-1])
     assert loaded["code"] == 0
-    assert not {*HTTP_MODULES, *POOL_MODULES, *RECORD_MODULES} & set(loaded["modules"])
-    assert ("hashlib" in loaded["modules"]) == (stage == "run-position")
+    assert not {*HTTP_MODULES, *POOL_MODULES, *RECORD_MODULES, "csv"} & set(loaded["modules"])
+    assert ("hashlib" in loaded["modules"]) == stage.startswith("run-")
     expected = ["retroanchor", "retroanchor.cli", *(f"retroanchor.{m}" for m in STAGE_LAYERS[stage])]
     assert [m for m in loaded["modules"] if m != "hashlib"] == sorted(expected)
 

@@ -18,7 +18,8 @@ import pytest
 
 from helpers import golden_fixture_dir
 
-from retroanchor.chem import canon, parse_smiles
+from retroanchor.chem import canon
+from retroanchor.chem.smiles import parse_smiles
 from retroanchor.datasets import build_ontology, ingest_dataset
 from retroanchor.outputs import from_row, parse_position_output, parse_transition_output, to_row
 

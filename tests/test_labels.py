@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from retroanchor.chem import AnchorTable, parse_smiles
+from retroanchor.chem.canon import AnchorTable
+from retroanchor.chem.smiles import parse_smiles
 from retroanchor.datasets import ingest_dataset, record_from_row
 from retroanchor.labels import extract_structural_label
 

@@ -8,9 +8,9 @@ import random
 import pytest
 
 from helpers import random_molecule
-from retroanchor.chem import parse_smiles, substructure_match
-from retroanchor.chem.match import atoms_compatible, find_embedding
+from retroanchor.chem.match import atoms_compatible, find_embedding, substructure_match
 from retroanchor.chem.mol import Molecule
+from retroanchor.chem.smiles import parse_smiles
 
 
 def brute_force_match(pattern: Molecule, target: Molecule) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import random
@@ -13,16 +14,10 @@ import pytest
 
 from helpers import permute_molecule, random_aromatic_molecule, random_molecule
 from retroanchor import metrics
-from retroanchor.chem import (
-    AtomMapSet,
-    canon,
-    canonical_smiles,
-    parse_smiles,
-    strip_atom_maps,
-    strip_stereo,
-    substructure_match,
-    write_smiles,
-)
+from retroanchor.chem import AtomMapSet, canon, strip_atom_maps, strip_stereo
+from retroanchor.chem.canon import canonical_smiles
+from retroanchor.chem.match import substructure_match
+from retroanchor.chem.smiles import parse_smiles, write_smiles
 from retroanchor.metrics import (
     ConfusionLabel,
     EvaluationReport,
@@ -224,7 +219,7 @@ def _uncached_multiset(molecules, ignore_stereo):
 
 
 class TestCanonicalMemo:
-    """``reactant_multiset`` reads through ``chem.canonical_text``, the one
+    """``reactant_multiset`` reads through ``chem.canon.canonical_text``, the one
     text-to-canonical-text cache."""
 
     @pytest.fixture(autouse=True)
@@ -459,7 +454,7 @@ class TestScoreTransition:
             calls.append((template.source_text, gt.source_text))
             return substructure_match(template, gt)
 
-        monkeypatch.setattr(metrics, "substructure_match", counting_match)
+        monkeypatch.setattr("retroanchor.chem.match.substructure_match", counting_match)
         reactants = ["[CH3:6][NH2:7]", "[CH3:1][CH2:2][C:3](=[O:4])[OH:5]"]
         preds = [_pred(reactants, is_template=True), _pred(reactants, is_template=True)]
         score = score_transition(preds, [GT_ACID, GT_AMINE])
@@ -665,6 +660,21 @@ class TestWriteReport:
         ):
             with open(paths[key], newline="", encoding="utf-8") as handle:
                 assert list(csv.reader(handle)) == [["gt\\pred", pred], [gt, "1"]]
+
+    def test_rows_csv_is_what_dict_writer_writes(self, tmp_path):
+        # Model text in the name columns holds every character CSV quotes;
+        # a row without a label leaves those columns empty.
+        text = 'a,b "c"\rd\ne'
+        report = aggregate([
+            ("ex1", _pscore(True, 1.0, True, True, True, n=2), ConfusionLabel("Acylation", text, "Acylation", text + ",")),
+            ("ex2", _pscore(False, 0.0, False, n=1), None),
+            ('ex"3', _pscore(True, 0.5, False, False, False), ConfusionLabel("", "\r", None, None)),
+        ])
+        reference = io.StringIO()
+        writer = csv.DictWriter(reference, fieldnames=list(report.rows[0]))
+        writer.writeheader()
+        writer.writerows(report.rows)
+        assert write_report(report, tmp_path)["rows"].read_bytes() == reference.getvalue().encode("utf-8")
 
     def test_deterministic_bytes(self, tmp_path):
         first = write_report(self._report(), tmp_path / "a")

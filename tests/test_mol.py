@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from retroanchor.chem import AnchorTable, AtomMapSet, parse_smiles
+from retroanchor.chem import AtomMapSet
+from retroanchor.chem.canon import AnchorTable
 from retroanchor.chem.mol import implicit_hydrogens
+from retroanchor.chem.smiles import parse_smiles
 
 
 @pytest.mark.parametrize(

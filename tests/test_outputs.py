@@ -10,7 +10,8 @@ import pytest
 from test_cli import HUB_SMILES
 
 from retroanchor import outputs
-from retroanchor.chem import AnchorTable, canonical_smiles, parse_smiles
+from retroanchor.chem.canon import AnchorTable, canonical_smiles
+from retroanchor.chem.smiles import parse_smiles
 from retroanchor.datasets import Ontology, OntologyEntry
 from retroanchor.outputs import (
     ALL_ITEMS_INVALID,

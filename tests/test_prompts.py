@@ -7,7 +7,9 @@ import json
 
 import pytest
 
-from retroanchor.chem import AtomMapSet, canonical_smiles, parse_smiles
+from retroanchor.chem import AtomMapSet
+from retroanchor.chem.canon import canonical_smiles
+from retroanchor.chem.smiles import parse_smiles
 from retroanchor.datasets import Ontology, OntologyEntry
 from retroanchor.prompts import (
     TEMPLATE_DIGESTS,

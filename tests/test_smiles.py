@@ -13,8 +13,9 @@ from helpers import (
     random_aromatic_molecule,
     random_molecule,
 )
-from retroanchor.chem import SmilesError, parse_smiles, smiles, write_smiles
+from retroanchor.chem import SmilesError, smiles
 from retroanchor.chem.mol import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom
+from retroanchor.chem.smiles import parse_smiles, write_smiles
 
 
 def test_linear_chain():
