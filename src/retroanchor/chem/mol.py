@@ -156,11 +156,6 @@ class Molecule:
     def __init__(self, atoms: tuple[Atom, ...], bonds: tuple[Bond, ...], source_text: str = ""):
         self.atoms, self.bonds, self.source_text = atoms, bonds, source_text
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Molecule) and (self.atoms, self.bonds, self.source_text) == (
-            other.atoms, other.bonds, other.source_text
-        )
-
     # Bonds are not re-checked: parse_smiles checks every new bond list,
     # and the rewrites keep the endpoints of an already checked one.
     @cached_property

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -190,7 +189,7 @@ def _execute_run(
     is skipped and sends no request.  ``parse`` returns the parse outcome
     plus the stage's own fields for the ``ok`` row.
     """
-    from retroanchor.gateway import Completion, Gateway, GatewayError, HttpBackend, ModelConfig
+    from retroanchor.gateway import Completion, Gateway, GatewayError, HttpBackend, ModelConfig, read_api_key
     from retroanchor.utils import atomic_write_text, stable_json_dumps, write_jsonl
     if args.parallelism < 1:
         raise CliError("--parallelism must be at least 1")
@@ -201,8 +200,10 @@ def _execute_run(
             backend = HttpBackend(model)  # dials nothing: a bad endpoint exits before any file is made
         except GatewayError as exc:
             raise CliError(f"--endpoint: {exc}") from exc
-        if not os.environ.get(args.api_key_env):
-            raise CliError(f"environment variable {args.api_key_env} is not set")
+        try:
+            read_api_key(args.api_key_env)
+        except GatewayError as exc:
+            raise CliError(str(exc)) from exc
     cache_dir = args.cache_dir or args.output / "cache"
     config = {
         "stage": stage,

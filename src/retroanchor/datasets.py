@@ -77,9 +77,6 @@ class Ontology:
     def __init__(self, entries: tuple[OntologyEntry, ...], source_split: str = ""):
         self.entries, self.source_split = entries, source_split
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Ontology) and (self.entries, self.source_split) == (other.entries, other.source_split)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -157,7 +154,7 @@ def ingest_dataset(path: Path | str, parse: bool = True) -> tuple[list[ReactionR
     try:
         if path.suffix.lower() == ".csv":
             import csv
-            with open(path, newline="", encoding="utf-8") as handle:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
                 reader = csv.DictReader(handle)
                 if reader.fieldnames is None:
                     raise ValueError(f"{path}: empty CSV file")

@@ -170,6 +170,19 @@ def _retry_after(response) -> float | None:
     return min(max(delay, 0.0), RETRY_AFTER_CAP_S)
 
 
+def read_api_key(env: str) -> str:
+    """The key the environment variable ``env`` holds.  An unset key, or
+    one with a character other than printable ASCII (``http.client``
+    raises for CR, LF or a character outside Latin-1), is an
+    ``auth_failure`` whose message never shows the key."""
+    key = os.environ.get(env, "")
+    if not key:
+        raise GatewayError(AUTH_FAILURE, f"environment variable {env} is not set")
+    if not (key.isascii() and key.isprintable()):
+        raise GatewayError(AUTH_FAILURE, f"environment variable {env} holds a character other than printable ASCII")
+    return key
+
+
 class HttpBackend:
     """OpenAI-style chat-completions over stdlib ``http.client``, with one
     keep-alive connection per sending thread (RFC 9112 §9) until ``close``.
@@ -213,11 +226,7 @@ class HttpBackend:
 
     def send(self, text: str) -> BackendResult:
         import http.client
-        api_key = os.environ.get(self.cfg.api_key_env, "")
-        if not api_key:
-            raise GatewayError(
-                AUTH_FAILURE, f"environment variable {self.cfg.api_key_env} is not set"
-            )
+        api_key = read_api_key(self.cfg.api_key_env)
         payload = json.dumps({
             "model": self.cfg.model_id,
             "messages": [{"role": "user", "content": text}],

@@ -31,7 +31,7 @@ def jaccard(a, b) -> float:
     return len(a & b) / len(union)
 
 
-class _PositionScore(NamedTuple):
+class PositionScore(NamedTuple):
     partial_match: bool
     best_jaccard: float
     exact_match: bool
@@ -41,35 +41,13 @@ class _PositionScore(NamedTuple):
     failed: bool
 
 
-class PositionScore(_PositionScore):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.exact_match and self.best_jaccard != 1.0:
-            raise ValueError("exact_match requires best_jaccard == 1.0")
-        if (self.reaction_match is not None) != self.partial_match:
-            raise ValueError("reaction_match is defined exactly when partial_match")
-        return self
-
-
-class _TransitionScore(NamedTuple):
+class TransitionScore(NamedTuple):
     template_acc: bool
     reactant_acc: bool
     combined_acc: bool
     template_acc_alt: bool
     n_predictions: int
     failed: bool
-
-
-class TransitionScore(_TransitionScore):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.combined_acc != (self.template_acc or self.reactant_acc):
-            raise ValueError("combined_acc must equal template_acc or reactant_acc")
-        return self
 
 
 class ConfusionLabel(NamedTuple):

@@ -52,22 +52,12 @@ class TransitionPrediction(NamedTuple):
     reaction_name: str
 
 
-class _ParseOutcome(NamedTuple):
+class ParseOutcome(NamedTuple):
+    """Salvaged items plus an inventory of what was discarded and why."""
+
     ok: tuple
     dropped: tuple[dict, ...] = ()
     failure_class: str | None = None
-
-
-class ParseOutcome(_ParseOutcome):
-    """Salvaged items plus an inventory of what was discarded and why."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if bool(self.ok) == (self.failure_class is not None):
-            raise ValueError("failure_class must be set exactly when nothing parsed")
-        return self
 
 
 def exact(value, *kinds: type):

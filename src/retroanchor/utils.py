@@ -44,13 +44,13 @@ def atomic_write_text(path: Path | str, text: str) -> None:
 
 
 def read_jsonl(path: Path | str) -> list[dict]:
-    """Rows of a JSON-lines file; blank lines are skipped.
+    """Rows of a JSON-lines file; blank lines and a leading byte-order mark are skipped.
 
     A line that is not UTF-8 or not a JSON object raises ValueError
     naming the path and the 1-based line number.
     """
     rows = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             for number, line in enumerate(handle, start=1):
                 line = line.strip()

@@ -361,6 +361,24 @@ class TestLabel:
         assert capsys.readouterr().err == f"error: {source}:2: not UTF-8: invalid start byte\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, suffix):
+        """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark;
+        the file labels its row, byte for byte as the file without one."""
+        row = TRAIN_ROWS[0]
+        if suffix == ".csv":
+            text = ",".join(row) + "\n" + ",".join(row.values()) + "\n"
+        else:
+            text = json.dumps(row) + "\n"
+        labeled = []
+        for name, data in (("plain", text.encode()), ("marked", b"\xef\xbb\xbf" + text.encode())):
+            source, out = tmp_path / f"{name}{suffix}", tmp_path / f"{name}.jsonl"
+            source.write_bytes(data)
+            assert main(["label", "--input", str(source), "--output", str(out)]) == 0
+            labeled.append(out.read_bytes())
+        assert labeled[0] == labeled[1]
+        assert [(r["id"], r["label_kind"]) for r in read_jsonl(tmp_path / "marked.jsonl")] == [("t1", "connectivity")]
+
 
 class TestOntology:
     def test_entries_sorted_unique(self, pipeline):
@@ -545,6 +563,26 @@ class TestRunPosition:
         )
         assert code == 1
         assert "RETROANCHOR_API_KEY" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["ключ", "sk-test\n"], ids=["non-latin-1", "trailing-lf"])
+    def test_live_key_no_header_can_carry_exits_1_and_writes_nothing(self, pipeline, capsys, monkeypatch, key):
+        monkeypatch.setenv("RETROANCHOR_API_KEY", key)
+        code = main(
+            [
+                "run-position",
+                "--input", str(pipeline["eval"]),
+                "--ontology", str(pipeline["ontology"]),
+                "--output", str(pipeline["root"] / "r"),
+                "--model", "m",
+                "--backend", "live",
+                "--endpoint", "https://example.invalid/v1/chat/completions",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: environment variable RETROANCHOR_API_KEY ")
+        assert key.strip() not in err
+        assert not (pipeline["root"] / "r").exists()
 
     @pytest.mark.parametrize(
         "payload",

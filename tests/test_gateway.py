@@ -508,6 +508,19 @@ class TestHttpBackend:
         assert err.value.kind == AUTH_FAILURE
         assert server.connections == 0
 
+    @pytest.mark.parametrize("key", ["ключ", "sk-test\n", "sk\rtest"], ids=["non-latin-1", "trailing-lf", "cr"])
+    def test_key_no_header_can_carry_fails_each_item_of_a_batch(self, monkeypatch, tmp_path, key):
+        """``http.client`` would raise ValueError or UnicodeEncodeError on
+        such a key, outside any GatewayError; each send is refused as
+        ``auth_failure`` instead, with a message that does not show it."""
+        monkeypatch.setenv("TEST_GATEWAY_KEY", key)
+        with ChatServer() as server:
+            cfg = _http_cfg(server.endpoint)
+            results = Gateway(cfg, tmp_path, backend=HttpBackend(cfg)).run_batch([_prompt("a"), _prompt("b")], 2)
+        assert [(r.kind, r.attempts) for r in results] == [(AUTH_FAILURE, 1)] * 2
+        assert all("TEST_GATEWAY_KEY" in r.message and key not in r.message for r in results)
+        assert server.connections == 0
+
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_statuses(self, monkeypatch, status):
         assert _send_error([(status, {}, {})], monkeypatch).kind == AUTH_FAILURE

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import permute_molecule, random_aromatic_molecule, random_molecule
+from helpers import permute_molecule, random_aromatic_molecule, random_labeled_reaction, random_molecule
 from retroanchor import metrics
 from retroanchor.chem import AtomMapSet, canon, strip_atom_maps, strip_stereo
 from retroanchor.chem.canon import canonical_smiles
@@ -474,41 +474,80 @@ class TestScoreTransition:
             score_transition([_pred(["CC"])], [])
 
 
-class TestScoreInvariants:
-    def test_exact_requires_unit_jaccard(self):
-        with pytest.raises(ValueError):
-            PositionScore(
-                partial_match=True,
-                best_jaccard=0.5,
-                exact_match=True,
-                reaction_match=False,
-                reaction_match_in_ontology=False,
-                n_predictions=1,
-                failed=False,
-            )
+def _random_site(rng, label: set[int]) -> set[int]:
+    """``label`` less a few of its maps (or all of them) plus a few maps
+    outside it; never empty."""
+    dropped = rng.sample(sorted(label), min(len(label), rng.choice((0, 0, 1, 2, len(label)))))
+    foreign = range(max(label) + 1, max(label) + 1 + rng.choice((0, 0, 1, 3)))
+    return (label - set(dropped)) | set(foreign) or {max(label) + 1}
 
-    def test_reaction_match_defined_iff_partial(self):
-        with pytest.raises(ValueError):
-            PositionScore(
-                partial_match=False,
-                best_jaccard=0.0,
-                exact_match=False,
-                reaction_match=True,
-                reaction_match_in_ontology=None,
-                n_predictions=1,
-                failed=False,
-            )
 
-    def test_combined_must_be_disjunction(self):
-        with pytest.raises(ValueError):
-            TransitionScore(
-                template_acc=True,
-                reactant_acc=False,
-                combined_acc=False,
-                template_acc_alt=False,
-                n_predictions=1,
-                failed=False,
-            )
+def _position_cases(seed: int):
+    """300 (candidates, label, name) triples over the labels of random mapped
+    reactions.  A fifth of the candidate lists are empty, and one label in
+    ten is widened to 100-160 maps, so that a site one map short of it
+    has a best Jaccard in [0.99, 1)."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 300:
+        record, label, _kind = random_labeled_reaction(rng)
+        if not label:
+            continue
+        if rng.random() < 0.1:
+            label = set(range(1, rng.randint(100, 160)))
+        names = (record.reaction_name, record.reaction_name.upper(), "Other reaction")
+        cands = [
+            _cand(_random_site(rng, label), name=rng.choice(names), priority=rng.randint(1, 3),
+                  in_ontology=rng.random() < 0.7)
+            for _ in range(0 if rng.random() < 0.2 else rng.randint(1, 4))
+        ]
+        cases.append((cands, AtomMapSet.of(label), record.reaction_name))
+    return cases
+
+
+class TestScoreProperties:
+    """Each score field that derives from another, checked on what the
+    scorers build for random inputs: the records check nothing."""
+
+    @pytest.fixture(scope="class")
+    def position_scores(self):
+        return [score_position(cands, label, name, "")[0] for cands, label, name in _position_cases(37)]
+
+    def test_exact_match_is_a_best_jaccard_of_one(self, position_scores):
+        for score in position_scores:
+            assert score.exact_match == (score.best_jaccard == 1.0), score
+        assert any(score.exact_match for score in position_scores)
+        assert any(0.99 <= score.best_jaccard < 1.0 for score in position_scores)
+
+    def test_reaction_match_is_set_exactly_on_a_partial_match(self, position_scores):
+        for score in position_scores:
+            assert (score.reaction_match is None) == (not score.partial_match), score
+            assert (score.reaction_match_in_ontology is None) == (not score.partial_match), score
+        assert {score.partial_match for score in position_scores if score.n_predictions} == {True, False}
+        assert {score.reaction_match for score in position_scores} == {None, True, False}
+
+    def test_failed_is_no_prediction(self, position_scores):
+        for score in position_scores:
+            assert score.failed == (score.n_predictions == 0), score
+        assert {score.failed for score in position_scores} == {True, False}
+
+    def test_combined_acc_is_template_or_reactant_acc(self):
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(150):
+            record, _label, _kind = random_labeled_reaction(rng)
+            truth = list(record.reactants)
+            texts = [molecule.source_text for molecule in truth]
+            decoy = [write_smiles(random_molecule(rng)) for _ in range(rng.randint(1, 2))]
+            preds = [
+                _pred(rng.choice((texts, texts[::-1], texts[:1], decoy)),
+                      is_valid=rng.random() < 0.7, is_template=rng.random() < 0.4)
+                for _ in range(rng.randint(0, 4))
+            ]
+            score = score_transition(preds, truth)
+            assert score.combined_acc == (score.template_acc or score.reactant_acc), score
+            seen.add((score.template_acc, score.reactant_acc))
+        assert seen == set(itertools.product((False, True), repeat=2))
 
 
 def _pscore(partial, best, exact, reaction=None, in_ont=None, n=1, failed=False):

@@ -88,4 +88,5 @@ def test_parsed_atoms_and_bonds_stay_immutable():
     assert atom._replace(atom_map=2).atom_map == 2
     assert bond._replace(stereo="/").stereo == "/"
     assert (atom.atom_map, bond.kind, bond.stereo) == (1, "double", None)
-    assert parse_smiles("[CH3:1]C=O") == mol
+    again = parse_smiles("[CH3:1]C=O")
+    assert (again.atoms, again.bonds, again.source_text) == (mol.atoms, mol.bonds, mol.source_text)

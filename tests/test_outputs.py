@@ -7,21 +7,22 @@ import random
 
 import pytest
 
+from helpers import golden_fixture_dir
 from test_cli import HUB_SMILES
 
 from retroanchor import outputs
 from retroanchor.chem.canon import AnchorTable, canonical_smiles
 from retroanchor.chem.smiles import parse_smiles
-from retroanchor.datasets import Ontology, OntologyEntry
+from retroanchor.datasets import Ontology, OntologyEntry, parse_reaction_smiles
 from retroanchor.outputs import (
     ALL_ITEMS_INVALID,
     NO_JSON,
     SCHEMA_VIOLATION,
-    ParseOutcome,
     extract_json_object,
     parse_position_output,
     parse_transition_output,
 )
+from retroanchor.utils import read_jsonl
 
 PRODUCT = parse_smiles("CC(C)C(=O)O[C:12](=O)[N:14]([CH3:15])C")
 ONTOLOGY = Ontology(
@@ -503,14 +504,76 @@ class TestTextFieldsMustBeStrings:
         assert (prediction.reaction_name, prediction.reasoning) == ("", "")
 
 
-class TestParseOutcomeInvariant:
-    def test_failure_class_required_when_empty(self):
-        with pytest.raises(ValueError):
-            ParseOutcome(ok=(), dropped=(), failure_class=None)
+def _json_paths(node, path=()):
+    """The path to every value inside ``node``, ``node`` itself first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
 
-    def test_failure_class_forbidden_when_nonempty(self):
-        with pytest.raises(ValueError):
-            ParseOutcome(ok=(1,), dropped=(), failure_class=NO_JSON)
+
+def _random_json(rng, depth=0):
+    if depth > 2 or rng.random() < 0.6:
+        return rng.choice((None, True, False, 0, 3, -1, 2.5, "", "C:12", "CC", "Suzuki coupling"))
+    if rng.random() < 0.5:
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    keys = ("disconnection", "reactions", "forwardReaction", "Priority", "reactants", "is_valid", "x")
+    return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+def _mutated(rng, obj):
+    """A copy of ``obj`` with one to three values, the root among them,
+    replaced by random JSON."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_json_paths(obj)))
+        if not path:
+            return _random_json(rng)
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = _random_json(rng)
+    return obj
+
+
+def _golden_replies(arm: str, root: str):
+    """(reply, row id): each golden completion of ``arm``, every byte
+    prefix of it, random mutations of its JSON object, and a ``root`` list
+    of random values."""
+    golden = golden_fixture_dir()
+    rng = random.Random(53)
+    for rid, text in json.loads((golden / "completions" / f"{arm}.json").read_text()).items():
+        data = text.encode()
+        for end in range(len(data) + 1):
+            yield data[:end].decode("utf-8", "ignore"), rid
+        obj = extract_json_object(text)
+        for _ in range(40):
+            yield json.dumps(_mutated(rng, obj)), rid
+        yield json.dumps({root: [_random_json(rng) for _ in range(rng.randint(0, 3))]}), rid
+
+
+def _golden_products() -> dict:
+    rows = read_jsonl(golden_fixture_dir() / "eval_raw.jsonl")
+    return {row["id"]: parse_reaction_smiles(row["reaction_smiles"])[2] for row in rows}
+
+
+class TestFailureClassProperty:
+    """``failure_class`` is set exactly when nothing parsed, on what each
+    parser builds: the outcome record checks nothing."""
+
+    @pytest.mark.parametrize("arm", ["position", "transition"])
+    def test_failure_class_is_set_exactly_when_nothing_parsed(self, arm):
+        if arm == "position":
+            products = _golden_products()
+            root, parse = "disconnections", lambda reply, rid: parse_position_output(reply, products[rid], ONTOLOGY)
+        else:
+            root, parse = "reaction_analysis", lambda reply, rid: parse_transition_output(reply)
+        classes = set()
+        for reply, rid in _golden_replies(arm, root):
+            outcome = parse(reply, rid)
+            assert bool(outcome.ok) != (outcome.failure_class is not None), (reply, outcome)
+            classes.add(outcome.failure_class)
+        assert classes == {None, NO_JSON, SCHEMA_VIOLATION, ALL_ITEMS_INVALID}
 
 
 class TestDeepNesting:

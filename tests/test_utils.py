@@ -43,6 +43,19 @@ class TestReadJsonl:
         with pytest.raises(ValueError, match=r"rows.jsonl:3: not a JSON object$"):
             read_jsonl(path)
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        """Only at the start of the file: a line still counts from 1 after it,
+        and a mark on a later line is no JSON."""
+        path = tmp_path / "rows.jsonl"
+        path.write_bytes(b'\xef\xbb\xbf{"a": 1}\n')
+        assert read_jsonl(path) == [{"a": 1}]
+        path.write_bytes(b'\xef\xbb\xbf{"a": 1}\n{"a": "\xff"}\n')
+        with pytest.raises(ValueError, match=r"rows.jsonl:2: not UTF-8: invalid start byte$"):
+            read_jsonl(path)
+        path.write_bytes(b'{"a": 1}\n\xef\xbb\xbf{"a": 2}\n')
+        with pytest.raises(ValueError, match=r"rows.jsonl:2: not JSON: Unexpected UTF-8 BOM"):
+            read_jsonl(path)
+
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_a_line_that_is_not_utf8_is_named(self, tmp_path, newline):
         """The decoder fails for a whole read chunk; the message still names
